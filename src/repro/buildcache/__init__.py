@@ -13,9 +13,10 @@ on-disk store, selected by ``configuration['build_cache']``
 drift, unresolvable rebinding — silently falls back to a cold build.
 """
 
-from .cache import (BuildCache, clear_disk, disk_usage, get_cache,
-                    read_disk_stats, reset_process_cache)
+from .cache import (BuildCache, clear_disk, disk_objects, disk_usage,
+                    get_cache, read_disk_stats, reset_process_cache)
 from .fingerprint import fingerprint_build
 
-__all__ = ['BuildCache', 'clear_disk', 'disk_usage', 'get_cache',
-           'read_disk_stats', 'reset_process_cache', 'fingerprint_build']
+__all__ = ['BuildCache', 'clear_disk', 'disk_objects', 'disk_usage',
+           'get_cache', 'read_disk_stats', 'reset_process_cache',
+           'fingerprint_build']

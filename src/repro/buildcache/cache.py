@@ -10,6 +10,8 @@ On-disk layout (under ``configuration['cache_dir']``)::
 
     <dir>/
       <fp[:2]>/<fp>.json   # one entry: {fingerprint, checksum, payload}
+      so/k_<key>.so        # compiled objects, one per set of equations
+                           # and toolchain, shared by the entries above
       stats.json           # cumulative hit/miss counters across processes
 
 Every read re-verifies the embedded BLAKE2b checksum and the artifact
@@ -37,7 +39,7 @@ from ..codegen.artifact import KernelArtifact
 from ..ioutil import atomic_write_json
 
 __all__ = ['BuildCache', 'get_cache', 'reset_process_cache',
-           'read_disk_stats', 'disk_usage', 'clear_disk']
+           'read_disk_stats', 'disk_usage', 'disk_objects', 'clear_disk']
 
 #: statistics fields (all monotonic counters except saved_seconds)
 _STAT_KEYS = ('hits', 'memory_hits', 'disk_hits', 'misses', 'stores',
@@ -143,7 +145,7 @@ class BuildCache:
         if self.disk_enabled:
             try:
                 payload = artifact.to_payload()
-                self._persist_shared_object(key, payload)
+                self._persist_shared_object(payload)
                 entry = {'fingerprint': key,
                          'checksum': _payload_checksum(payload),
                          'payload': payload}
@@ -155,27 +157,37 @@ class BuildCache:
                     self.stats['errors'] += 1
         self._ensure_atexit()
 
-    def _persist_shared_object(self, key, payload):
-        """Copy a compiled backend's .so beside the JSON entry.
+    def _persist_shared_object(self, payload):
+        """Copy a compiled backend's .so into ``<dir>/so/``.
 
         The cold build leaves the object in a per-process scratch
         directory that dies with the process; a disk entry must point at
-        something durable.  The payload's ``so_path`` is rewritten *in
-        place* (before the entry checksum is computed), so the shared
-        memory-tier artifact also outlives the scratch directory.
+        something durable.  Objects keep their content name
+        (:func:`repro.codegen.jit.object_names`), so every entry built
+        from the same equations — each rank, each decomposition —
+        points at one file.  A file already there is kept only if it
+        *is* the fresh build, byte for byte: a torn or tampered copy is
+        replaced, or no later start could ever hit.  The payload's
+        ``so_path`` and ``so_checksum`` are rewritten *in place*
+        (before the entry checksum is computed) to the file actually
+        published, so the shared memory-tier artifact also outlives the
+        scratch directory.
         """
         src = payload.get('so_path')
         if payload.get('backend') != 'c' or not src:
             return
+        from ..codegen.jit import file_checksum
         so_dir = os.path.join(self.directory, 'so')
-        dst = os.path.join(so_dir, '%s.so' % key)
-        if not os.path.isfile(dst):
+        dst = os.path.join(so_dir, os.path.basename(src))
+        if src != dst and not (os.path.isfile(dst) and file_checksum(dst)
+                               == payload['so_checksum']):
             import shutil
             os.makedirs(so_dir, exist_ok=True)
             tmp = '%s.tmp%d.%d' % (dst, os.getpid(),
                                    threading.get_ident())
             shutil.copyfile(src, tmp)
             os.replace(tmp, dst)
+            payload['so_checksum'] = file_checksum(dst)
         payload['so_path'] = dst
 
     # -- accounting ------------------------------------------------------------------
@@ -330,6 +342,16 @@ def disk_usage(directory):
             continue
         nentries += 1
     return nentries, nbytes
+
+
+def disk_objects(directory):
+    """Number of compiled objects in the on-disk tier (one per set of
+    equations and toolchain, however many entries point at it)."""
+    try:
+        names = os.listdir(os.path.join(os.fspath(directory), 'so'))
+    except OSError:
+        return 0
+    return sum(1 for name in names if name.endswith('.so'))
 
 
 def clear_disk(directory):

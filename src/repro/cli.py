@@ -683,7 +683,8 @@ def run_cache(action, cache_dir=None, min_hits=None, as_json=False,
 
     out = out if out is not None else sys.stdout
     from . import configuration
-    from .buildcache import clear_disk, disk_usage, read_disk_stats
+    from .buildcache import (clear_disk, disk_objects, disk_usage,
+                             read_disk_stats)
     directory = cache_dir if cache_dir is not None \
         else configuration['cache_dir']
     if action == 'clear':
@@ -695,13 +696,15 @@ def run_cache(action, cache_dir=None, min_hits=None, as_json=False,
     stats = read_disk_stats(directory)
     nentries, nbytes = disk_usage(directory)
     stats.update(entries=nentries, disk_bytes=nbytes,
-                 directory=str(directory))
+                 objects=disk_objects(directory), directory=str(directory))
     if as_json:
         print(_json.dumps(stats, indent=2, sort_keys=True), file=out)
     else:
         print('build cache at %s' % directory, file=out)
         print('  entries       : %d (%d bytes on disk)'
               % (nentries, nbytes), file=out)
+        print('  objects       : %d compiled (shared by the entries)'
+              % stats['objects'], file=out)
         print('  hits          : %d (memory %d, disk %d)'
               % (stats['hits'], stats['memory_hits'], stats['disk_hits']),
               file=out)
@@ -767,6 +770,12 @@ def run_doctor(require_c=False, cache_dir=None, as_json=False, out=None):
                   file=out)
         print('  smoke compile   : %s' % (report['smoke'] or 'skipped'),
               file=out)
+        if report['object_key']:
+            # what a compiled object's cache key folds in besides its
+            # source: objects differing in any of these are never shared
+            print('  object key      : flags %s; cpu %s'
+                  % (report['object_key']['flags'],
+                     report['object_key']['cpu']), file=out)
         print('  cffi            : %s'
               % ('available' if report['cffi'] else 'not installed '
                  '(fine; ctypes is used)'), file=out)

@@ -39,7 +39,9 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #: 2: the static communication certificate joined the payload.
 #: 3: the compiled execution backend joined the payload (backend,
 #:    C source, shared-object path + checksum, per-step call metadata).
-ARTIFACT_VERSION = 3
+#: 4: the compiled object became shape-generic and content-named; each
+#:    step's row of the per-rank geometry table joined ``c_steps``.
+ARTIFACT_VERSION = 4
 
 _REQUIRED_KEYS = ('version', 'source', 'step_lines', 'sections',
                   'exchangers', 'mpi_mode', 'sanitizer_writes',
@@ -169,13 +171,18 @@ class KernelArtifact:
             'certificate': certificate,
             'build_seconds': float(build_seconds),
             # compiled-backend products ('numpy' builds carry Nones).
-            # so_path is rewritten by the disk cache tier when it copies
-            # the object next to the JSON entry.
+            # The object is shared by every build of the same equations
+            # (its file name is its content key); c_steps is this
+            # rank's binding.  so_path is rewritten by the disk cache
+            # tier when it copies the object into its own store.
             'backend': kernel.backend,
             'c_source': kernel.c_source,
             'so_path': kernel.so_path,
             'so_checksum': kernel.so_checksum,
-            'c_steps': kernel.c_steps,
+            # string keys, as JSON will have them: the entry checksum
+            # is taken over sorted keys, and 10 sorts before 2 as text
+            'c_steps': None if kernel.c_steps is None else
+            {str(sid): meta for sid, meta in kernel.c_steps.items()},
         }
         return cls(payload)
 
@@ -288,9 +295,11 @@ class KernelArtifact:
         # compiled backend: re-attach the shared object.  The checksum
         # is the tamper seal — a deleted, truncated or modified .so
         # demotes the hit to a cold rebuild (never run stale or foreign
-        # code, never silently recompile under a 'hit' status).
+        # code, never silently recompile under a 'hit' status) — and
+        # the content name says who may run it: an object this host's
+        # toolchain and CPU would not have produced is foreign too.
         backend = p.get('backend') or 'numpy'
-        c_funcs = None
+        c_funcs = c_geom = None
         if backend == 'c':
             import os
             from . import jit
@@ -298,16 +307,18 @@ class KernelArtifact:
             if not so_path or not os.path.isfile(so_path):
                 raise ArtifactError("compiled artifact's shared object "
                                     "is missing: %r" % (so_path,))
+            if os.path.basename(so_path) not in \
+                    jit.object_names(p['c_source']):
+                raise ArtifactError("compiled artifact's shared object "
+                                    "was built by another toolchain or "
+                                    "for another CPU: %r" % (so_path,))
             if jit.file_checksum(so_path) != p['so_checksum']:
                 raise ArtifactError("compiled artifact's shared object "
                                     "fails its checksum: %r" % (so_path,))
             try:
-                self._lib, c_funcs = jit.load_steps(
-                    so_path,
-                    {m['name']: m['sig']
-                     for m in (p['c_steps'] or {}).values()},
-                    grid.dtype)
-            except jit.JITError as e:
+                self._lib, c_funcs, c_geom = jit.load_steps(
+                    so_path, p['c_steps'] or {}, grid.dtype)
+            except (jit.JITError, KeyError, TypeError) as e:
                 raise ArtifactError(str(e)) from None
 
         # compile + exec the cached source (memoized per artifact object)
@@ -318,7 +329,7 @@ class KernelArtifact:
         if san is not None:
             namespace['__SAN'] = san
         if c_funcs is not None:
-            namespace['__C'] = c_funcs
+            namespace.update(__C=c_funcs, __G=c_geom)
         exec(self._code, namespace)  # noqa: S102 - the cached JIT artifact
         func = namespace.get('__kernel')
         if func is None:

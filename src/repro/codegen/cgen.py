@@ -6,9 +6,13 @@ Two emitters live here:
   translation unit (OpenMP pragmas, pseudo-MPI halo callables); tests
   validate it structurally, it is never compiled.
 * :func:`generate_c_steps` — the *executable* emitter behind
-  ``backend='c'``: one exported C function per compute step, with
-  compile-time-baked strides, halo offsets, per-rank iteration bounds
-  and cache-blocked loop nests (:func:`~repro.ir.schedule.plan_blocking`).
+  ``backend='c'``: one exported, *shape-generic* C function per cluster
+  body over cache-blocked loop nests
+  (:func:`~repro.ir.schedule.plan_blocking`).  Equations, space order,
+  dtype and dimensionality are baked into the text; extents, strides,
+  halo offsets and iteration boxes arrive at run time in a per-rank
+  geometry table, so every rank of every decomposition compiles (once)
+  and loads the same object.
   Halo exchanges, sparse scatter/gather, profiling, sanitizer and
   resilience hooks stay in the Python driver — only the hot loops move
   to C, so all three comm modes, certificates and fault machinery work
@@ -409,62 +413,68 @@ def _emit_halo_callable(em, schedule, uid, req, kind):
 # -- the executable emitter (backend='c') ----------------------------------------
 
 
-def _layout(func):
-    """Compile-time allocation layout of one function on this rank.
+def _layout_classes(funcs):
+    """``{field name: class index}`` and the distinct halos, in index
+    order.  Fields with equal halos are allocated alike on every rank
+    (:class:`repro.mpi.data.Data`: local shape plus halo, C order), so
+    a kernel addresses them through one set of strides — the compiler
+    then shares the row offsets of a many-field stencil as it did when
+    they were literals (per-field strides nearly doubled the compile
+    time of the eleven-field viscoelastic kernel)."""
+    halos, index = [], {}
+    for f in funcs:
+        halo = tuple((int(hl), int(hr)) for hl, hr in f.halo)
+        if halo not in halos:
+            halos.append(halo)
+        index[f.name] = halos.index(halo)
+    return index, halos
 
-    Returns ``(shape, strides)`` of the full local allocation (halo
-    included, leading time-buffer dimension for TimeFunctions) — must
-    match :class:`repro.mpi.data.Data` exactly, since the compiled step
-    indexes the NumPy buffer through a raw pointer.
-    """
-    dist = func.grid.distributor
-    shape = [int(dist.shape_local[d]) + hl + hr
-             for d, (hl, hr) in enumerate(func.halo)]
-    if getattr(func, 'is_TimeFunction', False):
-        shape = [function_nb(func)] + shape
+
+def _class_geometry(halo, shape_local):
+    """One layout class's values on this rank, in geometry-table order:
+    the stride of a step along each dimension but the unit-stride last
+    one, the time-buffer stride, the folded halo offset.  Must match
+    the ``Data`` allocation exactly, since the compiled step indexes
+    the NumPy buffer through a raw pointer."""
+    shape = [int(n) + hl + hr for n, (hl, hr) in zip(shape_local, halo)]
     strides = [1] * len(shape)
     for i in range(len(shape) - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
-    return tuple(shape), tuple(strides)
+    return strides[:-1] + [strides[0] * shape[0], sum(
+        hl * s for (hl, _), s in zip(halo, strides))]
 
 
-def _flat_index_printer(tvars, used_tvars):
+def _flat_index_printer(tvars, used_tvars, classes):
     """CExecPrinter index callback: flattened pointer arithmetic.
 
     An access ``u[t+s, x+a, y+b]`` becomes
-    ``u[t1*S0 + (x + a + H)*S1 + (y + b + H)]`` with every stride and
-    halo offset folded to a literal; ``used_tvars`` collects the
-    ``(shift, nbuffers)`` pairs the step consumes (they become its
-    ``int`` arguments).
+    ``u[t1*__c0_t + (x + a)*__c0_x + y + b + __c0_o]``: strides and
+    halo offset are the ``long`` locals of the field's layout class
+    (:func:`_emit_kernel` loads them from the geometry table) — never
+    literals.  ``used_tvars`` collects the ``(shift, nbuffers)`` pairs
+    the step consumes (they become its ``int`` arguments).
     """
     from ..ir.lowered import parse_index
 
     def index_printer(printer, indexed):
         func = indexed.base
-        _, strides = _layout(func)
-        sdims = list(func.space_dimensions)
-        halo = dict(zip(sdims, func.halo))
+        c = classes[func.name]
         terms = []
-        const = 0
-        for dim, idx, stride in zip(func.dimensions, indexed.indices,
-                                    strides):
+        for dim, idx in zip(func.dimensions, indexed.indices):
             off = parse_index(idx, dim)
             if dim.is_Time:
                 key = (off, function_nb(func))
                 used_tvars.add(key)
-                terms.append('%s*%d' % (tvars[key], stride))
+                terms.append('%s*__c%d_t' % (tvars[key], c))
+                continue
+            var = '%s %s %d' % (dim.name, '+-'[off < 0], abs(off)) \
+                if off else dim.name
+            if dim is func.dimensions[-1]:
+                terms.append(var)
             else:
-                shift = off + halo[dim][0]
-                if stride == 1:
-                    terms.append(dim.name)
-                    const += shift
-                elif shift:
-                    terms.append('(%s + %d)*%d' % (dim.name, shift, stride))
-                else:
-                    terms.append('%s*%d' % (dim.name, stride))
-        if const:
-            terms.append('%d' % const)
-        return '%s[%s]' % (func.name, ' + '.join(terms))
+                terms.append('%s*__c%d_%s' % ('(%s)' % var if off else var,
+                                              c, dim.name))
+        return '%s[%s + __c%d_o]' % (func.name, ' + '.join(terms), c)
 
     return index_printer
 
@@ -521,7 +531,7 @@ def _free_scalars(expr, skip):
 
 
 def _step_boxes(step, dist):
-    """Compile-time iteration boxes of one compute step (same geometry
+    """Iteration boxes of one compute step on this rank (same geometry
     as the NumPy backend's ``_region_boxes``)."""
     if step.region == 'domain':
         return [tuple((0, int(n)) for n in dist.shape_local)]
@@ -534,45 +544,80 @@ def _step_boxes(step, dist):
             for box in boxes if all(hi > lo for lo, hi in box)]
 
 
-def _emit_blocked_nest(em, dims, box, body):
-    """One (possibly cache-blocked) loop nest over ``box``."""
-    plan = plan_blocking(box)
-    closes = 0
-    for dim, (lo, hi), block in zip(dims, box, plan):
-        n = dim.name
-        if block is None:
-            em.open_block('for (int %s = %d; %s < %d; %s += 1)'
-                          % (n, lo, n, hi, n))
-            closes += 1
-        else:
-            em.open_block('for (int %sb = %d; %sb < %d; %sb += %d)'
-                          % (n, lo, n, hi, n, block))
-            em.emit('const int %se = %sb + %d < %d ? %sb + %d : %d;'
-                    % (n, n, block, hi, n, block, hi))
-            em.open_block('for (int %s = %sb; %s < %se; %s += 1)'
-                          % (n, n, n, n, n))
-            closes += 2
-    body()
-    for _ in range(closes):
+def _emit_kernel(em, name, params, halos, dims, body_lines, parallel):
+    """One shape-generic kernel, as two C functions over its geometry
+    row ``__g = [nboxes, <_class_geometry per layout class>, <lo, hi
+    per box and dimension>]``: ``<name>_nest``, the plain loop nest over
+    one tile, and the exported ``<name>``, which walks the boxes, cuts
+    every dimension but the innermost into blocks
+    (:func:`~repro.ir.schedule.plan_blocking`) with a run-time ``min``
+    and calls the nest per tile.  Kept apart (``noinline``) because
+    gcc's loop optimisers pay for depth: as one six-deep nest the 3-D
+    acoustic SDO 8 kernel took 0.27 s to compile, split 0.20 s — what
+    its baked one-nest source took.  Everything declared about geometry
+    is ``__``-prefixed: :func:`~.common.validate_names` keeps user names
+    (a buoyancy field ``b``, say) out of that namespace."""
+    args = ['%s %s' % p for p in params] + ['const long *restrict __g']
+    em.open_block('static void __attribute__((noinline)) %s_nest(%s)' % (
+        name, ', '.join(args + ['const long __%s_%s' % (d.name, end)
+                                for d in dims for end in ('lo', 'hi')])))
+    locals_ = ['__c%d_%s' % (c, v) for c in range(len(halos))
+               for v in [d.name for d in dims[:-1]] + ['t', 'o']]
+    for i, local in enumerate(locals_):
+        em.emit('const long %s = __g[%d];' % (local, i + 1))
+    for dim in dims:
+        if dim is dims[-1] and parallel:
+            # with run-time strides gcc gives up on alias-versioning
+            # the streaming loop (4x slower); the sweep is race-free
+            em.emit('#pragma GCC ivdep')
+        em.open_block('for (long {0} = __{0}_lo; {0} < __{0}_hi; {0} += 1)'
+                      .format(dim.name))
+    for line in body_lines:
+        em.emit(line)
+    for _ in range(len(dims) + 1):
         em.close_block()
+    em.emit()
+
+    em.open_block('void %s(%s)' % (name, ', '.join(args)))
+    em.open_block('for (long __n = 0; __n < __g[0]; __n += 1)')
+    em.emit('const long *__b = __g + %d + %d*__n;'
+            % (len(locals_) + 1, 2 * len(dims)))
+    tile = []
+    for d, (dim, block) in enumerate(zip(dims, plan_blocking(len(dims)))):
+        lo, hi = '__b[%d]' % (2 * d), '__b[%d]' % (2 * d + 1)
+        if block is not None:
+            var = dim.name + 'b'
+            em.open_block('for (long {0} = {1}; {0} < {2}; {0} += {3})'
+                          .format(var, lo, hi, block))
+            lo, hi = var, '{0} + {1} < {2} ? {0} + {1} : {2}'.format(
+                var, block, hi)
+        tile += [lo, hi]
+    em.emit('%s_nest(%s);' % (name, ', '.join(
+        [pname for _, pname in params] + ['__g'] + tile)))
+    for _ in range(len(dims) + 1):
+        em.close_block()
+    em.emit()
 
 
 def generate_c_steps(schedule, dtype=None):
-    """Emit the executable per-step C translation unit for ``schedule``.
+    """Emit the executable C translation unit for ``schedule``.
 
-    Returns ``(source, steps)`` where ``steps`` maps a compute step's
-    schedule index to::
+    Returns ``(source, steps)``: the shape-generic ``source`` (one
+    function per cluster; see the module docstring for what is baked
+    and what is bound) and this rank's binding of it, by compute step
+    schedule index::
 
-        {'name': 'step<sid>',            # exported C symbol
-         'sig':  ['p3', 'd', 'i', ...],  # ctypes binding codes
-         'call': ['u', 'r0', '(time + 1) % 2', ...]}  # driver operands
+        {'name': 'k<n>',                        # exported C symbol
+         'sig':  ['p3', 'd', 'i', ..., 'g'],    # ctypes binding codes
+         'call': ['u', 'r0', '(time + 1) % 2', ..., '__G[<sid>]'],
+         'geom': [nboxes, strides..., lo, hi, ...]}   # __G[<sid>]
 
     Dense fields are passed as raw float/double pointers (the driver
     hands the NumPy arrays straight to ctypes), every scalar as a
     ``double`` (weak-scalar semantics keep pure-scalar math in double —
-    see :class:`~repro.symbolics.CExecPrinter`), and modulo time-buffer
-    indices as ``int``.  Loop bounds, strides and halo offsets are baked
-    per rank; the decomposition is part of the build fingerprint.
+    see :class:`~repro.symbolics.CExecPrinter`), modulo time-buffer
+    indices as ``int`` and the step's geometry row last.  Steps without
+    iteration points on this rank get no entry (the driver skips them).
     """
     grid = schedule.grid
     dist = grid.distributor
@@ -596,63 +641,71 @@ def generate_c_steps(schedule, dtype=None):
     scalar_kinds = _scalar_assignment_kinds(schedule)
 
     em = _CEmitter()
-    em.emit('/* repro compiled backend: one function per compute step; '
-            'strict IEEE */')
+    em.emit('/* repro compiled backend: one shape-generic function per '
+            'cluster; strict IEEE */')
     em.emit('#include <math.h>')
     em.emit()
 
+    kernels = {}  # (cluster, parallel) -> its steps' shared metadata
     steps = {}
     for sid, step in enumerate(schedule.steps):
         if not step.is_compute:
             continue
+        key = (id(step.cluster), bool(step.parallel))
+        if key not in kernels:
+            kernels[key] = _print_kernel(
+                em, 'k%d' % len(kernels), step.cluster, key[1], ctype,
+                dtype, tvars, scalar_kinds)
         boxes = _step_boxes(step, dist)
-        if not boxes:
-            continue
-        cluster = step.cluster
-        dims = cluster.grid.dimensions
-        name = 'step%d' % sid
-        funcs = sorted(cluster.functions, key=lambda f: f.name)
-        temps = [t.name for t, _ in cluster.temps]
-        scalars = set()
-        for _, rhs in cluster.temps:
-            scalars |= _free_scalars(rhs, temps)
-        for eq in cluster.eqs:
-            scalars |= _free_scalars(eq.rhs, temps)
-        scalars = sorted(scalars)
-
-        used_tvars = set()
-        printer = CExecPrinter(
-            _flat_index_printer(tvars, used_tvars), dtype=str(dtype),
-            symbol_kinds={s: scalar_kinds.get(s, 'w') for s in scalars})
-        body_lines = []
-        for temp, rhs in cluster.temps:
-            text, kind = printer.doprint_kinded(rhs)
-            decl = ctype if kind == 'A' else 'double'
-            body_lines.append('const %s %s = %s;' % (decl, temp.name,
-                                                     text))
-            printer.symbol_kinds[temp.name] = kind if kind != 's' else 's'
-        for eq in cluster.eqs:
-            lhs_text = printer.doprint(eq.lhs)
-            body_lines.append('%s = %s;' % (lhs_text,
-                                            printer.doprint(eq.rhs)))
-
-        targs = sorted(used_tvars, key=lambda k: tvars[k])
-        args = ['%s *restrict %s' % (ctype, f.name) for f in funcs]
-        args += ['const double %s' % s for s in scalars]
-        args += ['const int %s' % tvars[k] for k in targs]
-        em.open_block('void %s(%s)' % (name, ', '.join(args)))
-        if step.region != 'domain':
-            em.emit('/* %s region */' % step.region.upper())
-        for box in boxes:
-            _emit_blocked_nest(em, dims, box,
-                               lambda: [em.emit(ln) for ln in body_lines])
-        em.close_block()
-        em.emit()
-
-        sig = ['p%d' % len(_layout(f)[0]) for f in funcs]
-        sig += ['d'] * len(scalars) + ['i'] * len(targs)
-        call = [f.name for f in funcs] + list(scalars)
-        call += ['(time + %d) %% %d' % (shift, nb) for shift, nb in targs]
-        steps[sid] = {'name': name, 'sig': sig, 'call': call}
-
+        if boxes:
+            name, halos, sig, call = kernels[key]
+            geom = [len(boxes)]
+            for halo in halos:
+                geom += _class_geometry(halo, dist.shape_local)
+            geom += [bound for box in boxes for lohi in box for bound in lohi]
+            steps[sid] = {'name': name, 'sig': sig, 'geom': geom,
+                          'call': call + ['__G[%d]' % sid]}
     return em.source(), steps
+
+
+def _print_kernel(em, name, cluster, parallel, ctype, dtype, tvars,
+                  scalar_kinds):
+    """Print ``cluster`` as the C function ``name``; returns ``(name,
+    layout-class halos, ctypes codes, driver operands)`` — the last two
+    without the geometry row."""
+    funcs = sorted(cluster.functions, key=lambda f: f.name)
+    classes, halos = _layout_classes(funcs)
+    temps = [t.name for t, _ in cluster.temps]
+    scalars = set()
+    for _, rhs in cluster.temps:
+        scalars |= _free_scalars(rhs, temps)
+    for eq in cluster.eqs:
+        scalars |= _free_scalars(eq.rhs, temps)
+    scalars = sorted(scalars)
+
+    used_tvars = set()
+    printer = CExecPrinter(
+        _flat_index_printer(tvars, used_tvars, classes), dtype=str(dtype),
+        symbol_kinds={s: scalar_kinds.get(s, 'w') for s in scalars})
+    body_lines = []
+    for temp, rhs in cluster.temps:
+        text, kind = printer.doprint_kinded(rhs)
+        decl = ctype if kind == 'A' else 'double'
+        body_lines.append('const %s %s = %s;' % (decl, temp.name, text))
+        printer.symbol_kinds[temp.name] = kind
+    for eq in cluster.eqs:
+        lhs_text = printer.doprint(eq.lhs)
+        body_lines.append('%s = %s;' % (lhs_text, printer.doprint(eq.rhs)))
+
+    targs = sorted(used_tvars, key=lambda k: tvars[k])
+    params = [('%s *restrict' % ctype, f.name) for f in funcs]
+    params += [('const double', s) for s in scalars]
+    params += [('const int', tvars[k]) for k in targs]
+    _emit_kernel(em, name, params, halos, cluster.grid.dimensions,
+                 body_lines, parallel)
+
+    sig = ['p%d' % len(f.dimensions) for f in funcs]
+    sig += ['d'] * len(scalars) + ['i'] * len(targs) + ['g']
+    call = [f.name for f in funcs] + list(scalars)
+    call += ['(time + %d) %% %d' % (shift, nb) for shift, nb in targs]
+    return name, halos, sig, call

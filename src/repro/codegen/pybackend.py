@@ -52,10 +52,12 @@ class PyKernel:
         self.backend = backend
         #: the executable C translation unit ('c' backend only)
         self.c_source = c_source
-        #: compiled shared object (path + BLAKE2b tamper seal)
+        #: compiled shared object (path + BLAKE2b tamper seal); shared by
+        #: every kernel built from the same equations
         self.so_path = so_path
         self.so_checksum = so_checksum
-        #: step metadata: {sid: {'name', 'sig', 'call'}} ('c' only)
+        #: this rank's binding of it: {sid: {'name', 'sig', 'call',
+        #: 'geom'}} ('c' only)
         self.c_steps = c_steps
         #: the loaded ctypes library (keeps the dlopen handle alive)
         self.lib = lib
@@ -194,7 +196,8 @@ def generate_kernel(schedule, progress=False, profiler=None,
             san = None
     preamble_names, step_names = assign_section_names(schedule)
 
-    c_source = c_meta = c_funcs = so_path = so_checksum = lib = None
+    c_source = c_meta = c_funcs = c_geom = None
+    so_path = so_checksum = lib = None
     if backend == 'c':
         from . import jit
         from .cgen import generate_c_steps
@@ -202,9 +205,8 @@ def generate_kernel(schedule, progress=False, profiler=None,
             c_source, c_meta = generate_c_steps(schedule)
             so_path = jit.compile_shared(c_source)
             so_checksum = jit.file_checksum(so_path)
-            lib, c_funcs = jit.load_steps(
-                so_path, {m['name']: m['sig'] for m in c_meta.values()},
-                grid.dtype)
+            lib, c_funcs, c_geom = jit.load_steps(so_path, c_meta,
+                                                  grid.dtype)
         except (ValueError, jit.JITError) as e:
             import warnings
             warnings.warn("compiled backend unavailable for this build "
@@ -388,7 +390,7 @@ def generate_kernel(schedule, progress=False, profiler=None,
     if san is not None:
         namespace['__SAN'] = san
     if c_funcs is not None:
-        namespace['__C'] = c_funcs
+        namespace.update(__C=c_funcs, __G=c_geom)
     code = compile(source, '<repro-jit-kernel>', 'exec')
     exec(code, namespace)  # noqa: S102 - this is the JIT compiler
     return PyKernel(source, namespace['__kernel'], exchangers, sparse_plans,

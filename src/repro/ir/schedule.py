@@ -335,29 +335,23 @@ def _apply_overlap(steps):
     return out
 
 
-def plan_blocking(box, block=BLOCK_DEFAULT):
-    """Cache-blocking plan for one compute-step iteration box.
+def plan_blocking(ndim, block=BLOCK_DEFAULT):
+    """Cache-blocking plan of a compute step's ``ndim``-deep loop nest.
 
-    ``box`` is the per-dimension list of ``(begin, end)`` bounds of a
-    loop nest (domain-local coordinates).  Returns one block size per
-    dimension, ``None`` meaning "do not tile this loop".
+    Returns one block size per dimension, ``None`` meaning "do not tile
+    this loop".
 
     The policy mirrors Devito's space blocking ("Optimised finite
     difference computation from symbolic equations"): every loop is
     tiled *except* the innermost one, which stays contiguous so the
     compiler can vectorize streaming accesses — tiling it would cut
-    SIMD trip counts and defeat hardware prefetch.  Loops shorter than
-    two blocks are left whole (the tile bookkeeping would outweigh any
-    reuse).  Time-tiling is deliberately absent: a distributed timestep
-    ends in a halo exchange, which is a dependence barrier between
-    iterations — skewed time tiles would have to cross it.
+    SIMD trip counts and defeat hardware prefetch.  The plan cannot see
+    extents: the executed C is compiled once per set of equations and
+    learns its bounds at run time, so a loop shorter than a block costs
+    one trip of its tile loop (a run-time ``min``) instead of being
+    left whole at print time.  Time-tiling is deliberately absent: a
+    distributed timestep ends in a halo exchange, which is a dependence
+    barrier between iterations — skewed time tiles would have to cross
+    it.
     """
-    plan = []
-    ndim = len(box)
-    for d, (lo, hi) in enumerate(box):
-        extent = max(hi - lo, 0)
-        if d == ndim - 1 or extent < 2 * block:
-            plan.append(None)
-        else:
-            plan.append(int(block))
-    return plan
+    return [int(block)] * (ndim - 1) + [None]
