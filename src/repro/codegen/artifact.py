@@ -41,7 +41,9 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #:    C source, shared-object path + checksum, per-step call metadata).
 #: 4: the compiled object became shape-generic and content-named; each
 #:    step's row of the per-rank geometry table joined ``c_steps``.
-ARTIFACT_VERSION = 4
+#: 5: distributed interpolation keeps partial rows per rank and reduces
+#:    them once per block of steps (the driver text changed).
+ARTIFACT_VERSION = 5
 
 _REQUIRED_KEYS = ('version', 'source', 'step_lines', 'sections',
                   'exchangers', 'mpi_mode', 'sanitizer_writes',
@@ -250,13 +252,7 @@ class KernelArtifact:
             if s is None:
                 raise ArtifactError("sparse step %d names unknown sparse "
                                     "function %r" % (sid, sname))
-            plan = PrecomputedSparseData(s)
-            sparse_plans[int(sid)] = {
-                'pids': plan.point_ids,
-                'w': plan.weights,
-                'idx': plan.indices,
-                'data': s.data,
-            }
+            sparse_plans[int(sid)] = PrecomputedSparseData(s).binding()
             sparse_npoints[int(sid)] = len(s.routing.local_points)
 
         # section registry: replayed in emission order; sparse point

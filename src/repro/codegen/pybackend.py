@@ -265,6 +265,10 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 em.emit("__s%d_i%d_%s = __SP[%d]['idx'][%d] + %d"
                         % (sid, d, f.name, sid, d, hl))
         em.emit()
+    deferred = _deferred_interpolations(sparse_steps) \
+        if dist.is_parallel else {}
+    if deferred:
+        _emit_pending_rows(em, deferred)
 
     # -- preamble: hoisted halo exchanges of time-invariant functions ---------------
     tag_base = [0]
@@ -300,8 +304,11 @@ def generate_kernel(schedule, progress=False, profiler=None,
     em.emit('for time in range(time_m, time_M + 1):')
     em.level += 1
     # resilience hook first (a checkpoint due at the kill step must
-    # complete before the kill fires), then the fault-injection hook
-    em.emit('__RES is None or __RES.tick(time)')
+    # complete before the kill fires), then the fault-injection hook;
+    # the hook reduces pending receiver rows before it saves or moves
+    # sparse state
+    em.emit('__RES is None or __RES.tick(time%s)'
+            % (', __flush' if deferred else ''))
     em.emit('__comm is None or __comm.fault_tick(time)')
     if san is not None:
         em.emit('# sanitizer: buffer rotation invalidated every halo')
@@ -369,7 +376,9 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 sname, 'sparse',
                 sparse_npoints=len(step.op.sparse.routing.local_points)))
             sec_begin()
-            _emit_sparse(em, sid, step, dist)
+            _emit_sparse(em, sid, step, dist, deferred=sid in deferred)
+            if deferred and sid == max(deferred):
+                _emit_block_end(em, deferred)
             sec_end(sname)
             if san is not None and step.field_access is not None:
                 san.register_writes(sname, [step.field_access.key])
@@ -447,7 +456,73 @@ def _sparse_grid_functions(step):
     return [seen[k] for k in sorted(seen)]
 
 
-def _emit_sparse(em, sid, step, dist):
+def _deferred_interpolations(sparse_steps):
+    """``{sid: step}`` of the interpolations whose cross-rank reduction
+    may wait for the end of a block of steps: all of them, except those
+    into a sparse function that a sparse step of the same kernel also
+    reads (that read needs the reduced value of the current step)."""
+    from ..symbolics import unique_nodes
+    read = {node.name for _, step in sparse_steps
+            for node in unique_nodes(step.expr)
+            if getattr(node, 'is_SparseFunction', False)}
+    return {sid: step for sid, step in sparse_steps
+            if step.kind == 'interpolate'
+            and step.op.sparse.name not in read}
+
+
+def _timed(deferred):
+    return [sid for sid, step in deferred.items()
+            if step.op.sparse.is_SparseTimeFunction]
+
+
+def _emit_pending_rows(em, deferred):
+    """Preamble of block-reduced interpolation: per step one rank-local
+    float64 buffer (a block of rows for a time series, one row
+    otherwise), and ``__flush``, the one allreduce of every pending row
+    into the replicated sparse data — called when a block is full, at
+    ``time_M`` and by the resilience hook before anything reads or moves
+    sparse state.  The sum is element-wise in rank order, exactly the
+    per-step reduction's."""
+    timed = _timed(deferred)
+    em.emit('# partial interpolation rows of this rank, reduced across '
+            'ranks once per block')
+    if timed:
+        blocks = ["__SP[%d]['block']" % sid for sid in timed]
+        em.emit('__nblock = %s' % (blocks[0] if len(blocks) == 1 else
+                                   'min(%s)' % ', '.join(blocks)))
+    for sid, step in deferred.items():
+        em.emit('__rows%d = np.empty((%s, %d))'
+                % (sid, '__nblock' if sid in timed else '1',
+                   step.op.sparse.npoint))
+    em.emit('__nrows = 0')
+    em.emit('__row0 = time_m')
+    em.emit('def __flush():')
+    em.level += 1
+    em.emit('nonlocal __nrows, __row0')
+    em.emit('if __nrows:')
+    em.level += 1
+    for sid in deferred:
+        if sid in timed:
+            em.emit('__sd%d[__row0:__row0 + __nrows] = '
+                    '__comm.allreduce(__rows%d[:__nrows])' % (sid, sid))
+        else:
+            em.emit('__sd%d[:] = __comm.allreduce(__rows%d[0])' % (sid, sid))
+    em.emit('__row0 += __nrows')
+    em.emit('__nrows = 0')
+    em.level -= 2
+    em.emit()
+
+
+def _emit_block_end(em, deferred):
+    """After the last deferred interpolation of a step: count the row,
+    reduce when the block is full or the run ends."""
+    em.emit('__nrows += 1')
+    em.emit('if %stime == time_M:'
+            % ('__nrows == __nblock or ' if _timed(deferred) else ''))
+    em.emit(_INDENT + '__flush()')
+
+
+def _emit_sparse(em, sid, step, dist, deferred):
     sparse = step.op.sparse
     printer = _SparsePrinter(sid, sparse,
                              _sparse_index_printer(sid, sparse.name))
@@ -461,18 +536,23 @@ def _emit_sparse(em, sid, step, dist):
         idx = ', '.join('__s%d_i%d_%s' % (sid, d, f.name)
                         for d in range(len(facc.offsets)))
         em.emit('np.add.at(%s, (%s), __vals%d)' % (head, idx, sid))
+        return
+    # bincount adds each point's contributions in plan order, in float64:
+    # the additions np.add.at into a float64 accumulator would make
+    em.emit('# interpolate %s at %s points' % (step.expr, sparse.name))
+    total = ('np.bincount(__p%d, weights=__w%d * (%s), minlength=%d)'
+             % (sid, sid, printer.doprint(step.expr), sparse.npoint))
+    row = '[time, :]' if sparse.is_SparseTimeFunction else '[:]'
+    if deferred:
+        em.emit('__rows%d[%s] = %s'
+                % (sid, '__nrows' if sparse.is_SparseTimeFunction else '0',
+                   total))
+    elif dist.is_parallel:
+        # with no local point bincount returns int64 zeros: sum float64
+        em.emit('__sd%d%s = __comm.allreduce(np.asarray(%s, '
+                'dtype=np.float64))' % (sid, row, total))
     else:
-        em.emit('# interpolate %s at %s points' % (step.expr, sparse.name))
-        em.emit('__acc%d = np.zeros(%d, dtype=np.float64)'
-                % (sid, sparse.npoint))
-        em.emit('np.add.at(__acc%d, __p%d, __w%d * (%s))'
-                % (sid, sid, sid, printer.doprint(step.expr)))
-        if dist.is_parallel:
-            em.emit('__acc%d = __comm.allreduce(__acc%d)' % (sid, sid))
-        if sparse.is_SparseTimeFunction:
-            em.emit('__sd%d[time, :] = __acc%d' % (sid, sid))
-        else:
-            em.emit('__sd%d[:] = __acc%d' % (sid, sid))
+        em.emit('__sd%d%s = %s' % (sid, row, total))
 
 
 def _constant_names(schedule):

@@ -275,15 +275,9 @@ class Operator:
 
     def _bind_sparse_plans(self):
         for sid, step in enumerate(self.schedule.steps):
-            if not step.is_sparse:
-                continue
-            plan = PrecomputedSparseData(step.op.sparse)
-            self.kernel.sparse_plans[sid] = {
-                'pids': plan.point_ids,
-                'w': plan.weights,
-                'idx': plan.indices,
-                'data': step.op.sparse.data,
-            }
+            if step.is_sparse:
+                self.kernel.sparse_plans[sid] = PrecomputedSparseData(
+                    step.op.sparse).binding()
 
     # -- introspection -------------------------------------------------------------
 

@@ -22,7 +22,13 @@ from ..mpi import PointRouting
 from ..symbolics import Atom, S
 
 __all__ = ['SparseFunction', 'SparseTimeFunction', 'Injection',
-           'Interpolation', 'PrecomputedSparseData']
+           'Interpolation', 'PrecomputedSparseData', 'PENDING_ROWS_BYTES']
+
+#: memory budget of the partial interpolation rows a rank keeps between
+#: two reductions: a distributed kernel sums a block of
+#: ``max(1, PENDING_ROWS_BYTES // (8 * npoint))`` steps in one allreduce
+#: (read when an operator binds its sparse plans)
+PENDING_ROWS_BYTES = 1 << 20
 
 
 class SparseFunction(Atom):
@@ -106,8 +112,11 @@ class PrecomputedSparseData:
     """Vectorized contribution plan bound at Operator build time.
 
     Flattens the per-point multilinear supports into parallel arrays so
-    generated kernels inject/interpolate with ``np.add.at`` instead of
-    point loops.
+    generated kernels inject with ``np.add.at`` and interpolate with
+    ``np.bincount`` instead of point loops.  On distributed grids a
+    kernel keeps each step's partial interpolation row in a rank-local
+    float64 buffer of ``block`` rows and reduces the whole block in one
+    ``allreduce`` (:data:`PENDING_ROWS_BYTES`).
     """
 
     def __init__(self, sparse):
@@ -115,10 +124,18 @@ class PrecomputedSparseData:
         routing = sparse.routing
         self.point_ids, self.indices, self.weights = routing.gather_plan()
         self.weights = self.weights.astype(sparse.grid.dtype)
+        self.block = max(1, PENDING_ROWS_BYTES // (8 * max(sparse.npoint,
+                                                            1)))
 
     @property
     def nlocal(self):
         return len(self.point_ids)
+
+    def binding(self):
+        """The ``__SP[step]`` entry a generated kernel unpacks."""
+        return {'pids': self.point_ids, 'w': self.weights,
+                'idx': self.indices, 'data': self.sparse.data,
+                'block': self.block}
 
 
 class Injection:

@@ -6,10 +6,17 @@ cell, widened by the interpolation radius) may straddle rank boundaries.
 Every rank whose subdomain intersects a point's support participates in
 operations on that point: injection touches only locally-owned grid
 points (so nothing is double-counted), while interpolation produces
-partial sums that are reduced across the sharing ranks.
+partial sums over the local corners.  Generated kernels accumulate those
+with ``np.bincount`` into a rank-local float64 row per step and sum the
+rows of a whole block of steps across the sharing ranks in one
+``allreduce`` (:mod:`repro.codegen.pybackend`) — the same element-wise,
+rank-order sum a per-step reduction would compute, without a collective
+inside every step.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -109,65 +116,62 @@ class PointRouting:
         self._build()
 
     def _build(self):
-        dist = self.distributor
-        ranges = dist.local_ranges()
-        self.local_points = []
-        self.owned_points = []
-        #: per local point: list of (local_indices, weight) contributions
-        self.plans = {}
-        for p, coords in enumerate(self.coordinates):
-            per_dim = bilinear_coefficients(coords, self.origin, self.spacing)
-            # enumerate support corners with weights; clamp to the domain
-            corners = [()]
-            weights = [1.0]
-            for (lo, wlo, whi), n in zip(per_dim, self.shape):
-                new_corners, new_weights = [], []
-                for corner, w in zip(corners, weights):
-                    for idx, wi in ((lo, wlo), (lo + 1, whi)):
-                        idx_clamped = min(max(idx, 0), n - 1)
-                        new_corners.append(corner + (idx_clamped,))
-                        new_weights.append(w * wi)
-                corners, weights = new_corners, new_weights
-            # merge duplicate corners produced by clamping
-            merged = {}
-            for corner, w in zip(corners, weights):
-                merged[corner] = merged.get(corner, 0.0) + w
-            local_contribs = []
-            for corner, w in merged.items():
-                if w == 0.0:
-                    continue
-                loc = dist.glb_to_loc_point(corner)
-                if loc is not None:
-                    local_contribs.append((loc, w))
-            if local_contribs:
-                self.local_points.append(p)
-                self.plans[p] = local_contribs
-            # primary owner: rank owning the clamped low corner
-            primary = tuple(min(max(lo, 0), n - 1)
-                            for (lo, _, _), n in zip(per_dim, self.shape))
-            if dist.owns(primary):
-                self.owned_points.append(p)
+        """All points at once, as (npoints, 2**ndim) corner tables.
+
+        The arithmetic is :func:`bilinear_coefficients`' per point, and
+        the order is the one the plan has always had — it *is* the
+        accumulation order of every interpolated value: points ascending;
+        per point the support corners in C order (last dimension
+        fastest), each clamped into the domain, a corner that clamping
+        repeats merged into its first occurrence (weights summed in
+        corner order), zero-weight corners dropped.
+        """
+        npts, ndim = self.coordinates.shape
+        pos = (self.coordinates - np.asarray(self.origin)) \
+            / np.asarray(self.spacing)
+        if not np.isfinite(pos).all():
+            raise ValueError("sparse point coordinates must be finite")
+        lo = np.floor(pos).astype(np.int64)
+        frac = pos - lo
+        bits = np.array(list(itertools.product((0, 1), repeat=ndim)))
+        ncorner = len(bits)
+        corners = np.clip(lo[:, None, :] + bits[None, :, :], 0,
+                          np.asarray(self.shape) - 1)
+        weights = np.ones((npts, ncorner))
+        for d in range(ndim):
+            weights = weights * np.where(bits[:, d], frac[:, d, None],
+                                         1.0 - frac[:, d, None])
+        keep = np.ones((npts, ncorner), dtype=bool)
+        for k in range(1, ncorner):
+            for j in range(k):
+                dup = keep[:, j] & keep[:, k] & \
+                    (corners[:, j] == corners[:, k]).all(axis=1)
+                weights[dup, j] += weights[dup, k]
+                keep[dup, k] = False
+        keep &= weights != 0.0
+        start, stop = np.array(self.distributor.local_ranges()).T
+        inside = ((corners >= start) & (corners < stop)).all(axis=2)
+        local = keep & inside
+        pids, kids = np.nonzero(local)
+        #: the flattened plan (see :meth:`gather_plan`)
+        self._plan = (pids,
+                      tuple(corners[pids, kids, d] - start[d]
+                            for d in range(ndim)),
+                      weights[pids, kids])
+        self.local_points = np.flatnonzero(local.any(axis=1)).tolist()
+        # primary owner: the rank owning the clamped low corner
+        self.owned_points = np.flatnonzero(inside[:, 0]).tolist()
 
     # -- vectorized plan assembly (consumed by generated kernels) -------------------
 
     def gather_plan(self):
-        """Flatten plans into arrays for vectorized injection/interpolation.
+        """The flattened plan for vectorized injection/interpolation.
 
         Returns (point_ids, index_arrays, weights): parallel 1-D arrays
         where entry k says "point point_ids[k] touches local grid point
         (index_arrays[0][k], ...) with weight weights[k]".
         """
-        point_ids, weights = [], []
-        index_cols = [[] for _ in range(self.distributor.ndim)]
-        for p in self.local_points:
-            for loc, w in self.plans[p]:
-                point_ids.append(p)
-                weights.append(w)
-                for d, i in enumerate(loc):
-                    index_cols[d].append(i)
-        return (np.asarray(point_ids, dtype=np.int64),
-                tuple(np.asarray(col, dtype=np.int64) for col in index_cols),
-                np.asarray(weights, dtype=np.float64))
+        return self._plan
 
     def stats(self):
         """Routing instrumentation for the profiling subsystem.
@@ -179,7 +183,7 @@ class PointRouting:
         return {'npoints': len(self.coordinates),
                 'nlocal': len(self.local_points),
                 'nowned': len(self.owned_points),
-                'ncontribs': sum(len(p) for p in self.plans.values())}
+                'ncontribs': len(self._plan[0])}
 
     def __repr__(self):
         return ('PointRouting(%d points, %d local, %d owned, rank=%d)'

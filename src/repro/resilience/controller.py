@@ -227,14 +227,23 @@ class ResilienceController:
 
     # -- in-loop hook (called by the generated kernel) --------------------
 
-    def tick(self, time):
+    def tick(self, time, flush=None):
         """Per-timestep duties: the elastic due-check first (it leaves
         the kernel at this quiescent boundary), then the health scan
         (catch corruption before snapshotting it), then the periodic
-        checkpoint."""
+        checkpoint.
+
+        ``flush`` (collective) reduces the kernel's pending receiver
+        rows into the replicated sparse data; it runs before a
+        repartition moves that data or a checkpoint writes it.  Rows
+        pending when a rank dies are simply lost with the attempt: the
+        replay from the checkpoint recomputes them.
+        """
         kind = self._repartition_due(time)
         if kind is not None:
             from .elastic import RepartitionRequest
+            if flush is not None:
+                flush()
             raise RepartitionRequest(kind, time)
         if self.health is not None and self.health.due(time, self.t0):
             tic = _time.perf_counter()
@@ -243,6 +252,8 @@ class ResilienceController:
             self._charge('healthcheck', tic, 0, time)
         if self.every > 0 and time > self.t0 \
                 and (time - self.t0) % self.every == 0:
+            if flush is not None:
+                flush()
             self._save(time)
 
     def _repartition_due(self, time):

@@ -99,7 +99,7 @@ class TestPropagatorEquivalence:
             lambda c: _run_propagator(acoustic_setup, c, mode), 4)
         for field, rec in out:
             assert np.array_equal(field, serial)
-            assert np.allclose(rec, rec_s, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(rec, rec_s)
 
     @pytest.mark.parametrize('mode', MODES)
     def test_elastic(self, mode):
@@ -108,7 +108,7 @@ class TestPropagatorEquivalence:
             lambda c: _run_propagator(elastic_setup, c, mode), 4)
         for field, rec in out:
             assert np.array_equal(field, serial)
-            assert np.allclose(rec, rec_s, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(rec, rec_s)
 
     @pytest.mark.parametrize('mode', MODES)
     def test_tti(self, mode):
@@ -117,7 +117,7 @@ class TestPropagatorEquivalence:
             lambda c: _run_propagator(tti_setup, c, mode), 4)
         for field, rec in out:
             assert np.array_equal(field, serial)
-            assert np.allclose(rec, rec_s, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(rec, rec_s)
 
     @pytest.mark.parametrize('mode', MODES)
     def test_viscoelastic(self, mode):
@@ -126,7 +126,7 @@ class TestPropagatorEquivalence:
             lambda c: _run_propagator(viscoelastic_setup, c, mode), 4)
         for field, rec in out:
             assert np.array_equal(field, serial)
-            assert np.allclose(rec, rec_s, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(rec, rec_s)
 
     def test_acoustic_two_ranks(self):
         serial, _ = _run_propagator(acoustic_setup)

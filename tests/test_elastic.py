@@ -22,7 +22,9 @@ stack:
 import numpy as np
 import pytest
 
-from repro import Eq, Grid, Operator, TimeFunction, configuration, solve
+from repro import (Eq, Grid, Operator, SparseTimeFunction, TimeFunction,
+                   configuration, solve)
+from repro.dsl import sparse as sparse_mod
 from repro.mpi import run_parallel
 from repro.mpi.sim import SimComm, SimWorld
 from repro.resilience import (REPARTITION_POLICIES,
@@ -31,6 +33,17 @@ from repro.resilience import (REPARTITION_POLICIES,
 STEPS = 10
 DT = 0.02
 SHAPE = (16, 12)
+#: receivers straddling the rank boundaries of 2- and 2x2-rank splits
+REC_COORDS = np.array([[7.5, 5.5], [8.0, 2.25], [3.25, 6.0], [12.5, 9.75],
+                       [0.0, 11.0]])
+
+
+@pytest.fixture(autouse=True)
+def _small_receiver_blocks(monkeypatch):
+    """Blocks of 5 receiver rows: kills, checkpoints and repartitions
+    land mid-block, where rows are still pending on each rank."""
+    monkeypatch.setattr(sparse_mod, 'PENDING_ROWS_BYTES',
+                        5 * 8 * len(REC_COORDS))
 
 
 @pytest.fixture(autouse=True)
@@ -53,16 +66,25 @@ def _build(comm, shape=SHAPE, topology=None, mpi='diagonal'):
                 comm=comm, topology=topology)
     u = TimeFunction(name='u', grid=grid, space_order=2)
     u.data[0] = _initial(shape)
+    rec = SparseTimeFunction('rec', grid, npoint=len(REC_COORDS),
+                             nt=STEPS + 1, coordinates=REC_COORDS)
     eq = Eq(u.dt, u.laplace)
-    op = Operator([Eq(u.forward, solve(eq, u.forward))],
-                  mpi=mpi if comm is not None else None)
-    return op, u
+    return Operator([Eq(u.forward, solve(eq, u.forward)),
+                     rec.interpolate(expr=u)],
+                    mpi=mpi if comm is not None else None)
+
+
+def _state(op):
+    """The gathered field followed by the receiver rows, flat: one
+    bitwise comparison covers both."""
+    (u,), (rec,) = op.functions, op.sparse_functions
+    return np.concatenate([u.data.gather().ravel(), rec.data.ravel()])
 
 
 def _oracle():
-    op, u = _build(None)
+    op = _build(None)
     op.apply(time_M=STEPS, dt=DT)
-    return u.data.gather()
+    return _state(op)
 
 
 def _final_world(op):
@@ -79,11 +101,11 @@ class TestGrowBack:
         configuration['faults'] = 'seed=5,kill=2@4'
 
         def job(comm):
-            op, u = _build(comm, topology=topology)
+            op = _build(comm, topology=topology)
             op.apply(time_M=STEPS, dt=DT, recovery='grow',
                      checkpoint_every=2, checkpoint_dir=str(tmp_path))
             world = _final_world(op)
-            return (u.data.gather(), world.size,
+            return (_state(op), world.size,
                     dict(world.recovery_stats), set(world.disarmed_kills),
                     op.grid.distributor.topology, op.analysis)
 
@@ -132,20 +154,20 @@ class TestReserveGrow:
         oracle = _oracle()
 
         def active(comm):
-            op, u = _build(comm)
+            op = _build(comm)
             op.apply(time_M=STEPS, dt=DT, repartition='grow',
                      min_steps_between_repartitions=3)
             world = _final_world(op)
-            return u.data.gather(), world.size, \
+            return _state(op), world.size, \
                 dict(world.recovery_stats), op.analysis
 
         def reserve(lineage, orig):
             # throwaway target-size world so the schedule carries every
             # halo exchange the grown topology needs
-            op, u = _build(SimComm(SimWorld(4, faults=False), 0))
+            op = _build(SimComm(SimWorld(4, faults=False), 0))
             op.apply(time_M=STEPS, dt=DT,
                      _elastic_join={'lineage': lineage, 'orig': orig})
-            return u.data.gather(), _final_world(op).size
+            return _state(op), _final_world(op).size
 
         act, resv = run_elastic(active, 2, reserve_fn=reserve, nreserve=2)
         assert len(act) == 2 and len(resv) == 2
@@ -164,10 +186,10 @@ class TestReserveGrow:
         oracle = _oracle()
 
         def job(comm):
-            op, u = _build(comm)
+            op = _build(comm)
             op.apply(time_M=STEPS, dt=DT, repartition='grow')
             world = _final_world(op)
-            return u.data.gather(), world.size, dict(world.recovery_stats)
+            return _state(op), world.size, dict(world.recovery_stats)
 
         results = run_parallel(job, 2)
         for data, size, stats in results:
@@ -182,12 +204,12 @@ class TestRebalance:
         weights = (3.0, 1.0, 1.0, 2.0)
 
         def job(comm):
-            op, u = _build(comm, topology=(2, 2))
+            op = _build(comm, topology=(2, 2))
             op.apply(time_M=STEPS, dt=DT, repartition='balance',
                      repartition_every=3, max_repartitions=1,
                      repartition_weights=weights)
             world = _final_world(op)
-            return (u.data.gather(), dict(world.recovery_stats),
+            return (_state(op), dict(world.recovery_stats),
                     tuple(d.sizes
                           for d in op.grid.distributor.decompositions),
                     op.analysis)
@@ -210,12 +232,12 @@ class TestRebalance:
         oracle = _oracle()
 
         def job(comm):
-            op, u = _build(comm)
+            op = _build(comm)
             op.apply(time_M=STEPS, dt=DT, repartition='balance',
                      repartition_every=1, max_repartitions=2,
                      min_steps_between_repartitions=3,
                      repartition_weights=(2.0, 1.0))
-            return u.data.gather(), \
+            return _state(op), \
                 dict(_final_world(op).recovery_stats)
 
         results = run_parallel(job, 2)
@@ -227,7 +249,7 @@ class TestRebalance:
 
     def test_repartition_off_by_default(self):
         def job(comm):
-            op, u = _build(comm)
+            op = _build(comm)
             op.apply(time_M=STEPS, dt=DT)
             return dict(comm.world.recovery_stats)
 
@@ -242,14 +264,14 @@ class TestRepartitionAPI:
         oracle = _oracle()
 
         def job(comm):
-            op, u = _build(comm)
+            op = _build(comm)
             op.apply(time_M=STEPS, dt=DT)
             before = tuple(d.sizes
                            for d in op.grid.distributor.decompositions)
             op.repartition(weights=(3.0, 1.0))
             after = tuple(d.sizes
                           for d in op.grid.distributor.decompositions)
-            return u.data.gather(), before, after
+            return _state(op), before, after
 
         results = run_parallel(job, 2)
         for data, before, after in results:
@@ -258,7 +280,7 @@ class TestRepartitionAPI:
 
     def test_operator_repartition_rejects_shrink(self):
         def job(comm):
-            op, _ = _build(comm)
+            op = _build(comm)
             with pytest.raises(ValueError, match='shrink'):
                 op.repartition(new_ranks=1)
             return True
@@ -269,7 +291,7 @@ class TestRepartitionAPI:
         assert REPARTITION_POLICIES == ('off', 'grow', 'balance')
 
     def test_unknown_apply_kwargs_list_repartition_options(self):
-        op, _ = _build(None)
+        op = _build(None)
         with pytest.raises(ValueError) as err:
             op.apply(time_M=2, dt=DT, bogus_option=1)
         message = str(err.value)
@@ -279,7 +301,7 @@ class TestRepartitionAPI:
             assert name in message
 
     def test_invalid_policy_rejected(self):
-        op, _ = _build(None)
+        op = _build(None)
         with pytest.raises(ValueError):
             op.apply(time_M=2, dt=DT, repartition='sideways')
 

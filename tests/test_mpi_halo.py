@@ -303,3 +303,66 @@ class TestPointRouting:
         dist = Distributor((8, 8))
         with pytest.raises(ValueError):
             PointRouting(np.zeros(3), dist, (0, 0), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            PointRouting(np.array([[1.0, np.nan]]), dist, (0, 0), (1.0, 1.0))
+
+    @staticmethod
+    def _loop_plan(coordinates, dist, origin, spacing):
+        """Point-by-point reference of the routing plan: corners in C
+        order, clamped, duplicates merged into their first occurrence,
+        zero weights dropped."""
+        pids, weights, owned = [], [], []
+        cols = [[] for _ in range(dist.ndim)]
+        for p, coords in enumerate(coordinates):
+            per_dim = bilinear_coefficients(coords, origin, spacing)
+            corners, ws = [()], [1.0]
+            for (lo, wlo, whi), n in zip(per_dim, dist.shape):
+                corners, ws = zip(*[
+                    (c + (min(max(i, 0), n - 1),), w * wi)
+                    for c, w in zip(corners, ws)
+                    for i, wi in ((lo, wlo), (lo + 1, whi))])
+            merged = {}
+            for c, w in zip(corners, ws):
+                merged[c] = merged.get(c, 0.0) + w
+            for c, w in merged.items():
+                loc = dist.glb_to_loc_point(c)
+                if w != 0.0 and loc is not None:
+                    pids.append(p)
+                    weights.append(w)
+                    for d, i in enumerate(loc):
+                        cols[d].append(i)
+            if dist.owns(tuple(min(max(lo, 0), n - 1) for (lo, _, _), n
+                               in zip(per_dim, dist.shape))):
+                owned.append(p)
+        return pids, cols, weights, owned
+
+    @pytest.mark.parametrize('shape,ranks', [((8, 8), 1), ((8, 8), 4),
+                                             ((9, 7), 3), ((6, 6, 6), 8)])
+    def test_vectorized_plan_matches_loop(self, shape, ranks):
+        """Seeded interior points plus exact rank-boundary, on-grid and
+        out-of-domain (clamped) points: identical plan arrays, in the
+        same order, bit for bit."""
+        rng = np.random.default_rng(7)
+        ndim = len(shape)
+        hi = np.array(shape, dtype=float) - 1
+        pts = [rng.uniform(0, 1, (40, ndim)) * hi,
+               rng.uniform(-1.5, 1.5, (12, ndim)) * hi,      # clamped
+               np.round(rng.uniform(0, 1, (12, ndim)) * hi),  # on grid
+               np.full((1, ndim), -0.5), hi[None] + 0.5]
+        pts = np.concatenate(pts)
+        pts[:8, 0] = np.array(shape[0]) // 2 + np.linspace(-1, 1, 8)
+
+        def job(comm):
+            dist = Distributor(shape, comm=comm)
+            routing = PointRouting(pts, dist, (0.0,) * ndim, (1.0,) * ndim)
+            pids, idx, w = routing.gather_plan()
+            ref_p, ref_cols, ref_w, ref_owned = self._loop_plan(
+                pts, dist, (0.0,) * ndim, (1.0,) * ndim)
+            assert routing.owned_points == ref_owned
+            assert routing.local_points == sorted(set(ref_p))
+            return (np.array_equal(pids, ref_p)
+                    and all(np.array_equal(a, b)
+                            for a, b in zip(idx, ref_cols))
+                    and np.array_equal(w, np.array(ref_w)))
+
+        assert all(run_parallel(job, ranks))

@@ -28,7 +28,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro import (Eq, Grid, Operator, TimeFunction, configuration, solve)
+from repro import (Eq, Grid, Operator, SparseTimeFunction, TimeFunction,
+                   configuration, solve)
+from repro.dsl import sparse as sparse_mod
 from repro.ioutil import atomic_write_bytes, atomic_write_json
 from repro.mpi import (RankKilledError, RemoteRankError, SimComm, SimWorld,
                        run_parallel)
@@ -37,6 +39,19 @@ from repro.resilience import (Checkpointer, CheckpointError, HealthGuard,
 
 STEPS = 8
 DT = 0.02
+#: receivers straddling the rank boundaries of 2- and 2x2-rank splits
+REC_COORDS = np.array([[5.5, 5.5], [5.0, 8.25], [2.25, 6.0], [9.5, 1.75],
+                       [0.0, 11.0]])
+#: receiver rows (time axis) — fixed, so a resumed run's checkpoint fits
+NT = 16
+
+
+@pytest.fixture(autouse=True)
+def _small_receiver_blocks(monkeypatch):
+    """Blocks of 5 receiver rows: kills, checkpoints and repartitions
+    land mid-block, where rows are still pending on each rank."""
+    monkeypatch.setattr(sparse_mod, 'PENDING_ROWS_BYTES',
+                        5 * 8 * len(REC_COORDS))
 
 
 @pytest.fixture(autouse=True)
@@ -57,10 +72,12 @@ def _leaked_progress_threads():
 
 def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
          topology=None, progress=False, **apply_kwargs):
-    """One SPMD rank of the reference diffusion problem.
+    """One SPMD rank of the reference diffusion problem, with receivers.
 
-    Returns ``(gathered field, summary)``; a rank killed under shrink
-    recovery returns None (it left the job, the survivors finish it).
+    Returns ``(state, summary)`` — the gathered field followed by the
+    receiver rows, flat, so one bitwise comparison covers both; a rank
+    killed under shrink recovery returns None (it left the job, the
+    survivors finish it).
     """
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
                 comm=comm, topology=topology)
@@ -69,16 +86,19 @@ def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
     init[tuple(s // 2 for s in shape)] = 1.0
     init[tuple(s // 3 for s in shape)] = -2.0
     u.data[0] = init
+    rec = SparseTimeFunction('rec', grid, npoint=len(REC_COORDS), nt=NT,
+                             coordinates=REC_COORDS)
     eq = Eq(u.dt, u.laplace)
-    op = Operator([Eq(u.forward, solve(eq, u.forward))], mpi=mpi,
-                  progress=progress)
+    op = Operator([Eq(u.forward, solve(eq, u.forward)),
+                   rec.interpolate(expr=u)], mpi=mpi, progress=progress)
     try:
         summary = op.apply(time_M=steps - 1, dt=DT, **apply_kwargs)
     except RankKilledError:
         if apply_kwargs.get('recovery') == 'shrink':
             return None
         raise
-    return u.data.gather(), summary
+    return np.concatenate([u.data.gather().ravel(), rec.data.ravel()]), \
+        summary
 
 
 def _serial_reference(**kwargs):

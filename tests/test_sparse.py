@@ -5,6 +5,7 @@ import pytest
 
 from repro import (Eq, Function, Grid, Operator, SparseTimeFunction,
                    TimeFunction)
+from repro.dsl import sparse as sparse_mod
 from repro.mpi import run_parallel
 
 
@@ -152,7 +153,7 @@ class TestInterpolation:
         serial = run()
         out = run_parallel(lambda c: run(c), 4)
         for r in out:
-            assert np.allclose(r, serial, rtol=1e-6)
+            assert np.array_equal(r, serial)
 
     def test_inject_then_record_roundtrip(self):
         grid = _grid()
@@ -166,3 +167,87 @@ class TestInterpolation:
                        rec.interpolate(expr=u.forward)])
         op.apply(time_M=0)
         assert rec.data[0, 0] == pytest.approx(5.0)
+
+
+def _receiver_problem(comm, coords, steps, profiling=None, reinject=False):
+    """u diffuses from a seeded field; ``rec`` samples it every step.
+    With ``reinject`` the same step injects ``rec`` into ``v`` — a read
+    of the just-interpolated row.  Returns ``(op, rec, v)``, not applied."""
+    n = 16
+    grid = Grid(shape=(n, n), extent=(n - 1.0, n - 1.0), comm=comm)
+    u = TimeFunction(name='u', grid=grid, space_order=2)
+    v = TimeFunction(name='v', grid=grid, space_order=2)
+    u.data[0] = np.random.default_rng(3).standard_normal(
+        (n, n)).astype(np.float32)
+    rec = SparseTimeFunction('rec', grid, npoint=len(coords), nt=steps,
+                             coordinates=coords)
+    eqs = [Eq(u.forward, u + 0.1 * u.laplace), rec.interpolate(expr=u)]
+    if reinject:
+        eqs.append(rec.inject(field=v.forward, expr=rec))
+    op = Operator(eqs, mpi='diagonal' if comm is not None else None,
+                  profiling=profiling)
+    return op, rec, v
+
+
+def _receivers(comm, coords, steps, reinject=False):
+    op, rec, v = _receiver_problem(comm, coords, steps, reinject=reinject)
+    op.apply(time_M=steps - 1)
+    return next(iter(op.kernel.sparse_plans.values())), rec.data.copy(), \
+        v.data.gather()
+
+
+class TestBlockReduction:
+    """Receiver rows are reduced across ranks once per block of steps
+    (``PENDING_ROWS_BYTES``), bitwise equal to the serial run."""
+
+    @pytest.mark.parametrize('where', ['spread', 'rank0_only'])
+    def test_several_blocks_match_serial(self, monkeypatch, where):
+        # 6 points -> 48 B per row: a block of 3 rows, 4 blocks in 11
+        monkeypatch.setattr(sparse_mod, 'PENDING_ROWS_BYTES', 3 * 48)
+        coords = np.random.default_rng(11).uniform(0, 15, (6, 2))
+        if where == 'rank0_only':
+            coords[:, 0] *= 6.5 / 15   # rank 1 (x >= 8) holds no point
+        _, serial, _ = _receivers(None, coords, 11)
+        out = run_parallel(lambda c: _receivers(c, coords, 11), 2)
+        assert all(plan['block'] == 3 for plan, _, _ in out)
+        if where == 'rank0_only':
+            assert len(out[1][0]['pids']) == 0
+        for _, rec, _ in out:
+            assert np.array_equal(rec, serial)
+
+    def test_one_reduction_per_block(self):
+        """200 steps x 4096 receivers on 2 ranks: ceil(200 / block)
+        allreduces, counted in the transport's send ledger (an
+        unprofiled apply runs no other collective)."""
+        steps = 200
+        coords = np.random.default_rng(5).uniform(0, 15, (4096, 2))
+        _, serial, _ = _receivers(None, coords, steps)
+
+        def job(comm):
+            op, rec, _ = _receiver_problem(comm, coords, steps,
+                                           profiling='off')
+            log = comm.world.commlog
+            before = log.sends_snapshot(src=1, user_only=False)
+            op.apply(time_M=steps - 1)
+            delta = log.sends_delta(
+                before, log.sends_snapshot(src=1, user_only=False))
+            ncollective = sum(n for (_, _, tag), (n, _) in delta.items()
+                              if tag < 0)
+            block = next(iter(op.kernel.sparse_plans.values()))['block']
+            return block, ncollective, rec.data.copy()
+
+        for block, ncollective, rec in run_parallel(job, 2):
+            assert block == 32
+            assert ncollective == -(-steps // block) == 7
+            assert np.array_equal(rec, serial)
+
+    def test_row_read_in_the_same_step_is_reduced_first(self):
+        """An interpolated row that a later sparse step reads is reduced
+        in its own step: v receives the reduced values, not partials."""
+        coords = np.array([[7.5, 7.5], [2.2, 9.1], [12.0, 3.3]])
+        _, rec_s, v_s = _receivers(None, coords, 5, reinject=True)
+        out = run_parallel(
+            lambda c: _receivers(c, coords, 5, reinject=True), 2)
+        for _, rec, v in out:
+            assert np.array_equal(rec, rec_s)
+            assert np.array_equal(v, v_s)
