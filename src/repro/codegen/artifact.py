@@ -122,6 +122,8 @@ class KernelArtifact:
         schedule = op.schedule
         sections = []
         for meta in op.profiler.sections.values():
+            if meta.kind == 'resilience':
+                continue  # registered per apply by the controller
             sections.append({
                 'name': meta.name,
                 'kind': meta.kind,

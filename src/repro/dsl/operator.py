@@ -134,51 +134,18 @@ class Operator:
         #: the Schedule (None after a cache hit; the :attr:`schedule`
         #: property rebuilds it on demand)
         self._schedule = None
-        #: the AnalysisReport of the compile-time verify gate (None when
-        #: the gate was off; call :meth:`analyze` for an on-demand run)
+        #: the AnalysisReport of the verify gate (None when the gate was
+        #: off and no repartition has run; call :meth:`analyze` for an
+        #: on-demand run)
         self.analysis = None
-        self._cache_info = {'status': 'off', 'key': None, 'tier': None,
-                            'saved_seconds': 0.0, 'nbytes': 0}
+        self._cache = cache
         #: the *effective* execution backend ('numpy' or 'c') — resolved
         #: before fingerprinting so a toolchain-less host never keys
         #: into (or stores) compiled artifacts
         from ..codegen import jit
         self.backend = jit.resolve_backend(
             backend if backend is not None else configuration['backend'])
-
-        from ..buildcache import fingerprint_build, get_cache
-        bcache = get_cache(cache)
-        key = symtab = None
-        if bcache is not None:
-            try:
-                key, symtab = fingerprint_build(
-                    expressions, mpi_mode=self._mpi_requested, opt=opt,
-                    verify=self._verify, sanitizer=self._sanitize,
-                    instrument=self.profiler.enabled,
-                    progress=self._progress,
-                    backend='py' if self.backend == 'numpy' else
-                    self.backend)
-            except TypeError:
-                # inputs outside the token grammar: build cold, always
-                self._cache_info['status'] = 'uncacheable'
-        if key is not None:
-            self._cache_info['key'] = key
-            if self._warm_build(bcache, key, symtab):
-                return
-
-        tic = _time.perf_counter()
-        self._cold_build(expressions, opt)
-        build_seconds = _time.perf_counter() - tic
-        self.profiler.record_build_time('build', build_seconds)
-        if key is not None:
-            self._cache_info['status'] = 'miss'
-            bcache.note_miss()
-            try:
-                from ..codegen.artifact import KernelArtifact
-                bcache.store(key, KernelArtifact.extract(
-                    self, build_seconds=build_seconds))
-            except Exception:  # noqa: BLE001 - caching is best-effort
-                pass
+        self._build(verify=self._verify)
 
     # -- build-time plumbing ----------------------------------------------------
 
@@ -199,14 +166,72 @@ class Operator:
                 "sanitizer= expects 'poison', 'reconcile' or a "
                 "boolean-like value, got %r" % (value,)) from None
 
-    def _cold_build(self, expressions, opt):
-        """The full pipeline: lower, schedule, codegen, (verify), bind."""
-        self._schedule = build_schedule(expressions,
-                                        mpi_mode=self._mpi_requested,
-                                        opt=opt)
-        self.grid = self._schedule.grid
-        self.mpi_mode = self._schedule.mpi_mode
-        self.kernel = generate_kernel(self._schedule,
+    def _build(self, verify):
+        """The one build path: this rank's kernel for the grid's
+        *current* decomposition.
+
+        Used by the constructor and, after the distributor was swapped,
+        by every repartition (:mod:`repro.resilience.elastic`).  The
+        build is fingerprinted; a build-cache hit rehydrates the cached
+        artifact, a miss generates the kernel from :attr:`schedule` and
+        stores it once its certificate and (when ``verify``) the
+        verifier's report exist — so an entry always carries the
+        analysis of the decomposition it is keyed on.  ``verify`` is the
+        ``opt='verify'`` gate at construction and always on for a
+        repartition; a hit whose entry carries no report is verified
+        here too.
+        """
+        from ..buildcache import fingerprint_build, get_cache
+        # the replaced kernel's sections go; the resilience controller's
+        # stay registered for the apply that is repartitioning
+        self.profiler.sections = {
+            name: meta for name, meta in self.profiler.sections.items()
+            if meta.kind == 'resilience'}
+        bcache = get_cache(self._cache)
+        self._cache_info = {'status': 'off', 'key': None, 'tier': None,
+                            'saved_seconds': 0.0, 'nbytes': 0}
+        key = symtab = None
+        if bcache is not None:
+            try:
+                key, symtab = fingerprint_build(
+                    self._expressions, mpi_mode=self._mpi_requested,
+                    opt=self._opt, verify=self._verify,
+                    sanitizer=self._sanitize,
+                    instrument=self.profiler.enabled,
+                    progress=self._progress,
+                    backend='py' if self.backend == 'numpy' else
+                    self.backend)
+            except TypeError:
+                # inputs outside the token grammar: build cold, always
+                self._cache_info['status'] = 'uncacheable'
+        if key is not None:
+            self._cache_info['key'] = key
+            if self._warm_build(bcache, key, symtab):
+                if verify and self.analysis is None:
+                    self._run_verifier()
+                return
+
+        tic = _time.perf_counter()
+        self._cold_build(verify)
+        build_seconds = _time.perf_counter() - tic
+        self.profiler.record_build_time('build', build_seconds)
+        if key is not None:
+            self._cache_info['status'] = 'miss'
+            bcache.note_miss()
+            try:
+                from ..codegen.artifact import KernelArtifact
+                bcache.store(key, KernelArtifact.extract(
+                    self, build_seconds=build_seconds))
+            except Exception:  # noqa: BLE001 - caching is best-effort
+                pass
+
+    def _cold_build(self, verify):
+        """The full pipeline: lower (unless a schedule is kept across a
+        repartition), codegen, certify, (verify), bind."""
+        schedule = self.schedule
+        self.grid = schedule.grid
+        self.mpi_mode = schedule.mpi_mode
+        self.kernel = generate_kernel(schedule,
                                       progress=self._progress,
                                       profiler=self.profiler,
                                       sanitizer=self._sanitize is True,
@@ -216,16 +241,21 @@ class Operator:
         # the demotion is deterministic per cache key.
         self.backend = self.kernel.backend
         from ..analysis.certificate import build_certificate
-        self.certificate = build_certificate(self._schedule)
-        if self._verify:
-            from ..analysis import verify_schedule
-            self.analysis = verify_schedule(self._schedule,
-                                            kernel=self.kernel,
-                                            profiler=self.profiler)
+        self.certificate = build_certificate(schedule)
+        self.analysis = None
+        if verify:
+            self._run_verifier()
         self._bind_sparse_plans()
-        self._flops_per_point = self._schedule.flops_per_point()
-        self._traffic_per_point = self._schedule.traffic_per_point(
+        self._flops_per_point = schedule.flops_per_point()
+        self._traffic_per_point = schedule.traffic_per_point(
             self.grid.dtype.itemsize)
+
+    def _run_verifier(self):
+        """The static verifier as a gate: raises
+        :class:`~repro.analysis.AnalysisError` on any error."""
+        from ..analysis import verify_schedule
+        self.analysis = verify_schedule(self.schedule, kernel=self.kernel,
+                                        profiler=self.profiler)
 
     def _warm_build(self, bcache, key, symtab):
         """Rehydrate a cached artifact; False (-> cold build) on any
@@ -287,9 +317,9 @@ class Operator:
 
         After a cache hit no schedule exists (that is the point of the
         cache); the rare consumers that genuinely need one — ``ccode``,
-        :meth:`analyze`, schedule-mutating tests, shrink recovery —
-        trigger a lazy rebuild here.  The pipeline is deterministic, so
-        the rebuilt schedule matches the cached kernel.
+        :meth:`analyze`, schedule-mutating tests, a repartition that
+        misses the cache — trigger a lazy rebuild here.  The pipeline is
+        deterministic, so the rebuilt schedule matches the cached kernel.
         """
         if self._schedule is None:
             self._schedule = build_schedule(self._expressions,
@@ -360,10 +390,10 @@ class Operator:
         per-rank compute time); ``new_ranks > comm.size`` grows onto
         reserve ranks that announced themselves on the world's lineage
         (see :mod:`repro.resilience.elastic`).  The grid, distributed
-        data, sparse routing and kernel are rebuilt in place, DOMAIN
-        blocks move rank-to-rank through one alltoall, and the
-        regenerated schedule re-passes the static verifier before the
-        next ``apply``.  Returns the (possibly new) communicator.
+        data and sparse routing are rebuilt in place, the kernel comes
+        from this operator's own build path (cache, certificate,
+        verifier), and DOMAIN blocks move rank-to-rank through one
+        alltoall.  Returns the (possibly new) communicator.
         """
         from ..resilience.elastic import repartition_operator
         return repartition_operator(self, new_ranks=new_ranks,

@@ -204,7 +204,7 @@ class Data:
         reconstructed by the next exchange).  Returns the number of
         bytes written locally.
 
-        This is the receive side of the shrink-recovery repartitioner:
+        This is the receive side of the repartitioner: live or
         checkpointed blocks expressed in the *old* decomposition's
         global ranges land here under the *new* decomposition.
         """

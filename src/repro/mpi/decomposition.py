@@ -112,9 +112,9 @@ class Decomposition:
         """Intersect the global interval ``[start, stop)`` with ``part``'s
         owned range.  Returns ``(lo, hi)``; empty when ``lo >= hi``.
 
-        Used by the shrink-recovery repartitioner to route checkpointed
-        blocks (expressed in the *old* decomposition's global ranges)
-        to the ranks of a *new* decomposition.
+        Used by the repartitioner to route blocks (expressed in the
+        *old* decomposition's global ranges) to the ranks of a *new*
+        decomposition.
         """
         lo, hi = self.local_range(part)
         return max(int(start), lo), min(int(stop), hi)

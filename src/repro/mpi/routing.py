@@ -35,8 +35,8 @@ def block_intersections(space_ranges, distributor):
     per-dimension global ranges of the (non-empty) intersection.
 
     This is the dense-block counterpart of :class:`PointRouting`: the
-    shrink-recovery repartitioner uses it to scatter checkpointed blocks
-    rank-to-rank after the Cartesian topology changed.
+    repartitioner (:mod:`repro.resilience.elastic`) uses it to scatter
+    live or checkpointed blocks rank-to-rank onto a new decomposition.
     """
     out = []
     for rank in range(distributor.nprocs):

@@ -183,7 +183,7 @@ class SimWorld:
         retries dropped messages (with linear backoff) and probes the
         wait-for graph for deadlock cycles.
     orig_of : tuple of int, optional
-        For worlds rebuilt by shrink recovery: ``orig_of[new_rank]`` is
+        For worlds rebuilt by a shrink or grow: ``orig_of[new_rank]`` is
         the rank the thread had in the *original* world.  Fault plans
         and checkpoint manifests are always expressed in original ranks,
         so :meth:`SimComm.fault_tick` translates through this table.

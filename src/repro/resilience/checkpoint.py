@@ -16,9 +16,11 @@ Layout (per :class:`Checkpointer` directory)::
                                      coordinator — its presence marks
                                      the checkpoint complete
 
-Rank files are keyed by **original** rank (``world.orig_of``), so after
-a shrink the manifest of an old checkpoint still names blocks by their
-global ranges and the repartitioner can route them to the new topology.
+Rank files are keyed by **original** rank (``world.orig_of``) and the
+manifest names every block by its global ranges, so a checkpoint
+restores onto any decomposition and rank count: restart, resume and
+shrink all land it through the one block mover,
+:func:`repro.resilience.elastic.repartition`.
 Every file lands via tmp + ``os.replace`` (:mod:`repro.ioutil`), and the
 manifest records a CRC32 per rank file: a writer killed mid-checkpoint
 leaves either a complete older version or no manifest at all — never a
@@ -56,8 +58,9 @@ class Checkpointer:
     """Writes/reads the snapshots of one operator's state.
 
     One instance per rank (like the Operator itself); all ranks point at
-    the same ``directory``.  ``save``/``restore`` are collectives over
-    the communicator passed in.
+    the same ``directory``.  ``save`` is a collective over the
+    communicator passed in; reading back goes through
+    :func:`~repro.resilience.elastic.restore_checkpoint`.
 
     Parameters
     ----------
@@ -224,51 +227,4 @@ class Checkpointer:
             raise CheckpointError(
                 "CRC mismatch in %s (checkpoint step %d)" % (path, step))
         with np.load(io.BytesIO(data)) as z:
-            return {k: z[k] for k in z.files}, entry, len(data)
-
-    def restore(self, step, manifest, comm, world, functions,
-                sparse_functions):
-        """Same-topology restore (collective): each rank reloads its own
-        file in place.  Returns the bytes this rank read."""
-        if manifest['world_size'] != comm.size:
-            raise CheckpointError(
-                "checkpoint step %d was written by %d ranks, cannot "
-                "restore in place on %d (use shrink recovery)"
-                % (step, manifest['world_size'], comm.size))
-        orig = world.orig_of[comm.rank]
-        blobs, _, nbytes = self.read_rank_blob(step, manifest, orig)
-        for f in functions:
-            stored = blobs.get('f:%s' % f.name)
-            if stored is None:
-                raise CheckpointError(
-                    "checkpoint step %d is missing function %r"
-                    % (step, f.name))
-            target = f.data.with_halo
-            if stored.shape != target.shape:
-                raise CheckpointError(
-                    "checkpoint step %d: shape mismatch for %r (%s vs "
-                    "%s)" % (step, f.name, stored.shape, target.shape))
-            target[...] = stored
-        self.restore_sparse(step, manifest, sparse_functions)
-        total = comm.allreduce(nbytes)
-        if comm.rank == 0:
-            world.recovery_stats['checkpoints_restored'] += 1
-            world.recovery_stats['restored_bytes'] += int(total)
-        return nbytes
-
-    def restore_sparse(self, step, manifest, sparse_functions):
-        """Reload the replicated sparse arrays from the coordinator's
-        file (every rank reads the same on-disk blob directly)."""
-        by_file = {}
-        for s in sparse_functions:
-            meta = manifest['sparse'].get(s.name)
-            if meta is None:
-                raise CheckpointError(
-                    "checkpoint step %d is missing sparse function %r"
-                    % (step, s.name))
-            by_file.setdefault(meta['rank'], []).append(s)
-        for orig_rank, funcs in by_file.items():
-            blobs, _, _ = self.read_rank_blob(step, manifest, orig_rank)
-            for s in funcs:
-                stored = blobs['s:%s' % s.name]
-                s.data[...] = stored
+            return {k: z[k] for k in z.files}

@@ -12,8 +12,8 @@ recovery policy consulted by the supervised ``Operator.apply`` loop:
 ``restart``
     same-world restore from the newest valid checkpoint;
 ``shrink``
-    drop the dead rank, rebuild the world on the survivors and
-    repartition the checkpoint onto the new decomposition;
+    drop the dead rank, rebuild the world on the survivors and restore
+    the checkpoint onto the new decomposition;
 ``grow``
     shrink first, then — once the healed rank announces itself on the
     world's lineage — repartition the live run back onto the full rank
@@ -63,7 +63,7 @@ class ResilienceController:
         The operator being supervised (gives access to the schedule,
         grid, profiler and kernel for rebuilds).
     policy : str
-        'abort' | 'restart' | 'shrink'.
+        'abort' | 'restart' | 'shrink' | 'grow'.
     checkpoint_every : int
         Snapshot cadence in timesteps (0: only the initial baseline
         checkpoint is taken, and only if a recovery policy or ``resume``
@@ -191,12 +191,11 @@ class ResilienceController:
         if self.elastic_join is not None:
             return self._join()
         if self.resume:
+            from .elastic import restore_checkpoint
             step, manifest = self.checkpointer.latest_valid()
             tic = _time.perf_counter()
-            nbytes = self.checkpointer.restore(
-                step, manifest, self.comm, self.world,
-                self.op.functions,
-                self.op.sparse_functions)
+            nbytes = restore_checkpoint(self.op, self.checkpointer, step,
+                                        manifest)
             self._charge('restore', tic, nbytes, step)
             self.t0 = step
             return step
@@ -359,24 +358,21 @@ class ResilienceController:
         if isinstance(exc, RepartitionRequest):
             return self._recover_repartition(exc)
 
-        from .recovery import perform_restart, perform_shrink
+        from .elastic import perform_recovery
 
         self.nrecoveries += 1
         _time.sleep(min(0.05 * self.nrecoveries, 0.5))  # backoff
         tic = _time.perf_counter()
-        if self.policy == 'restart':
-            step, nbytes = perform_restart(self.op, self.comm,
-                                           self.checkpointer)
-        else:
-            new_comm, step, nbytes = perform_shrink(self.op, self.comm,
-                                                    self.checkpointer)
-            self.comm = new_comm
-            if self.policy == 'grow':
-                # schedule the grow-back: one hysteresis window after
-                # the restored step, clamped so it still fires when the
-                # run is nearly over (the victim is parked waiting)
-                self._grow_due = min(step + max(self.min_steps, 1),
-                                     self.time_M)
+        step, nbytes = perform_recovery(self.op, self.comm,
+                                        self.checkpointer,
+                                        shrink=self.policy != 'restart')
+        self.comm = self.op.grid.distributor.comm
+        if self.policy == 'grow':
+            # schedule the grow-back: one hysteresis window after the
+            # restored step, clamped so it still fires when the run is
+            # nearly over (the victim is parked waiting)
+            self._grow_due = min(step + max(self.min_steps, 1),
+                                 self.time_M)
         elapsed = _time.perf_counter() - tic
         self._charge('restore', tic, nbytes, step)
         world = self.world

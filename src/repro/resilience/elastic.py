@@ -1,41 +1,51 @@
-"""Elastic repartitioning: grow, rebalance and rejoin live operators.
+"""Repartitioning: every change of decomposition through one primitive.
 
-PR 3's shrink recovery could only *lose* ranks: the survivors rebuild a
-smaller world and repartition the checkpoint onto it.  This module
-generalizes the same block-intersection/alltoall machinery into a
-first-class elastic subsystem that moves *live* state (no checkpoint
-I/O on the fast path) in any direction the topology allows:
+A run changes where its state lives in six ways — ``restart`` after a
+kill, ``--resume`` from disk, ``shrink`` onto the survivors, ``grow``
+onto announced ranks, weighted ``rebalance``, and the joiner's
+``rejoin`` — and all six go through :func:`repartition`:
 
-``perform_grow``
-    extend a running world onto every rank announced on the lineage —
-    healed kill victims under ``recovery='grow'``, or reserve ranks
-    parked by an autoscaling scheduler.  The survivors coordinate a
-    grant (new :class:`~repro.mpi.sim.SimWorld` with an extended
-    ``orig_of``, restored topology, resume step), every cohort rebuilds
-    its decomposition/kernel, and DOMAIN blocks move rank-to-rank in
-    one ``alltoall`` routed by
-    :func:`~repro.mpi.routing.block_intersections`.
+1. **rebuild** — unless the decomposition is unchanged (restart,
+   resume): swap in a new :class:`~repro.mpi.distributor.Distributor`,
+   reallocate every distributed array (zeroed), drop the sparse routing,
+   and rebuild the kernel through the operator's own build path
+   (``Operator._build``: build cache, certificate, verifier).  The
+   schedule is kept unless the *set* of split dimensions changed.  An
+   unchanged decomposition instead zeroes the arrays in place.
+2. **move** — one ``alltoall`` lands DOMAIN blocks on the new owners,
+   routed by :func:`~repro.mpi.routing.block_intersections` and written
+   by :meth:`~repro.mpi.data.Data.scatter_block`.  Blocks come from one
+   of two sources: the **live** arrays (grow, rebalance) or the
+   **checkpoint files** (restart, resume, shrink; a rank reads its own
+   file, files of ranks absent from the world are spread round-robin).
+   Halo cells outside the global domain are zero by construction and
+   interior halos are rebuilt by each timestep's exchange before any
+   read, so DOMAIN is all that moves.
 
+The plans that decide *what* to repartition onto run under
+:meth:`~repro.mpi.sim.SimWorld.coordinate` (an out-of-band rendezvous
+that still works after the transport failed) and build the successor
+world with :func:`_successor_world`:
+
+``perform_recovery``
+    restart: reset the world, disarm the fired kill, restore the newest
+    valid checkpoint in place; shrink (ULFM-style): the victim left, the
+    survivors restore it onto a new world and a shrunk topology.
+``perform_grow`` / ``rejoin``
+    extend a running world onto every rank announced on the lineage
+    (healed kill victims under ``recovery='grow'``, or reserve ranks
+    parked by an autoscaling scheduler); the joiners park until the
+    grant covers them and join the alltoall receive-only.
 ``perform_rebalance``
-    re-split the *same* world with per-rank weights (explicit, or
-    measured from the profiler's per-rank compute time) through the
-    weighted :class:`~repro.mpi.decomposition.Decomposition`, moving
-    only the blocks whose ownership changed boundaries.
+    re-split the same world with per-rank weights (explicit, or
+    measured from the profiler's per-rank compute time).
 
-``rejoin``
-    the joiner's half of a grow: park on the lineage until a grant
-    covers this original rank, rebuild against the granted world, and
-    receive blocks (plus the replicated sparse arrays) in the same
-    alltoall.
-
-Both transitions land at a *top-of-step* boundary: the resilience tick
+Live transitions land at a *top-of-step* boundary: the resilience tick
 raises :class:`RepartitionRequest` before any communication of the
-step, so the moved state is globally consistent and — because results
-are invariant to the decomposition — the completed run stays
-bit-identical to a never-repartitioned one.  Every post-repartition
-schedule re-runs the static verifier before a single step executes on
-it (the PR 4 ``opt='verify'`` contract, now machine-checking
-elasticity too).
+step.  Checkpoint restores resume at the checkpoint step.  Results are
+invariant to the decomposition, so either way the completed run is
+bit-identical to one that never repartitioned, and every rebuilt kernel
+has passed the static verifier before a single step runs on it.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from ..mpi.data import Data
 from ..mpi.distributor import Distributor
 from ..mpi.routing import block_intersections
 from ..mpi.sim import RemoteRankError, SimComm, SimWorld, new_lineage
+from .checkpoint import CheckpointError
 
 __all__ = ['RepartitionRequest', 'announce_rejoin', 'awaiting_origs',
            'measured_rank_weights', 'new_lineage', 'perform_grow',
@@ -154,24 +165,72 @@ def measured_rank_weights(op, comm):
     return tuple(1.0 / t for t in times)
 
 
-# -- the live-block mover -----------------------------------------------------
+# -- the repartition primitive ------------------------------------------------
 
-def _capture_blocks(op):
-    """Snapshot every function's DOMAIN block under the *current*
-    decomposition, before the distributor is swapped."""
+def _window(f, lows, ranges):
+    """Index of the global grid ``ranges`` in a DOMAIN-layout array of
+    ``f`` whose grid dimensions start at global ``lows`` (rank-local
+    dimensions, e.g. time buffers, are taken whole)."""
+    return tuple(slice(None) if s.dist_index is None else
+                 slice(ranges[s.dist_index][0] - lows[s.dist_index],
+                       ranges[s.dist_index][1] - lows[s.dist_index])
+                 for s in f.data.specs)
+
+
+def _live_blocks(op):
+    """Source 1: this rank's DOMAIN blocks under the *current*
+    decomposition (the rebuild allocates new arrays, so these views stay
+    intact)."""
     dist = op.grid.distributor
     ranges = tuple(tuple(int(v) for v in r) for r in dist.local_ranges())
-    blocks = {f.name: f.data.local.copy() for f in op.functions}
-    return ranges, blocks
+    return [(ranges, {f.name: f.data.local for f in op.functions})]
+
+
+def _checkpoint_blocks(op, checkpointer, step, manifest, comm):
+    """Source 2: the DOMAIN blocks and replicated sparse arrays this rank
+    of ``comm`` reads from checkpoint ``step``.
+
+    A rank whose original rank wrote a file reads it; files of original
+    ranks absent from ``comm``'s world (dead, or a different rank count)
+    are spread round-robin — no gather to one rank.
+    """
+    if tuple(manifest['grid_shape']) != tuple(op.grid.shape):
+        raise CheckpointError(
+            "checkpoint step %d holds a %s grid, the operator's is %s"
+            % (step, tuple(manifest['grid_shape']), tuple(op.grid.shape)))
+    names = [f.name for f in op.functions]
+    snames = [s.name for s in op.sparse_functions]
+    missing = [n for n in names if n not in manifest['functions']] + \
+        [n for n in snames if n not in manifest['sparse']]
+    if missing:
+        raise CheckpointError("checkpoint step %d is missing %s"
+                              % (step, ', '.join(map(repr, missing))))
+    origs = list(comm.world.orig_of)
+    absent = [e['rank'] for e in manifest['ranks'] if e['rank'] not in origs]
+    blocks, sparse = [], {}
+    for entry in manifest['ranks']:
+        orig = entry['rank']
+        reader = origs.index(orig) if orig in origs \
+            else absent.index(orig) % comm.size
+        if reader != comm.rank:
+            continue
+        blobs = checkpointer.read_rank_blob(step, manifest, orig)
+        ranges = tuple(tuple(int(v) for v in r) for r in entry['ranges'])
+        arrays = {}
+        for f in op.functions:
+            halo = manifest['functions'][f.name]['halo']
+            lows = [lo - h[0] for (lo, _), h in zip(ranges, halo)]
+            arrays[f.name] = blobs['f:%s' % f.name][_window(f, lows, ranges)]
+        blocks.append((ranges, arrays))
+        sparse.update((n, blobs['s:%s' % n]) for n in snames
+                      if manifest['sparse'][n]['rank'] == orig)
+    return blocks, sparse
 
 
 def _rebuild_decomposition(op, comm, topology=None, weights=None):
-    """Re-decompose the operator's grid over ``comm`` and regenerate
-    the kernel (iteration boxes and exchangers are compile-time
-    constants of the decomposition).  Freshly allocated arrays are
-    zeroed: DOMAIN regions are filled by the mover, halo cells outside
-    the global domain are zero by construction, and interior halos are
-    rebuilt by each timestep's exchange before any read."""
+    """Re-decompose the operator's grid over ``comm`` and rebuild its
+    kernel (iteration boxes, exchangers and the certificate depend on
+    the decomposition).  Freshly allocated arrays are zeroed."""
     grid = op.grid
     old_split = tuple(p > 1 for p in grid.distributor.topology)
     new_dist = Distributor(grid.shape, comm=comm, topology=topology,
@@ -188,125 +247,152 @@ def _rebuild_decomposition(op, comm, topology=None, weights=None):
         # ``op.schedule`` property rebuilds deterministically against
         # the swapped-in distributor
         op.schedule = None
-    _rebuild_kernel(op)
-    op._bind_sparse_plans()
-    return new_dist
+    op._build(verify=True)
 
 
-def _rebuild_kernel(op):
-    """Regenerate (or cache-rehydrate) the kernel for the operator's
-    *current* decomposition.  The build-cache fingerprint covers the
-    full per-dimension split sizes, so a repartition that recurs — an
-    autoscaler oscillating between the same two decompositions, or a
-    pool of survey jobs growing onto the same reserves — rehydrates
-    instead of re-lowering."""
-    from ..buildcache import fingerprint_build, get_cache
-    from ..codegen.pybackend import generate_kernel
+def repartition(op, blocks, sparse=None, comm=None, topology=None,
+                weights=None, counters=('repartitions',
+                                        'repartition_bytes')):
+    """Land DOMAIN ``blocks`` on the operator's (possibly new)
+    decomposition (collective).
 
-    bcache = get_cache(None)
-    key = symtab = None
-    if bcache is not None:
-        try:
-            key, symtab = fingerprint_build(
-                op._expressions, mpi_mode=op._mpi_requested, opt=op._opt,
-                verify=op._verify, sanitizer=op._sanitize,
-                instrument=op.profiler.enabled, progress=op._progress,
-                backend='py' if getattr(op, 'backend', 'numpy')
-                == 'numpy' else op.backend)
-        except TypeError:
-            key = None
-    if key is not None:
-        artifact, tier = bcache.lookup(key)
-        if artifact is not None:
-            try:
-                op.kernel = artifact.rehydrate(symtab,
-                                               progress=op._progress,
-                                               profiler=op.profiler)
-                bcache.note_hit(artifact, tier)
-                return
-            except Exception:  # noqa: BLE001 - any defect -> rebuild
-                pass
-    tic = _time.perf_counter()
-    op.kernel = generate_kernel(op.schedule, progress=op._progress,
-                                profiler=op.profiler,
-                                sanitizer=op._sanitize,
-                                backend=getattr(op, 'backend', 'numpy'))
-    if key is not None:
-        bcache.note_miss()
-        try:
-            from ..codegen.artifact import KernelArtifact
-            bcache.store(key, KernelArtifact.extract(
-                op, build_seconds=_time.perf_counter() - tic))
-        except Exception:  # noqa: BLE001 - caching is best-effort
-            pass
-
-
-def _move_blocks(op, old_ranges, old_blocks, sparse_sender=None):
-    """One alltoall moving captured DOMAIN blocks onto the (already
-    swapped-in) new decomposition.  Joiners pass ``old_blocks=None``
-    (receive-only).  ``sparse_sender`` (a rank of the *new* comm) ships
-    the replicated sparse arrays to everyone — only needed on a grow,
-    where joiners carry stale sparse state.  Returns the payload bytes
-    this rank received."""
+    ``blocks`` is ``[(global ranges, {function name: DOMAIN array})]``
+    from either source (:func:`_live_blocks`, :func:`_checkpoint_blocks`;
+    joiners pass none); ``sparse`` maps sparse-function names to the
+    replicated arrays this rank ships to everyone.  With ``comm``
+    (optionally ``topology``/per-dimension ``weights``) the grid is
+    re-decomposed and the kernel rebuilt first; without, the
+    decomposition is unchanged and the arrays are zeroed in place.  The
+    world's ``counters`` (a count and a bytes key of
+    ``recovery_stats``) record the move.  Returns the payload bytes this
+    rank received.
+    """
+    if comm is None:
+        for f in op.functions:
+            f.data.with_halo.fill(0)
+    else:
+        _rebuild_decomposition(op, comm, topology, weights)
     dist = op.grid.distributor
     comm = dist.comm
-    by_name = {f.name: f for f in op.functions}
     outgoing = [[] for _ in range(comm.size)]
-    if old_blocks is not None:
-        routes = block_intersections(old_ranges, dist)
-        for name, f in by_name.items():
-            arr = old_blocks[name]
-            for dest, isect in routes:
-                key = []
-                for spec in f.data.specs:
-                    if spec.dist_index is None:
-                        key.append(slice(None))
-                    else:
-                        a, b = isect[spec.dist_index]
-                        lo, _ = old_ranges[spec.dist_index]
-                        key.append(slice(a - lo, b - lo))
-                outgoing[dest].append(
-                    ('f', name, isect,
-                     np.ascontiguousarray(arr[tuple(key)])))
-    if sparse_sender is not None and comm.rank == sparse_sender:
-        for s in op.sparse_functions:
-            arr = np.ascontiguousarray(np.asarray(s.data))
-            for dest in range(comm.size):
-                outgoing[dest].append(('s', s.name, None, arr))
-    received = comm.alltoall(outgoing)
-    nbytes = 0
+    for ranges, arrays in blocks:
+        lows = [lo for lo, _ in ranges]
+        for dest, isect in block_intersections(ranges, dist):
+            for f in op.functions:
+                piece = arrays[f.name][_window(f, lows, isect)]
+                outgoing[dest].append(('f', f.name, isect,
+                                       np.ascontiguousarray(piece)))
+    for name, arr in (sparse or {}).items():
+        arr = np.ascontiguousarray(arr)
+        for dest in outgoing:
+            dest.append(('s', name, None, arr))
+    by_name = {f.name: f for f in op.functions}
     sparse_by_name = {s.name: s for s in op.sparse_functions}
-    for blocks in received:
-        for kind, name, isect, arr in blocks:
+    nbytes = 0
+    for pieces in comm.alltoall(outgoing):
+        for kind, name, isect, arr in pieces:
             if kind == 'f':
                 nbytes += by_name[name].data.scatter_block(isect, arr)
             else:
                 sparse_by_name[name].data[...] = arr
                 nbytes += arr.nbytes
+    total = comm.allreduce(int(nbytes))
+    if comm.rank == 0:
+        count, nbytes_key = counters
+        comm.world.recovery_stats[count] += 1
+        comm.world.recovery_stats[nbytes_key] += int(total)
     return nbytes
 
 
-def _finish_repartition(op, nbytes, grown=0):
-    """Account the move and re-run the static verifier (collective).
+def restore_checkpoint(op, checkpointer, step, manifest, comm=None,
+                       topology=None):
+    """Restore checkpoint ``step`` — written under any decomposition —
+    in place, or onto ``comm`` with ``topology`` (collective).  Returns
+    the payload bytes this rank received."""
+    blocks, sparse = _checkpoint_blocks(
+        op, checkpointer, step, manifest,
+        comm if comm is not None else op.grid.distributor.comm)
+    return repartition(op, blocks, sparse, comm, topology,
+                       counters=('checkpoints_restored', 'restored_bytes'))
 
-    The verifier re-check contract: no post-repartition schedule runs a
-    single step before passing the same ``opt='verify'`` gate a cold
-    build faces — :class:`~repro.analysis.AnalysisError` propagates and
-    fails the run loudly.
+
+def _successor_world(old_world, origs):
+    """The next world generation over original ranks ``origs``
+    (collective plans only, after ``old_world.reset()``): same fault
+    plan, transport settings and lineage, recovery counters carried
+    over, and fired kills banked by original rank so a kill that fired
+    before the transition never re-fires after it."""
+    new_world = SimWorld(
+        len(origs),
+        faults=old_world.faults if old_world.faults is not None else False,
+        recv_timeout=old_world.recv_timeout,
+        max_retries=old_world.max_retries,
+        check_interval=old_world.check_interval,
+        orig_of=tuple(origs),
+        lineage=old_world.lineage)
+    new_world.disarmed_kills = old_world.disarmed_kills | \
+        old_world.pending_kills
+    new_world.recovery_stats = dict(old_world.recovery_stats)
+    return new_world
+
+
+# -- checkpoint recovery ------------------------------------------------------
+
+def perform_recovery(op, comm, checkpointer, shrink=False):
+    """Checkpoint recovery after a kill (collective over the survivors).
+
+    ``restart`` (``shrink=False``): every rank survived; reset the
+    world, disarm the fired kill and restore the newest valid
+    checkpoint in place.  ``shrink``: the victim marked itself dead and
+    left; the survivors restore the checkpoint onto a new world and a
+    shrunk topology.  Returns ``(resume_step, bytes_received_locally)``;
+    the operator's communicator is the one to continue on.
     """
-    comm = op.grid.distributor.comm
     world = comm.world
-    total = comm.allreduce(int(nbytes))
-    if comm.rank == 0:
-        world.recovery_stats['repartitions'] += 1
-        world.recovery_stats['repartition_bytes'] += int(total)
-        world.recovery_stats['grown_ranks'] += int(grown)
-    from ..analysis import verify_schedule
-    op.analysis = verify_schedule(op.schedule, kernel=op.kernel,
-                                  profiler=op.profiler)
+
+    def plan():
+        world.reset()
+        step, manifest = checkpointer.latest_valid()
+        world.recovery_stats['recoveries'] += 1
+        if not shrink:
+            world.disarmed_kills |= world.pending_kills
+            world.pending_kills.clear()
+            return step, manifest, None
+        alive = world.alive_ranks()
+        world.recovery_stats['ranks_lost'] += world.size - len(alive)
+        lineage = world.lineage
+        with lineage['cond']:
+            if lineage['topology0'] is None:
+                # remember the pre-shrink process grid so a later grow
+                # back to full size restores it exactly
+                lineage['topology0'] = tuple(op.grid.distributor.topology)
+        return step, manifest, _successor_world(
+            world, [world.orig_of[r] for r in alive])
+
+    step, manifest, new_world = world.coordinate(comm.rank, plan)
+    if new_world is None:
+        return step, restore_checkpoint(op, checkpointer, step, manifest)
+    new_comm = SimComm(new_world,
+                       new_world.orig_of.index(world.orig_of[comm.rank]))
+    topology = shrink_dims(op.grid.distributor.topology, new_world.size)
+    return step, restore_checkpoint(op, checkpointer, step, manifest,
+                                    new_comm, topology)
 
 
 # -- grow ---------------------------------------------------------------------
+
+def _enter_grant(op, grant, orig, blocks):
+    """Both cohorts of a grow: rebuild on the granted world as original
+    rank ``orig`` and take part in the block alltoall."""
+    world = grant['world']
+    comm = SimComm(world, world.orig_of.index(orig))
+    sparse = None
+    if comm.rank == grant['sparse_sender']:
+        # joiners carry stale sparse state: one survivor ships it
+        sparse = {s.name: s.data for s in op.sparse_functions}
+    return repartition(op, blocks, sparse, comm, grant['topology'],
+                       grant['weights'])
+
 
 def perform_grow(op, comm, step, weights=None):
     """Grow the live operator onto every announced joiner (collective
@@ -325,23 +411,11 @@ def perform_grow(op, comm, step, weights=None):
             healed = tuple(sorted(lineage['awaiting']))
             lineage['awaiting'].clear()
         old_world.reset()
-        # satellite: bank fired kills across the boundary, keyed on
-        # original ranks — a kill that fired before the grow must not
-        # re-fire on the rebuilt world
-        disarmed = old_world.disarmed_kills | old_world.pending_kills
         survivors = tuple(old_world.orig_of)
-        new_origs = tuple(sorted(set(survivors) | set(healed)))
-        new_world = SimWorld(
-            len(new_origs),
-            faults=old_world.faults if old_world.faults is not None
-            else False,
-            recv_timeout=old_world.recv_timeout,
-            max_retries=old_world.max_retries,
-            check_interval=old_world.check_interval,
-            orig_of=new_origs,
-            lineage=lineage)
-        new_world.disarmed_kills = set(disarmed)
-        new_world.recovery_stats = dict(old_world.recovery_stats)
+        new_world = _successor_world(
+            old_world, sorted(set(survivors) | set(healed)))
+        new_world.recovery_stats['grown_ranks'] += len(healed)
+        new_origs = new_world.orig_of
         top0 = lineage['topology0']
         if top0 is not None and int(np.prod(top0)) == len(new_origs):
             topology = tuple(top0)  # restore the pre-shrink process grid
@@ -365,15 +439,8 @@ def perform_grow(op, comm, step, weights=None):
     grant = old_world.coordinate(comm.rank, plan)
     if not grant['joiners']:
         raise RemoteRankError("grow requested with no announced joiners")
-    old_ranges, old_blocks = _capture_blocks(op)
-    new_world = grant['world']
-    new_rank = new_world.orig_of.index(old_world.orig_of[comm.rank])
-    base = SimComm(new_world, new_rank)
-    _rebuild_decomposition(op, base, topology=grant['topology'],
-                           weights=grant['weights'])
-    nbytes = _move_blocks(op, old_ranges, old_blocks,
-                          sparse_sender=grant['sparse_sender'])
-    _finish_repartition(op, nbytes, grown=len(grant['joiners']))
+    nbytes = _enter_grant(op, grant, old_world.orig_of[comm.rank],
+                          _live_blocks(op))
     return op.grid.distributor.comm, nbytes
 
 
@@ -398,14 +465,7 @@ def rejoin(op, lineage, orig, timeout=120.0):
                     "original rank %d waited %.0fs for a grow grant "
                     "that never came" % (orig, timeout))
             cond.wait(remaining)
-    new_world = grant['world']
-    new_rank = new_world.orig_of.index(int(orig))
-    base = SimComm(new_world, new_rank)
-    _rebuild_decomposition(op, base, topology=grant['topology'],
-                           weights=grant['weights'])
-    nbytes = _move_blocks(op, None, None,
-                          sparse_sender=grant['sparse_sender'])
-    _finish_repartition(op, nbytes, grown=len(grant['joiners']))
+    nbytes = _enter_grant(op, grant, int(orig), [])
     return op.grid.distributor.comm, int(grant['step']), nbytes
 
 
@@ -424,12 +484,10 @@ def perform_rebalance(op, comm, weights=None):
                          % (comm.size, len(weights)))
     dist = op.grid.distributor
     dim_weights = rank_weights_to_dim_weights(weights, dist.topology)
-    old_ranges, old_blocks = _capture_blocks(op)
     # the existing Cartesian comm is reused (Distributor passthrough):
     # same world, same neighbors, new split boundaries
-    _rebuild_decomposition(op, dist.comm, weights=dim_weights)
-    nbytes = _move_blocks(op, old_ranges, old_blocks)
-    _finish_repartition(op, nbytes)
+    nbytes = repartition(op, _live_blocks(op), comm=dist.comm,
+                         weights=dim_weights)
     return op.grid.distributor.comm, nbytes
 
 

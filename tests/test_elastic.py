@@ -15,8 +15,10 @@ stack:
 * weighted rebalancing: explicit and measured per-rank weights move
   block boundaries mid-run without changing a single output bit;
 * the post-repartition static-verifier gate (every repartitioned
-  schedule re-passes analysis), hysteresis/budget bounds, the public
-  ``Operator.repartition`` API and loud validation everywhere.
+  schedule re-passes analysis), fresh certificates and cache entries
+  after every transition, sanitizer modes kept across a rebalance,
+  hysteresis/budget bounds, the public ``Operator.repartition`` API and
+  loud validation everywhere.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 
 from repro import (Eq, Grid, Operator, SparseTimeFunction, TimeFunction,
                    configuration, solve)
+from repro.analysis.certificate import build_certificate
 from repro.dsl import sparse as sparse_mod
 from repro.mpi import run_parallel
 from repro.mpi.sim import SimComm, SimWorld
@@ -61,7 +64,8 @@ def _initial(shape=SHAPE):
                          np.arange(shape[1]) * 0.001).astype(np.float32))
 
 
-def _build(comm, shape=SHAPE, topology=None, mpi='diagonal'):
+def _build(comm, shape=SHAPE, topology=None, mpi='diagonal',
+           sanitizer=None):
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
                 comm=comm, topology=topology)
     u = TimeFunction(name='u', grid=grid, space_order=2)
@@ -71,7 +75,8 @@ def _build(comm, shape=SHAPE, topology=None, mpi='diagonal'):
     eq = Eq(u.dt, u.laplace)
     return Operator([Eq(u.forward, solve(eq, u.forward)),
                      rec.interpolate(expr=u)],
-                    mpi=mpi if comm is not None else None)
+                    mpi=mpi if comm is not None else None,
+                    sanitizer=sanitizer)
 
 
 def _state(op):
@@ -104,6 +109,7 @@ class TestGrowBack:
             op = _build(comm, topology=topology)
             op.apply(time_M=STEPS, dt=DT, recovery='grow',
                      checkpoint_every=2, checkpoint_dir=str(tmp_path))
+            assert op.certificate == build_certificate(op.schedule)
             world = _final_world(op)
             return (_state(op), world.size,
                     dict(world.recovery_stats), set(world.disarmed_kills),
@@ -157,6 +163,7 @@ class TestReserveGrow:
             op = _build(comm)
             op.apply(time_M=STEPS, dt=DT, repartition='grow',
                      min_steps_between_repartitions=3)
+            assert op.certificate == build_certificate(op.schedule)
             world = _final_world(op)
             return _state(op), world.size, \
                 dict(world.recovery_stats), op.analysis
@@ -180,6 +187,32 @@ class TestReserveGrow:
         for r, (data, size) in enumerate(resv):
             assert size == 4
             assert np.array_equal(data, oracle), 'reserve %d mismatch' % r
+
+    def test_grow_under_reconcile_stores_fresh_entries(self):
+        """After a 2 -> 4 grow under ``sanitizer='reconcile'`` the grown
+        operator reconciles against its own certificate, and so does a
+        fresh 4-rank Operator built in the same process — served from
+        the cache entries the grow stored."""
+        def again(op):
+            op.apply(time_M=STEPS, dt=DT)  # ReconcileError on a mismatch
+            fresh = _build(op.grid.distributor.comm, sanitizer='reconcile')
+            fresh.apply(time_M=STEPS, dt=DT)
+            return fresh.cache_info()['status']
+
+        def active(comm):
+            op = _build(comm, sanitizer='reconcile')
+            op.apply(time_M=STEPS, dt=DT, repartition='grow')
+            return again(op)
+
+        def reserve(lineage, orig):
+            op = _build(SimComm(SimWorld(4, faults=False), 0),
+                        sanitizer='reconcile')
+            op.apply(time_M=STEPS, dt=DT,
+                     _elastic_join={'lineage': lineage, 'orig': orig})
+            return again(op)
+
+        act, resv = run_elastic(active, 2, reserve_fn=reserve, nreserve=2)
+        assert act + resv == ['hit'] * 4
 
     def test_grow_policy_without_reserves_is_inert(self):
         """``repartition='grow'`` with nobody waiting never fires."""
@@ -208,6 +241,7 @@ class TestRebalance:
             op.apply(time_M=STEPS, dt=DT, repartition='balance',
                      repartition_every=3, max_repartitions=1,
                      repartition_weights=weights)
+            assert op.certificate == build_certificate(op.schedule)
             world = _final_world(op)
             return (_state(op), dict(world.recovery_stats),
                     tuple(d.sizes
@@ -277,6 +311,21 @@ class TestRepartitionAPI:
         for data, before, after in results:
             assert np.array_equal(data, oracle)
             assert before != after
+
+    def test_rebalance_under_reconcile_compiles_no_hooks(self):
+        """``sanitizer='reconcile'`` leaves the kernel hook-free across a
+        rebalance, and the next apply reconciles against the rebalanced
+        kernel's own certificate."""
+        def job(comm):
+            op = _build(comm, topology=(2, 2), sanitizer='reconcile')
+            op.apply(time_M=STEPS, dt=DT)
+            op.repartition(weights=(3.0, 1.0, 1.0, 2.0))
+            assert op.kernel.sanitizer is None
+            assert op.certificate == build_certificate(op.schedule)
+            op.apply(time_M=STEPS, dt=DT)  # ReconcileError on a mismatch
+            return True
+
+        assert all(run_parallel(job, 4))
 
     def test_operator_repartition_rejects_shrink(self):
         def job(comm):

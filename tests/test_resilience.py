@@ -5,16 +5,17 @@ Covers :mod:`repro.resilience` and its wiring through the stack:
 * atomic write discipline (tmp + rename) for checkpoints, manifests and
   the advanced profile JSON — an interrupted writer never leaves a
   truncated artifact;
-* checkpoint round-trips (same topology) and CRC/manifest validation,
-  including fallback past a checkpoint whose writer was killed
-  mid-snapshot;
+* checkpoint round-trips through the block mover and CRC/manifest
+  validation, including fallback past a checkpoint whose writer was
+  killed mid-snapshot, and resuming on a different rank count;
 * the hardened :meth:`SimWorld.reset` (mailboxes, fault limbo, commlog
   ledgers, sequence counters);
 * loud validation of unknown ``Operator.apply`` kwargs and unknown
   ``configuration`` keys;
 * kill + ``restart`` recovery equivalence across all three exchange
   modes and several rank counts, and ``shrink`` recovery (4 -> 3 on a
-  2D topology) — both bit-identical to a fault-free serial run;
+  2D topology) — both bit-identical to a fault-free serial run, the
+  shrunk kernel rebuilt through the Operator's own build path;
 * health guards raising the same diagnosable
   :class:`NumericalHealthError` on every rank;
 * recovery counters/time/bytes surfacing in ``comm_health`` and the
@@ -36,6 +37,7 @@ from repro.mpi import (RankKilledError, RemoteRankError, SimComm, SimWorld,
                        run_parallel)
 from repro.resilience import (Checkpointer, CheckpointError, HealthGuard,
                               NumericalHealthError)
+from repro.resilience.elastic import restore_checkpoint
 
 STEPS = 8
 DT = 0.02
@@ -71,13 +73,14 @@ def _leaked_progress_threads():
 
 
 def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
-         topology=None, progress=False, **apply_kwargs):
+         topology=None, progress=False, sanitizer=None, ops=None,
+         **apply_kwargs):
     """One SPMD rank of the reference diffusion problem, with receivers.
 
     Returns ``(state, summary)`` — the gathered field followed by the
     receiver rows, flat, so one bitwise comparison covers both; a rank
     killed under shrink recovery returns None (it left the job, the
-    survivors finish it).
+    survivors finish it).  ``ops``, when given, collects the Operator.
     """
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
                 comm=comm, topology=topology)
@@ -90,7 +93,10 @@ def _job(comm, mpi='diagonal', shape=(12, 12), steps=STEPS, so=2,
                              coordinates=REC_COORDS)
     eq = Eq(u.dt, u.laplace)
     op = Operator([Eq(u.forward, solve(eq, u.forward)),
-                   rec.interpolate(expr=u)], mpi=mpi, progress=progress)
+                   rec.interpolate(expr=u)], mpi=mpi, progress=progress,
+                  sanitizer=sanitizer)
+    if ops is not None:
+        ops.append(op)
     try:
         summary = op.apply(time_M=steps - 1, dt=DT, **apply_kwargs)
     except RankKilledError:
@@ -163,17 +169,17 @@ class TestCheckpointer:
         return grid, u, op
 
     def test_roundtrip_serial(self, tmp_path):
+        """Save, scribble over every cell (halo included), restore
+        through the block mover: the state comes back exactly."""
         grid, u, op = self._serial_state()
         ck = Checkpointer(tmp_path)
         comm = grid.comm
-        world = comm.world
-        ck.save(3, comm, world, op.schedule.functions, [],
-                grid.distributor)
+        ck.save(3, comm, comm.world, op.functions, [], grid.distributor)
         snap = u.data.with_halo.copy()
-        u.data.fill(0.0)
+        u.data.with_halo.fill(-1.0)
         step, manifest = ck.latest_valid()
         assert step == 3
-        ck.restore(step, manifest, comm, world, op.schedule.functions, [])
+        restore_checkpoint(op, ck, step, manifest)
         assert np.array_equal(u.data.with_halo, snap)
 
     def test_corrupt_rank_file_falls_back(self, tmp_path):
@@ -409,6 +415,31 @@ class TestShrinkRecovery:
             assert summary.comm_health['ranks_lost'] == 1
         assert not _leaked_progress_threads()
 
+    def test_4_to_3_rebuilds_through_the_operator(self, tmp_path):
+        """The survivors' kernel comes from the Operator's own build
+        path: the poison sanitizer hooks survive the shrink, the
+        verifier's report is clean, and the certificate is the shrunk
+        schedule's."""
+        from repro.analysis.certificate import build_certificate
+
+        reference = _serial_reference()
+        configuration['faults'] = 'seed=5,kill=2@4'
+        kwargs = dict(recovery='shrink', checkpoint_every=3,
+                      checkpoint_dir=str(tmp_path))
+        ops = []
+        out = run_parallel(
+            lambda c: _job(c, topology=(2, 2), sanitizer='poison', ops=ops,
+                           **kwargs), 4)
+        assert all(np.array_equal(r[0], reference)
+                   for r in out if r is not None)
+        survivors = [op for op in ops if op.grid.comm.size == 3]
+        assert len(survivors) == 3
+        for op in survivors:
+            assert op.grid.distributor.topology == (3, 1)
+            assert op.kernel.sanitizer is not None
+            assert op.analysis is not None and op.analysis  # clean
+            assert op.certificate == build_certificate(op.schedule)
+
     def test_2_to_1(self, tmp_path):
         reference = _serial_reference()
         configuration['faults'] = 'seed=1,kill=1@5'
@@ -432,6 +463,20 @@ class TestResume:
         field, summary = _job(None, steps=10, resume=True,
                               checkpoint_dir=str(tmp_path))
         assert np.array_equal(field, reference)
+
+    @pytest.mark.parametrize('ranks', [1, 4])
+    def test_resume_on_another_rank_count(self, tmp_path, ranks):
+        """The block mover does not care which decomposition wrote the
+        files: a 2-rank checkpoint resumes bitwise on 1 and on 4 ranks."""
+        reference = _serial_reference(steps=10)
+        run_parallel(lambda c: _job(c, steps=6, checkpoint_every=3,
+                                    checkpoint_dir=str(tmp_path)), 2)
+        out = run_parallel(lambda c: _job(c, steps=10, resume=True,
+                                          checkpoint_dir=str(tmp_path)),
+                           ranks)
+        for field, summary in out:
+            assert np.array_equal(field, reference)
+            assert summary.comm_health['checkpoints_restored'] == 1
 
     def test_resume_without_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
