@@ -329,22 +329,10 @@ def check_inbounds(schedule: Any) -> List[Diagnostic]:
                 step_index=si))
 
     # -- compute steps: slice accesses over DOMAIN/CORE/REMAINDER boxes -------------
-    from ..codegen.common import cluster_union_widths
-    from ..mpi import core_region, remainder_regions
     for si, step in enumerate(schedule.steps):
         if step.is_compute:
-            if step.region == 'domain':
-                boxes: List[Box] = [tuple((0, n) for n in shape)]
-            else:
-                widths = cluster_union_widths(step.cluster)
-                if step.region == 'core':
-                    boxes = [tuple(core_region(dist, widths))]
-                else:
-                    boxes = [tuple(b) for b in
-                             remainder_regions(dist, widths)]
-            boxes = [b for b in boxes if all(e > s for s, e in b)]
             seen: Set[Tuple[str, Tuple[int, ...], int]] = set()
-            for box in boxes:
+            for box in step.boxes(dist):
                 for acc in cluster_reads(step.cluster):
                     prove(acc.function, acc.offsets, box, si, 'read', seen)
                 for acc in cluster_writes(step.cluster):

@@ -154,10 +154,10 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
 
     def check_core(si: int, step: Any) -> None:
         # The emitted CORE box shrinks by the compiler's own union widths
-        # (codegen.common.cluster_union_widths); prove that shrink covers
+        # (ir.schedule.cluster_union_widths); prove that shrink covers
         # the independently recomputed footprint of every halo the step
         # cannot already rely on.
-        from ..codegen.common import cluster_union_widths
+        from ..ir.schedule import cluster_union_widths
         shrink: Widths = tuple(
             (l, r) for l, r in cluster_union_widths(step.cluster))
         need: Optional[Widths] = None

@@ -2,21 +2,22 @@
 
 Tier 1 is an in-process memo (fingerprint -> :class:`KernelArtifact`,
 shared by every Operator of the process — including the thread-per-rank
-SPMD runs, hence the lock).  Tier 2 is an on-disk store of JSON entries,
-written atomically through :mod:`repro.ioutil` so concurrent writers and
+SPMD runs, hence the lock).  Tier 2 is an on-disk store of entries,
+each the artifact payload as JSON sealed under its fingerprint
+(:mod:`repro.ioutil`), published atomically so concurrent writers and
 killed processes can never leave a torn entry behind.
 
 On-disk layout (under ``configuration['cache_dir']``)::
 
     <dir>/
-      <fp[:2]>/<fp>.json   # one entry: {fingerprint, checksum, payload}
+      <fp[:2]>/<fp>.json   # one sealed entry per fingerprint
       so/k_<key>.so        # compiled objects, one per set of equations
                            # and toolchain, shared by the entries above
       stats.json           # cumulative hit/miss counters across processes
 
-Every read re-verifies the embedded BLAKE2b checksum and the artifact
-format version; *any* problem — corrupt JSON, truncation, checksum or
-version mismatch, unresolvable rebinding — demotes the lookup to a miss
+*Any* problem reading an entry back — a seal that fails (truncation,
+bit flip, an entry copied over another, an old format), artifact
+version drift, unresolvable rebinding — demotes the lookup to a miss
 and the operator builds cold.  A bad cache entry can therefore cost
 time, never correctness.
 
@@ -30,13 +31,13 @@ gate only asserts *non-zero* hits), not an accounting ledger.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import json
 import os
 import threading
 
 from ..codegen.artifact import KernelArtifact
-from ..ioutil import atomic_write_json
+from ..ioutil import (atomic_write_bytes, atomic_write_json, file_digest,
+                      read_sealed_json, write_sealed_json)
 
 __all__ = ['BuildCache', 'get_cache', 'reset_process_cache',
            'read_disk_stats', 'disk_usage', 'disk_objects', 'clear_disk']
@@ -44,11 +45,6 @@ __all__ = ['BuildCache', 'get_cache', 'reset_process_cache',
 #: statistics fields (all monotonic counters except saved_seconds)
 _STAT_KEYS = ('hits', 'memory_hits', 'disk_hits', 'misses', 'stores',
               'errors', 'saved_seconds', 'hit_bytes')
-
-
-def _payload_checksum(payload):
-    blob = json.dumps(payload, sort_keys=True).encode('utf-8')
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
 def _zero_stats():
@@ -110,23 +106,11 @@ class BuildCache:
         return None, None
 
     def _disk_lookup(self, key):
-        path = self._entry_path(key)
         try:
-            with open(path, encoding='utf-8') as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
-            if os.path.exists(path):
-                # present but unreadable/corrupt: count it
-                with self._lock:
-                    self.stats['errors'] += 1
+            return KernelArtifact.from_payload(
+                read_sealed_json(self._entry_path(key), key))
+        except FileNotFoundError:
             return None
-        try:
-            if entry.get('fingerprint') != key:
-                raise ValueError("fingerprint mismatch")
-            payload = entry['payload']
-            if entry.get('checksum') != _payload_checksum(payload):
-                raise ValueError("checksum mismatch")
-            return KernelArtifact.from_payload(payload)
         except Exception:  # noqa: BLE001 - any defect means cold build
             with self._lock:
                 self.stats['errors'] += 1
@@ -146,19 +130,16 @@ class BuildCache:
             try:
                 payload = artifact.to_payload()
                 self._persist_shared_object(payload)
-                entry = {'fingerprint': key,
-                         'checksum': _payload_checksum(payload),
-                         'payload': payload}
                 path = self._entry_path(key)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                atomic_write_json(path, entry, indent=None)
+                write_sealed_json(path, key, payload)
             except OSError:
                 with self._lock:
                     self.stats['errors'] += 1
         self._ensure_atexit()
 
     def _persist_shared_object(self, payload):
-        """Copy a compiled backend's .so into ``<dir>/so/``.
+        """Publish a compiled backend's .so into ``<dir>/so/``.
 
         The cold build leaves the object in a per-process scratch
         directory that dies with the process; a disk entry must point at
@@ -169,25 +150,20 @@ class BuildCache:
         *is* the fresh build, byte for byte: a torn or tampered copy is
         replaced, or no later start could ever hit.  The payload's
         ``so_path`` and ``so_checksum`` are rewritten *in place*
-        (before the entry checksum is computed) to the file actually
-        published, so the shared memory-tier artifact also outlives the
-        scratch directory.
+        (before the entry is sealed) to the file actually published,
+        so the shared memory-tier artifact also outlives the scratch
+        directory.
         """
         src = payload.get('so_path')
         if payload.get('backend') != 'c' or not src:
             return
-        from ..codegen.jit import file_checksum
-        so_dir = os.path.join(self.directory, 'so')
-        dst = os.path.join(so_dir, os.path.basename(src))
-        if src != dst and not (os.path.isfile(dst) and file_checksum(dst)
+        dst = os.path.join(self.directory, 'so', os.path.basename(src))
+        if src != dst and not (os.path.isfile(dst) and file_digest(dst)
                                == payload['so_checksum']):
-            import shutil
-            os.makedirs(so_dir, exist_ok=True)
-            tmp = '%s.tmp%d.%d' % (dst, os.getpid(),
-                                   threading.get_ident())
-            shutil.copyfile(src, tmp)
-            os.replace(tmp, dst)
-            payload['so_checksum'] = file_checksum(dst)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            with open(src, 'rb') as f:
+                atomic_write_bytes(dst, f.read())
+            payload['so_checksum'] = file_digest(dst)
         payload['so_path'] = dst
 
     # -- accounting ------------------------------------------------------------------

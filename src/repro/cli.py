@@ -82,9 +82,6 @@ def _parser():
                    help='simulated MPI ranks (1 = serial)')
     p.add_argument('--topology', nargs='+', type=int, default=None,
                    help='process grid (0 entries auto-derived)')
-    p.add_argument('-a', '--autotune', default='aggressive',
-                   help='accepted for CLI parity; the flop-reducing '
-                        'pipeline is always available via --no-opt')
     p.add_argument('--no-opt', action='store_true',
                    help='disable CSE/factorization/hoisting')
     p.add_argument('--verify', action='store_true',
@@ -359,7 +356,7 @@ def _status_parser():
 def _fetch_parser():
     p = argparse.ArgumentParser(
         prog='python -m repro.cli fetch',
-        description='Load a stored result array (CRC-verified) and '
+        description='Load a stored result array (seal-verified) and '
                     'write it to a .npy file or print its stats.')
     p.add_argument('key',
                    help='store key, e.g. <job-id>/wavefield or '
@@ -942,7 +939,7 @@ def run_status(job_id=None, service_dir=None, as_json=False, out=None):
 
 
 def run_fetch(key, out_path=None, service_dir=None, out=None):
-    """The ``fetch`` subcommand: read one stored array (CRC-checked)."""
+    """The ``fetch`` subcommand: read one stored array (seal-checked)."""
     import os
 
     from .service import ArrayStore, StoreError

@@ -178,13 +178,13 @@ class KernelArtifact:
             # The object is shared by every build of the same equations
             # (its file name is its content key); c_steps is this
             # rank's binding.  so_path is rewritten by the disk cache
-            # tier when it copies the object into its own store.
+            # tier when it publishes the object into its own store.
             'backend': kernel.backend,
             'c_source': kernel.c_source,
             'so_path': kernel.so_path,
             'so_checksum': kernel.so_checksum,
-            # string keys, as JSON will have them: the entry checksum
-            # is taken over sorted keys, and 10 sorts before 2 as text
+            # string keys, as JSON will have them: the memory tier
+            # serves what the disk tier would
             'c_steps': None if kernel.c_steps is None else
             {str(sid): meta for sid, meta in kernel.c_steps.items()},
         }
@@ -300,6 +300,7 @@ class KernelArtifact:
         c_funcs = c_geom = None
         if backend == 'c':
             import os
+            from ..ioutil import file_digest
             from . import jit
             so_path = p['so_path']
             if not so_path or not os.path.isfile(so_path):
@@ -310,7 +311,7 @@ class KernelArtifact:
                 raise ArtifactError("compiled artifact's shared object "
                                     "was built by another toolchain or "
                                     "for another CPU: %r" % (so_path,))
-            if jit.file_checksum(so_path) != p['so_checksum']:
+            if file_digest(so_path) != p['so_checksum']:
                 raise ArtifactError("compiled artifact's shared object "
                                     "fails its checksum: %r" % (so_path,))
             try:

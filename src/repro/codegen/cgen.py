@@ -25,11 +25,10 @@ Two emitters live here:
 from __future__ import annotations
 
 from ..ir.schedule import plan_blocking
-from ..mpi import core_region, remainder_regions
 from ..profiling import assign_section_names
 from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
                          unique_nodes)
-from .common import cluster_union_widths, function_nb
+from .common import function_nb
 
 __all__ = ['generate_c', 'generate_c_steps']
 
@@ -293,26 +292,16 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     return em.source()
 
 
-def _region_bounds_c(step, dist):
-    """Loop bounds per dimension for a compute step (C emission)."""
-    dims = step.cluster.grid.dimensions
-    if step.region == 'domain':
-        return [[(('%s_m' % d.name), ('%s_M' % d.name)) for d in dims]]
-    widths = cluster_union_widths(step.cluster)
-    if step.region == 'core':
-        core = core_region(dist, widths)
-        return [[('%d' % lo, '%d' % (hi - 1)) for lo, hi in core]]
-    boxes = remainder_regions(dist, widths)
-    return [[('%d' % lo, '%d' % (hi - 1)) for lo, hi in box]
-            for box in boxes]
-
-
 def _emit_compute(em, schedule, step, printer, tvars):
     dist = schedule.grid.distributor
     dims = step.cluster.grid.dimensions
-    if step.region != 'domain':
+    if step.region == 'domain':
+        boxes = [[('%s_m' % d.name, '%s_M' % d.name) for d in dims]]
+    else:
         em.emit('/* %s region */' % step.region.upper())
-    for bounds in _region_bounds_c(step, dist):
+        boxes = [[('%d' % lo, '%d' % (hi - 1)) for lo, hi in box]
+                 for box in step.boxes(dist)]
+    for bounds in boxes:
         for i, (dim, (lo, hi)) in enumerate(zip(dims, bounds)):
             if i == 0:
                 em.emit('#pragma omp parallel for schedule(dynamic,1)')
@@ -530,20 +519,6 @@ def _free_scalars(expr, skip):
     return out
 
 
-def _step_boxes(step, dist):
-    """Iteration boxes of one compute step on this rank (same geometry
-    as the NumPy backend's ``_region_boxes``)."""
-    if step.region == 'domain':
-        return [tuple((0, int(n)) for n in dist.shape_local)]
-    widths = cluster_union_widths(step.cluster)
-    if step.region == 'core':
-        boxes = [core_region(dist, widths)]
-    else:
-        boxes = remainder_regions(dist, widths)
-    return [tuple((int(lo), int(hi)) for lo, hi in box)
-            for box in boxes if all(hi > lo for lo, hi in box)]
-
-
 def _emit_kernel(em, name, params, halos, dims, body_lines, parallel):
     """One shape-generic kernel, as two C functions over its geometry
     row ``__g = [nboxes, <_class_geometry per layout class>, <lo, hi
@@ -656,7 +631,7 @@ def generate_c_steps(schedule, dtype=None):
             kernels[key] = _print_kernel(
                 em, 'k%d' % len(kernels), step.cluster, key[1], ctype,
                 dtype, tvars, scalar_kinds)
-        boxes = _step_boxes(step, dist)
+        boxes = step.boxes(dist)
         if boxes:
             name, halos, sig, call = kernels[key]
             geom = [len(boxes)]

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from ..mpi import HaloWidths
-
-__all__ = ['RESERVED_NAMES', 'validate_names', 'function_nb',
-           'cluster_union_widths']
+__all__ = ['RESERVED_NAMES', 'validate_names', 'function_nb']
 
 #: identifiers the generated kernels use internally
 RESERVED_NAMES = frozenset({
@@ -32,18 +29,3 @@ def validate_names(schedule):
 def function_nb(func):
     """Number of time buffers of a function (1 for time-invariant)."""
     return getattr(func, 'nbuffers', 1)
-
-
-def cluster_union_widths(cluster):
-    """Union of halo widths over all of a cluster's requirements.
-
-    This defines the CORE region for the overlap (*full*) mode: points
-    whose stencil never touches any of the halos being exchanged.
-    """
-    ndim = len(cluster.grid.shape)
-    widths = [[0, 0] for _ in range(ndim)]
-    for req in cluster.halo_requirements():
-        for d, (wl, wr) in enumerate(req.widths):
-            widths[d][0] = max(widths[d][0], wl)
-            widths[d][1] = max(widths[d][1], wr)
-    return HaloWidths(widths)

@@ -51,8 +51,7 @@ import numpy as np
 __all__ = ['JITError', 'ToolchainWarning', 'find_compiler',
            'compiler_version', 'cffi_available', 'resolve_backend',
            'compile_shared', 'compile_count', 'object_names',
-           'key_material', 'load_steps', 'file_checksum',
-           'toolchain_report']
+           'key_material', 'load_steps', 'toolchain_report']
 
 #: compilers probed (in order) when ``$CC`` is not set
 _DEFAULT_COMPILERS = ('cc', 'gcc', 'clang')
@@ -148,15 +147,6 @@ def resolve_backend(requested, env=None, warn=True):
             "the NumPy backend. Run 'repro doctor' for details.",
             ToolchainWarning, stacklevel=3)
     return 'numpy'
-
-
-def file_checksum(path):
-    """BLAKE2b-128 of a file's bytes (the artifact's tamper seal)."""
-    h = hashlib.blake2b(digest_size=16)
-    with open(path, 'rb') as f:
-        for chunk in iter(lambda: f.read(1 << 20), b''):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @functools.lru_cache(maxsize=None)

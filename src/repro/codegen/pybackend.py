@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mpi import (check_tag_spaces, core_region, make_exchanger,
-                   remainder_regions)
+from ..ioutil import file_digest
+from ..mpi import check_tag_spaces, make_exchanger
 from ..profiling import Profiler, SectionMeta, assign_section_names
 from ..symbolics import PyPrinter
-from .common import (RESERVED_NAMES, cluster_union_widths, function_nb,
-                     validate_names)
+from .common import function_nb, validate_names
 
 __all__ = ['PyKernel', 'generate_kernel']
 
@@ -204,7 +203,7 @@ def generate_kernel(schedule, progress=False, profiler=None,
         try:
             c_source, c_meta = generate_c_steps(schedule)
             so_path = jit.compile_shared(c_source)
-            so_checksum = jit.file_checksum(so_path)
+            so_checksum = file_digest(so_path)
             lib, c_funcs, c_geom = jit.load_steps(so_path, c_meta,
                                                   grid.dtype)
         except (ValueError, jit.JITError) as e:
@@ -344,8 +343,7 @@ def generate_kernel(schedule, progress=False, profiler=None,
             sec_end(sname)
         elif step.is_compute:
             body_emitted = True
-            boxes = [box for box in _region_boxes(step, dist)
-                     if all(e > b for b, e in box)]
+            boxes = step.boxes(dist)
             npoints = sum(_box_volume(box) for box in boxes)
             profiler.register(SectionMeta(
                 sname, 'compute', points=npoints,
@@ -418,19 +416,6 @@ def _view_expr(func, time_shift):
         return func.name
     nb = function_nb(func)
     return '%s[(time + %d) %% %d]' % (func.name, time_shift, nb)
-
-
-def _region_boxes(step, dist):
-    """Compile-time iteration boxes for a compute step's region."""
-    shape = dist.shape_local
-    if step.region == 'domain':
-        return [tuple((0, n) for n in shape)]
-    widths = cluster_union_widths(step.cluster)
-    if step.region == 'core':
-        return [core_region(dist, widths)]
-    if step.region == 'remainder':
-        return remainder_regions(dist, widths)
-    raise ValueError("unknown region %r" % (step.region,))
 
 
 def _emit_cluster(em, cluster, box):

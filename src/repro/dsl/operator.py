@@ -486,7 +486,7 @@ class Operator:
 
         Resilience: the kwargs in :data:`RESILIENCE_KWARGS` (defaulting
         to the ``configuration`` keys of the same names) turn ``apply``
-        into a supervised loop — periodic CRC-checked checkpoints, NaN/
+        into a supervised loop — periodic sealed checkpoints, NaN/
         Inf health scans, and on a rank death either a same-world
         ``restart`` or a ``shrink`` onto the survivors, resuming from
         the newest valid checkpoint.  ``recovery='abort'`` (the

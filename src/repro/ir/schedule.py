@@ -11,14 +11,17 @@ communication/computation overlap.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..dsl.equation import Eq
 from ..dsl.sparse import Injection, Interpolation
+from ..mpi import HaloWidths, core_region, remainder_regions
 from ..symbolics import indexify, expand_derivatives
 from .clusters import HaloRequirement, clusterize, optimize_clusters
 from .lowered import LoweredEq, accesses_of, parse_access
 
 __all__ = ['HaloStep', 'ComputeStep', 'SparseStep', 'Schedule',
-           'build_schedule', 'plan_blocking']
+           'build_schedule', 'plan_blocking', 'cluster_union_widths']
 
 #: default cache-block edge (points) of the compiled backend's tiles
 BLOCK_DEFAULT = 32
@@ -65,9 +68,38 @@ class ComputeStep:
         self.region = region
         self.parallel = parallel
 
+    def boxes(self, dist):
+        """This rank's non-empty iteration boxes of the step's region,
+        each ``((lo, hi), ...)`` per dimension in domain-local
+        coordinates — the one geometry the NumPy driver, the compiled
+        steps, the C listing and the in-bounds proof all iterate."""
+        if self.region == 'domain':
+            boxes = [tuple((0, n) for n in dist.shape_local)]
+        else:
+            widths = cluster_union_widths(self.cluster)
+            boxes = [core_region(dist, widths)] if self.region == 'core' \
+                else remainder_regions(dist, widths)
+        return [tuple((int(lo), int(hi)) for lo, hi in box)
+                for box in boxes if all(hi > lo for lo, hi in box)]
+
     def __repr__(self):
         return 'ComputeStep(%s, %d eqs)' % (self.region,
                                             len(self.cluster.eqs))
+
+
+def cluster_union_widths(cluster: Any) -> Any:
+    """Union of halo widths over all of a cluster's requirements.
+
+    This defines the CORE region for the overlap (*full*) mode: points
+    whose stencil never touches any of the halos being exchanged.
+    """
+    ndim = len(cluster.grid.shape)
+    widths = [[0, 0] for _ in range(ndim)]
+    for req in cluster.halo_requirements():
+        for d, (wl, wr) in enumerate(req.widths):
+            widths[d][0] = max(widths[d][0], wl)
+            widths[d][1] = max(widths[d][1], wr)
+    return HaloWidths(widths)
 
 
 class SparseStep:

@@ -2,8 +2,9 @@
 
 Cooperating pieces, wired into ``Operator.apply``:
 
-* :mod:`.checkpoint` — distributed, versioned, CRC-checked snapshots
-  (one npz per rank, manifest written last as the completion marker);
+* :mod:`.checkpoint` — distributed, versioned, sealed snapshots (one
+  sealed array file per rank, manifest written last as the completion
+  marker);
 * :mod:`.elastic` — one repartition primitive (rebuild through the
   Operator's own build path, then one block alltoall from live arrays
   or checkpoint files) behind every change of decomposition:

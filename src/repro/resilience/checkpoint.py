@@ -1,4 +1,4 @@
-"""Distributed, versioned, CRC-checked snapshots of solver state.
+"""Distributed, versioned, sealed snapshots of solver state.
 
 A checkpoint of step ``t`` captures the state *at the top of timestep
 ``t``* (i.e. after steps ``< t`` completed): every discrete function's
@@ -10,9 +10,10 @@ steps bit-identically.
 
 Layout (per :class:`Checkpointer` directory)::
 
-    <dir>/step-000012/rank0.npz      one npz per rank, written by that
-    <dir>/step-000012/rank1.npz      rank only (no gather to rank 0)
-    <dir>/step-000012/manifest.json  written *last*, atomically, by the
+    <dir>/step-000012/rank0.arr      one sealed array file per rank,
+    <dir>/step-000012/rank1.arr      written by that rank only (no
+                                     gather to rank 0)
+    <dir>/step-000012/manifest.json  sealed JSON, written *last* by the
                                      coordinator — its presence marks
                                      the checkpoint complete
 
@@ -21,37 +22,35 @@ manifest names every block by its global ranges, so a checkpoint
 restores onto any decomposition and rank count: restart, resume and
 shrink all land it through the one block mover,
 :func:`repro.resilience.elastic.repartition`.
-Every file lands via tmp + ``os.replace`` (:mod:`repro.ioutil`), and the
-manifest records a CRC32 per rank file: a writer killed mid-checkpoint
-leaves either a complete older version or no manifest at all — never a
-truncated snapshot.  The last ``keep`` checkpoints are retained.
+Every file is sealed under its place in the checkpoint
+(``step-000012/rank1``, ``step-000012/manifest``; see
+:mod:`repro.ioutil`) and lands atomically: a writer killed
+mid-checkpoint leaves either a complete older version or no manifest at
+all, and a torn, flipped, stale or misplaced file fails its seal, which
+makes the whole step invalid.  The last ``keep`` checkpoints are
+retained.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import re
 import shutil
-import zlib
 
-import numpy as np
-
-from ..ioutil import atomic_write_bytes, atomic_write_json
+from ..ioutil import (SealError, read_sealed, read_sealed_arrays,
+                      read_sealed_json, write_sealed_arrays,
+                      write_sealed_json)
 
 __all__ = ['Checkpointer', 'CheckpointError']
 
-MANIFEST_VERSION = 1
+#: 2: rank files and the manifest became sealed files
+MANIFEST_VERSION = 2
 
 _STEP_DIR_RE = re.compile(r'^step-(\d+)$')
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, found, or validated."""
-
-
-def _crc32(data):
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 class Checkpointer:
@@ -84,7 +83,12 @@ class Checkpointer:
         return os.path.join(self.step_dir(step), 'manifest.json')
 
     def rank_file(self, step, orig_rank):
-        return os.path.join(self.step_dir(step), 'rank%d.npz' % orig_rank)
+        return os.path.join(self.step_dir(step), 'rank%d.arr' % orig_rank)
+
+    @staticmethod
+    def _ident(step, name):
+        """What a file of checkpoint ``step`` is sealed under."""
+        return 'step-%06d/%s' % (step, name)
 
     def steps_on_disk(self):
         """Steps that have a (not-yet-validated) manifest, ascending."""
@@ -105,32 +109,26 @@ class Checkpointer:
              distributor):
         """Snapshot the current state as checkpoint ``step`` (collective).
 
-        Each rank writes its own npz; per-file CRC32s are gathered on
-        the coordinator (communicator rank 0), which then atomically
+        Each rank writes its own sealed array file; their sizes are
+        gathered on the coordinator (communicator rank 0), which then
         writes the manifest — the completion marker — and prunes old
         checkpoints.  Returns the number of bytes this rank wrote.
         """
         orig = world.orig_of[comm.rank]
-        sdir = self.step_dir(step)
-        os.makedirs(sdir, exist_ok=True)
+        os.makedirs(self.step_dir(step), exist_ok=True)
 
-        payload = {}
-        for f in functions:
-            payload['f:%s' % f.name] = f.data.with_halo
+        arrays = {'f:%s' % f.name: f.data.with_halo for f in functions}
         if comm.rank == 0:
             for s in sparse_functions:
-                payload['s:%s' % s.name] = s.data
-        buf = io.BytesIO()
-        np.savez(buf, **payload)
-        data = buf.getvalue()
-        fname = 'rank%d.npz' % orig
-        atomic_write_bytes(os.path.join(sdir, fname), data)
+                arrays['s:%s' % s.name] = s.data
+        nbytes = write_sealed_arrays(self.rank_file(step, orig),
+                                     self._ident(step, 'rank%d' % orig),
+                                     arrays)
 
         ranges = [[int(a), int(b)] for a, b in distributor.local_ranges()]
         entry = {'rank': int(orig),
                  'coords': [int(c) for c in distributor.mycoords],
-                 'ranges': ranges, 'file': fname,
-                 'crc32': _crc32(data), 'nbytes': len(data)}
+                 'ranges': ranges, 'nbytes': nbytes}
         entries = comm.gather(entry, root=0)
         if comm.rank == 0:
             fmeta = {}
@@ -139,7 +137,7 @@ class Checkpointer:
                     'nbuffers': int(getattr(f, 'nbuffers', 0)) or None,
                     'halo': [[int(l), int(r)] for l, r in f.halo],
                     'dtype': str(f.dtype)}
-            smeta = {s.name: {'file': fname, 'rank': int(orig),
+            smeta = {s.name: {'rank': int(orig),
                               'shape': [int(n) for n in s.data.shape],
                               'dtype': str(s.data.dtype)}
                      for s in sparse_functions}
@@ -149,12 +147,13 @@ class Checkpointer:
                         'grid_shape': [int(n) for n in distributor.shape],
                         'functions': fmeta, 'sparse': smeta,
                         'ranks': sorted(entries, key=lambda e: e['rank'])}
-            atomic_write_json(self.manifest_path(step), manifest)
+            write_sealed_json(self.manifest_path(step),
+                              self._ident(step, 'manifest'), manifest)
             world.recovery_stats['checkpoints_written'] += 1
             world.recovery_stats['checkpoint_bytes'] += sum(
                 e['nbytes'] for e in entries)
             self.prune(keep_step=step)
-        return len(data)
+        return nbytes
 
     def prune(self, keep_step=None):
         """Drop all but the ``keep`` newest checkpoints (coordinator)."""
@@ -167,34 +166,19 @@ class Checkpointer:
 
     # -- validation -------------------------------------------------------
 
-    def load_manifest(self, step):
-        import json
-        try:
-            with open(self.manifest_path(step)) as f:
-                return json.load(f)
-        except (OSError, ValueError) as err:
-            raise CheckpointError("unreadable manifest for checkpoint "
-                                  "step %d: %s" % (step, err)) from None
-
     def validate(self, step):
         """Full validation of checkpoint ``step``; the manifest on
-        success, None when invalid (missing/corrupt rank files)."""
+        success, None when invalid (a missing or failing file)."""
         try:
-            manifest = self.load_manifest(step)
-        except CheckpointError:
-            return None
-        if manifest.get('version') != MANIFEST_VERSION:
-            return None
-        for entry in manifest.get('ranks', ()):
-            path = os.path.join(self.step_dir(step), entry['file'])
-            try:
-                with open(path, 'rb') as f:
-                    data = f.read()
-            except OSError:
+            manifest = read_sealed_json(self.manifest_path(step),
+                                        self._ident(step, 'manifest'))
+            if manifest.get('version') != MANIFEST_VERSION:
                 return None
-            if len(data) != entry['nbytes'] or \
-                    _crc32(data) != entry['crc32']:
-                return None
+            for entry in manifest['ranks']:
+                read_sealed(self.rank_file(step, entry['rank']),
+                            self._ident(step, 'rank%d' % entry['rank']))
+        except (OSError, SealError):
+            return None
         return manifest
 
     def latest_valid(self):
@@ -212,19 +196,11 @@ class Checkpointer:
 
     # -- reading ----------------------------------------------------------
 
-    def read_rank_blob(self, step, manifest, orig_rank):
-        """CRC-verified npz contents of one rank's file as a dict."""
-        entry = next((e for e in manifest['ranks']
-                      if e['rank'] == orig_rank), None)
-        if entry is None:
-            raise CheckpointError(
-                "checkpoint step %d has no data for original rank %d"
-                % (step, orig_rank))
-        path = os.path.join(self.step_dir(step), entry['file'])
-        with open(path, 'rb') as f:
-            data = f.read()
-        if _crc32(data) != entry['crc32']:
-            raise CheckpointError(
-                "CRC mismatch in %s (checkpoint step %d)" % (path, step))
-        with np.load(io.BytesIO(data)) as z:
-            return {k: z[k] for k in z.files}
+    def read_rank_blob(self, step, orig_rank):
+        """The arrays of one rank's file, as a dict."""
+        try:
+            return read_sealed_arrays(self.rank_file(step, orig_rank),
+                                      self._ident(step, 'rank%d' % orig_rank))
+        except (OSError, SealError) as err:
+            raise CheckpointError("checkpoint step %d: %s"
+                                  % (step, err)) from None

@@ -214,7 +214,7 @@ def _checkpoint_blocks(op, checkpointer, step, manifest, comm):
             else absent.index(orig) % comm.size
         if reader != comm.rank:
             continue
-        blobs = checkpointer.read_rank_blob(step, manifest, orig)
+        blobs = checkpointer.read_rank_blob(step, orig)
         ranges = tuple(tuple(int(v) for v in r) for r in entry['ranges'])
         arrays = {}
         for f in op.functions:

@@ -6,7 +6,7 @@ that shape into a service: :class:`ShotSpec` describes one job,
 :class:`SurveyScheduler` drains a priority/FIFO queue of them over a
 warm :class:`OperatorPool` (solver instances reset bit-exactly between
 jobs, build-cache warm starts underneath), results land in a
-CRC-checked :class:`ArrayStore`, and the drain produces a
+sealed :class:`ArrayStore`, and the drain produces a
 :class:`BatchReport`.  ``repro serve`` / ``submit`` / ``status`` are
 the CLI surface.
 """

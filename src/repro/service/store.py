@@ -3,34 +3,24 @@
 The service's inputs and results round-trip through an
 :class:`ArrayStore` — the laptop-scale stand-in for the S3 bucket a
 serverless imaging pipeline would use (cf. Witte et al.'s
-``array_put``/``array_get``).  Each entry is one self-describing file::
-
-    RPROARR1\\n
-    {"dtype": "<f4", "shape": [101, 101], "crc32": ..., "nbytes": ...}\\n
-    <raw little-endian payload bytes>
-
-written atomically through :mod:`repro.ioutil` (tmp + rename), so
+``array_put``/``array_get``).  Each entry ``<key>.arr`` is one array
+sealed under its key (:mod:`repro.ioutil`) and published atomically, so
 concurrent readers always see a complete previous or complete new
-version.  Every ``get`` re-verifies the header geometry *and* a CRC-32
-of the payload: a torn write from a crashed non-atomic writer, a
-truncation or a flipped byte raises :class:`StoreCorruptionError`
-instead of silently returning garbage.
+version.  Every ``get`` re-verifies the seal: a torn write from a
+crashed non-atomic writer, a truncation, a flipped byte or another
+key's file copied over this one raises :class:`StoreCorruptionError`
+naming the key instead of silently returning the wrong array.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import zlib
 
-import numpy as np
-
-from ..ioutil import atomic_write_bytes
+from ..ioutil import SealError, read_sealed_arrays, write_sealed_arrays
 
 __all__ = ['ArrayStore', 'StoreError', 'StoreCorruptionError']
 
-_MAGIC = b'RPROARR1'
 _PART = re.compile(r'^[A-Za-z0-9][A-Za-z0-9._-]*$')
 
 
@@ -40,11 +30,11 @@ class StoreError(RuntimeError):
 
 class StoreCorruptionError(StoreError):
     """An entry exists but its bytes fail validation (torn write,
-    truncation, bit flip, header tampering)."""
+    truncation, bit flip, another key's file)."""
 
 
 class ArrayStore:
-    """A directory of CRC-checked array entries addressed by string keys.
+    """A directory of sealed array entries addressed by string keys.
 
     Keys are ``/``-separated paths of ``[A-Za-z0-9._-]`` segments (e.g.
     ``job-1f3a/wavefield``); segments map to subdirectories, so all of a
@@ -74,18 +64,9 @@ class ArrayStore:
         The dtype, shape and byte payload are preserved exactly: a
         subsequent :meth:`get` returns a bit-identical array.
         """
-        array = np.ascontiguousarray(array)
-        payload = array.tobytes()
-        header = {'dtype': array.dtype.str,
-                  'shape': list(array.shape),
-                  'nbytes': len(payload),
-                  'crc32': zlib.crc32(payload) & 0xffffffff}
-        blob = b'%s\n%s\n%s' % (
-            _MAGIC, json.dumps(header, sort_keys=True).encode('ascii'),
-            payload)
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        atomic_write_bytes(path, blob)
+        write_sealed_arrays(path, str(key), {'array': array})
         return key
 
     def get(self, key):
@@ -97,46 +78,14 @@ class ArrayStore:
         """
         path = self._path(key)
         try:
-            with open(path, 'rb') as f:
-                blob = f.read()
+            return read_sealed_arrays(path, str(key))['array']
         except FileNotFoundError:
             raise KeyError(key) from None
+        except SealError as exc:
+            raise StoreCorruptionError(
+                "entry %r: %s" % (key, exc.reason)) from None
         except OSError as exc:
             raise StoreError("cannot read %r: %s" % (key, exc)) from None
-        return self._decode(key, blob)
-
-    @staticmethod
-    def _decode(key, blob):
-        head, sep, rest = blob.partition(b'\n')
-        if head != _MAGIC or not sep:
-            raise StoreCorruptionError(
-                "entry %r: bad magic (torn or foreign file)" % (key,))
-        header_line, sep, payload = rest.partition(b'\n')
-        if not sep:
-            raise StoreCorruptionError(
-                "entry %r: truncated before payload" % (key,))
-        try:
-            header = json.loads(header_line)
-            dtype = np.dtype(header['dtype'])
-            shape = tuple(int(s) for s in header['shape'])
-            nbytes = int(header['nbytes'])
-            crc = int(header['crc32'])
-        except (ValueError, KeyError, TypeError):
-            raise StoreCorruptionError(
-                "entry %r: unreadable header" % (key,)) from None
-        if len(payload) != nbytes:
-            raise StoreCorruptionError(
-                "entry %r: payload is %d bytes, header says %d (torn "
-                "write?)" % (key, len(payload), nbytes))
-        if zlib.crc32(payload) & 0xffffffff != crc:
-            raise StoreCorruptionError(
-                "entry %r: CRC mismatch (corrupted payload)" % (key,))
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes != expected:
-            raise StoreCorruptionError(
-                "entry %r: %d payload bytes do not fit dtype %s shape %s"
-                % (key, nbytes, dtype.str, shape))
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
     # -- namespace ---------------------------------------------------------------
 

@@ -7,28 +7,16 @@ linear :func:`solve`, flop-reducing rewrites (CSE, factorization,
 invariant hoisting) and C/NumPy printers.
 
 Expressions are immutable, hash-consed DAG nodes; the traversal and
-rewrite entry points live on :class:`Expr` itself:
-
-====================================  =====================================
-deprecated free function              replacement
-====================================  =====================================
-``xreplace(e, m)``                    ``e.xreplace(m)`` (or ``e.subs(m)``)
-``expand(e)``                         ``e.expand()``
-``count_ops(e)``                      ``e.count_ops()``
-``free_symbols(e)``                   ``e.free_symbols``
-``diff(e, x)``                        ``e.diff(x)``
-====================================  =====================================
-
-The free functions still work but emit :class:`DeprecationWarning`.
-Structure-level helpers (``preorder``, ``postorder``, ``unique_nodes``,
+rewrite entry points live on :class:`Expr` itself (``e.xreplace(m)`` or
+``e.subs(m)``, ``e.expand()``, ``e.count_ops()``, ``e.free_symbols``,
+``e.diff(x)``); structure-level helpers (``preorder``, ``postorder``, ``unique_nodes``,
 ``contains``, ``linear_coeffs``, ``indexeds``) remain plain functions.
 """
 
 from .expr import (Add, Atom, Expr, Float, Half, Indexed, Integer, MinusOne,
                    Mul, Number, One, Pow, Rational, S, Symbol, WeakIdMemo,
-                   Zero, contains, count_ops, diff, expand, free_symbols,
-                   has_indexed, indexeds, linear_coeffs, postorder, preorder,
-                   sympify, unique_nodes, xreplace)
+                   Zero, contains, has_indexed, indexeds, linear_coeffs,
+                   postorder, preorder, sympify, unique_nodes)
 from .functions import (FUNCTION_REGISTRY, Abs, AppliedFunction, Max, Min,
                         ceiling, cos, exp, floor, log, sin, sqrt, tan)
 from .fd import fd_weights, fornberg_weights, sample_offsets
@@ -50,8 +38,6 @@ __all__ = [  # noqa: F405
     # traversal / queries
     'contains', 'indexeds', 'linear_coeffs', 'postorder', 'preorder',
     'unique_nodes', 'has_indexed', 'WeakIdMemo',
-    # deprecated free-function shims (use the Expr methods instead)
-    'count_ops', 'diff', 'expand', 'free_symbols', 'xreplace',
     # elementary functions
     'FUNCTION_REGISTRY', 'Abs', 'AppliedFunction', 'Max', 'Min', 'ceiling',
     'cos', 'exp', 'floor', 'log', 'sin', 'sqrt', 'tan',

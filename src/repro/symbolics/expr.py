@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -53,8 +52,7 @@ __all__ = [
     'Expr', 'Atom', 'Symbol', 'Number', 'Integer', 'Rational', 'Float',
     'Add', 'Mul', 'Pow', 'Indexed', 'S', 'sympify', 'Zero', 'One',
     'MinusOne', 'Half', 'preorder', 'postorder', 'unique_nodes',
-    'WeakIdMemo', 'has_indexed', 'diff', 'xreplace', 'contains',
-    'count_ops', 'expand', 'linear_coeffs', 'free_symbols', 'indexeds',
+    'WeakIdMemo', 'has_indexed', 'contains', 'linear_coeffs', 'indexeds',
 ]
 
 
@@ -1162,44 +1160,3 @@ def _evalf(expr, bindings):
         return result
 
     return rec(S(expr))
-
-
-# -- deprecated free-function shims -------------------------------------------------
-#
-# The traversal entry points moved onto Expr (see the method API above);
-# these module-level wrappers remain for source compatibility and warn.
-
-def _deprecated(name, replacement):
-    warnings.warn(
-        "repro.symbolics.%s() is deprecated; use %s instead"
-        % (name, replacement), DeprecationWarning, stacklevel=3)
-
-
-def diff(expr, *specs, fd_order=2, x0=None, offsets=None):
-    """Deprecated: use ``expr.diff(...)``."""
-    _deprecated('diff', 'Expr.diff()')
-    return S(expr).diff(*specs, fd_order=fd_order, x0=x0, offsets=offsets)
-
-
-def xreplace(expr, mapping):
-    """Deprecated: use ``expr.xreplace(mapping)``."""
-    _deprecated('xreplace', 'Expr.xreplace()')
-    return _xreplace(S(expr), mapping)
-
-
-def expand(expr):
-    """Deprecated: use ``expr.expand()``."""
-    _deprecated('expand', 'Expr.expand()')
-    return _expand(S(expr))
-
-
-def count_ops(expr):
-    """Deprecated: use ``expr.count_ops()``."""
-    _deprecated('count_ops', 'Expr.count_ops()')
-    return _count_ops(S(expr))
-
-
-def free_symbols(expr):
-    """Deprecated: use the ``Expr.free_symbols`` property."""
-    _deprecated('free_symbols', 'Expr.free_symbols')
-    return _free_symbols(S(expr))

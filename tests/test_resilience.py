@@ -5,9 +5,10 @@ Covers :mod:`repro.resilience` and its wiring through the stack:
 * atomic write discipline (tmp + rename) for checkpoints, manifests and
   the advanced profile JSON — an interrupted writer never leaves a
   truncated artifact;
-* checkpoint round-trips through the block mover and CRC/manifest
+* checkpoint round-trips through the block mover and manifest
   validation, including fallback past a checkpoint whose writer was
-  killed mid-snapshot, and resuming on a different rank count;
+  killed mid-snapshot, and resuming on a different rank count (damaged
+  sealed files are fuzzed in ``test_sealed.py``);
 * the hardened :meth:`SimWorld.reset` (mailboxes, fault limbo, commlog
   ledgers, sequence counters);
 * loud validation of unknown ``Operator.apply`` kwargs and unknown
@@ -182,24 +183,6 @@ class TestCheckpointer:
         restore_checkpoint(op, ck, step, manifest)
         assert np.array_equal(u.data.with_halo, snap)
 
-    def test_corrupt_rank_file_falls_back(self, tmp_path):
-        grid, u, op = self._serial_state()
-        ck = Checkpointer(tmp_path, keep=3)
-        world = grid.comm.world
-        ck.save(2, grid.comm, world, op.schedule.functions, [],
-                grid.distributor)
-        u.data[0] = 7.0
-        ck.save(4, grid.comm, world, op.schedule.functions, [],
-                grid.distributor)
-        # corrupt the newest rank file: CRC mismatch -> invalid
-        path = ck.rank_file(4, 0)
-        blob = bytearray(open(path, 'rb').read())
-        blob[len(blob) // 2] ^= 0xFF
-        open(path, 'wb').write(bytes(blob))
-        assert ck.validate(4) is None
-        step, _ = ck.latest_valid()
-        assert step == 2
-
     def test_kill_mid_checkpoint_leaves_no_manifest(self, tmp_path):
         """A writer killed between the rank files and the manifest: the
         step directory exists but is *not* a checkpoint; recovery falls
@@ -244,10 +227,9 @@ class TestCheckpointer:
 
         assert all(run_parallel(job, 4))
         names = sorted(os.listdir(os.path.join(tmp_path, 'step-000000')))
-        assert names == ['manifest.json', 'rank0.npz', 'rank1.npz',
-                         'rank2.npz', 'rank3.npz']
-        manifest = json.load(
-            open(os.path.join(tmp_path, 'step-000000', 'manifest.json')))
+        assert names == ['manifest.json', 'rank0.arr', 'rank1.arr',
+                         'rank2.arr', 'rank3.arr']
+        manifest = Checkpointer(tmp_path).validate(0)
         assert manifest['world_size'] == 4
         assert len(manifest['ranks']) == 4
 

@@ -196,20 +196,6 @@ class TestMemoizedTraversals:
 
 class TestDeprecatedShims:
 
-    def test_free_functions_warn_and_delegate(self):
-        from repro import symbolics as sym
-        e = (x + y) * 2
-        for name, call, expect in [
-                ('xreplace', lambda f: f(e, {y: z}), e.xreplace({y: z})),
-                ('expand', lambda f: f(e), e.expand()),
-                ('count_ops', lambda f: f(e), e.count_ops()),
-                ('free_symbols', lambda f: f(e), e.free_symbols),
-                ('diff', lambda f: f(e, x), e.diff(x)),
-        ]:
-            with pytest.warns(DeprecationWarning, match=name):
-                got = call(getattr(sym, name))
-            assert got == expect
-
     def test_method_api_does_not_warn(self):
         e = (x + y) * 2
         with warnings.catch_warnings():
