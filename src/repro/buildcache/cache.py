@@ -38,6 +38,7 @@ import threading
 from ..codegen.artifact import KernelArtifact
 from ..ioutil import (atomic_write_bytes, atomic_write_json, file_digest,
                       read_sealed_json, write_sealed_json)
+from ..parameters import configuration
 
 __all__ = ['BuildCache', 'get_cache', 'reset_process_cache',
            'read_disk_stats', 'disk_usage', 'disk_objects', 'clear_disk']
@@ -52,13 +53,14 @@ def _zero_stats():
 
 
 class BuildCache:
-    """One cache instance: a mode, a directory, a memo and counters."""
+    """One cache instance: a mode, a directory, a memo and counters
+    (``None`` for either: ``configuration['build_cache']`` /
+    ``['cache_dir']``)."""
 
-    def __init__(self, mode='memory', directory='.repro_cache'):
-        if mode not in ('on', 'memory', 'disk', 'off'):
-            raise ValueError("unknown build-cache mode %r" % (mode,))
-        self.mode = mode
-        self.directory = os.fspath(directory)
+    def __init__(self, mode=None, directory=None):
+        self.mode = configuration.resolve('build_cache', mode)
+        self.directory = os.fspath(configuration.resolve('cache_dir',
+                                                         directory))
         self._memo = {}
         self._lock = threading.Lock()
         self.stats = _zero_stats()
@@ -234,28 +236,16 @@ _caches_lock = threading.Lock()
 def get_cache(cache=None):
     """Resolve the ``cache=`` Operator kwarg into a cache, or None.
 
-    ``None`` defers to ``configuration['build_cache']`` /
-    ``configuration['cache_dir']``; ``True``/``False`` force 'on'/'off';
-    a mode string selects that mode against the configured directory; a
-    :class:`BuildCache` instance is used as-is.  Returns ``None`` when
+    A :class:`BuildCache` instance is used as-is; anything else is a
+    ``configuration['build_cache']`` value (``None``: the configured
+    mode; ``True``/``False``: 'on'/'off'; a mode string) resolved
+    against ``configuration['cache_dir']``.  Returns ``None`` when
     caching is off.  Instances are process-wide singletons per
     (mode, directory) so the memory tier is shared across Operators.
     """
-    from .. import configuration
     if isinstance(cache, BuildCache):
         return cache if cache.enabled else None
-    if cache is None:
-        mode = configuration['build_cache']
-    elif cache is True:
-        mode = 'on'
-    elif cache is False:
-        mode = 'off'
-    elif isinstance(cache, str):
-        mode = cache
-    else:
-        raise ValueError("cache= expects None, a bool, a mode string "
-                         "('on'/'memory'/'disk'/'off') or a BuildCache, "
-                         "got %r" % (cache,))
+    mode = configuration.resolve('build_cache', cache)
     if mode == 'off':
         return None
     directory = os.path.abspath(configuration['cache_dir'])

@@ -41,6 +41,7 @@ import sys
 
 import numpy as np
 
+from . import configuration
 from .mpi.faults import RankKilledError
 
 __all__ = ['main', 'run_analyze', 'run_benchmark', 'run_cache',
@@ -58,6 +59,63 @@ def _setups():
         _SETUPS = {'acoustic': acoustic_setup, 'elastic': elastic_setup,
                    'tti': tti_setup, 'viscoelastic': viscoelastic_setup}
     return _SETUPS
+
+
+#: the configuration keys each verb exposes as flags (``None``: the
+#: benchmark run); a flag's spelling, type, choices and help come from
+#: the key's :class:`~repro.parameters.Parameter`, and its value applies
+#: through ``configuration.override`` for the duration of the verb
+VERB_KEYS = {
+    None: ('faults', 'recovery', 'repartition', 'repartition_every',
+           'repartition_weights', 'checkpoint_every', 'checkpoint_dir',
+           'checkpoint_keep', 'health_check_every', 'sanitizer',
+           'build_cache', 'cache_dir', 'backend'),
+    'doctor': ('cache_dir',),
+    'cache': ('cache_dir',),
+    'analyze': (),
+    'submit': ('service_dir',),
+    'serve': ('service_dir', 'service_workers', 'service_retries',
+              'build_cache'),
+    'status': ('service_dir',),
+    'fetch': ('service_dir',),
+}
+
+#: what the serial reference of ``--verify`` resets to the registry
+#: defaults: it runs fault-free, recovery-free and unrepartitioned
+_SERIAL_RESET = ('faults', 'recovery', 'checkpoint_every',
+                 'health_check_every', 'repartition', 'repartition_every',
+                 'repartition_weights')
+
+
+def _flag_type(key):
+    """argparse ``type`` validating a flag value as ``configuration[key]``
+    would (a rejected value exits with the registry's message)."""
+    spec = configuration.parameter(key)
+
+    def convert(text):
+        try:
+            return spec.validate(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
+
+
+def _config_flags(p, verb):
+    """Add the flags of the configuration keys ``verb`` exposes; a flag
+    not given parses to None (the configured value stays)."""
+    group = p.add_argument_group(
+        'configuration (a flag overrides its REPRO_* environment variable)')
+    for key in VERB_KEYS[verb]:
+        spec = configuration.parameter(key)
+        bare = {} if spec.bare is None else {'nargs': '?',
+                                             'const': spec.bare}
+        group.add_argument(
+            spec.flag, dest=key, type=_flag_type(key),
+            choices=spec.accepted,
+            metavar=None if spec.accepted else spec.metavar,
+            help='%s (env %s; default %r)'
+                 % (spec.description, spec.env, spec.default), **bare)
+    return p
 
 
 def _parser():
@@ -85,13 +143,9 @@ def _parser():
     p.add_argument('--no-opt', action='store_true',
                    help='disable CSE/factorization/hoisting')
     p.add_argument('--verify', action='store_true',
-                   help='with --ranks > 1: check against the serial run')
-    p.add_argument('--inject-faults', default=None, metavar='SPEC',
-                   help='deterministic transport fault injection, e.g. '
-                        '"seed=1,drop=0.05,duplicate=0.01,kill=1@10" '
-                        '(see repro.mpi.faults.FaultPlan.parse); '
-                        'non-lethal plans must leave results bit-'
-                        'identical (combine with --verify)')
+                   help='with --ranks > 1: check against the serial run '
+                        '(which runs fault-, recovery- and '
+                        'repartition-free)')
     p.add_argument('--profile', nargs='?', const='basic',
                    choices=['basic', 'advanced'], default=None,
                    help='print the per-section performance table '
@@ -102,77 +156,14 @@ def _parser():
                    help='JSON artifact path for --profile advanced '
                         '(loadable by repro.perfmodel.report.'
                         'load_profile_json)')
-    p.add_argument('--recover',
-                   choices=['abort', 'restart', 'shrink', 'grow'],
-                   default=None,
-                   help='survive lethal injected faults: restart '
-                        '(same-world restore from the newest valid '
-                        'checkpoint), shrink (drop the dead rank and '
-                        'redistribute onto the survivors) or grow '
-                        '(shrink, then repartition back onto the healed '
-                        'rank once it rejoins); default abort')
-    p.add_argument('--repartition-policy',
-                   choices=['off', 'grow', 'balance'], default=None,
-                   help='mid-run elastic repartitioning: grow onto '
-                        'announced reserve ranks, or balance the current '
-                        'world with weighted splits (default off)')
-    p.add_argument('--repartition-every', type=int, default=None,
-                   metavar='N',
-                   help='repartition cadence in timesteps (0: once, at '
-                        'the earliest legal step)')
-    p.add_argument('--repartition-weights', default=None, metavar='W,...',
-                   help='comma-separated per-rank split weights for '
-                        '--repartition-policy balance (default: measured '
-                        'per-rank compute time when profiling is on, '
-                        'else equal)')
-    p.add_argument('--checkpoint-every', type=int, default=None,
-                   metavar='N',
-                   help='checkpoint cadence in timesteps (0: only the '
-                        'baseline snapshot a recovery policy needs)')
-    p.add_argument('--checkpoint-dir', default=None, metavar='PATH',
-                   help='checkpoint directory shared by all ranks '
-                        '(default .repro_checkpoints)')
-    p.add_argument('--checkpoint-keep', type=int, default=None,
-                   metavar='K',
-                   help='number of most-recent checkpoints retained')
     p.add_argument('--resume', action='store_true',
                    help='start from the newest valid checkpoint in '
                         '--checkpoint-dir instead of timestep 0')
-    p.add_argument('--health-check-every', type=int, default=None,
-                   metavar='N',
-                   help='NaN/Inf/blowup scan cadence in timesteps')
-    p.add_argument('--sanitize', nargs='?', const='poison',
-                   choices=['poison', 'reconcile'], default=None,
-                   help='runtime sanitizer mode.  poison (the default '
-                        'when the flag is given bare): generate the '
-                        'kernel with NaN-poisoned neighbor-owned ghost '
-                        'cells so a stale-halo read aborts the run.  '
-                        'reconcile: after every apply, compare the '
-                        'commlog send ledger against the static '
-                        'communication certificate and abort on any '
-                        'message-count or byte mismatch')
     p.add_argument('--dump-schedule', action='store_true',
                    help='print the human-readable schedule of the '
                         'generated operator (one line per step, with '
                         'profiling section names and halo depths)')
-    p.add_argument('--cache', choices=['on', 'memory', 'disk', 'off'],
-                   default=None,
-                   help='operator build cache mode for this run: on '
-                        '(memory + disk under --cache-dir/REPRO_CACHE_'
-                        'DIR), memory, disk, or off (default: '
-                        'configuration, i.e. REPRO_CACHE or memory)')
-    p.add_argument('--cache-dir', default=None, metavar='PATH',
-                   help='directory of the on-disk build-cache tier '
-                        '(default .repro_cache or REPRO_CACHE_DIR)')
-    p.add_argument('--backend', choices=['numpy', 'c'], default=None,
-                   help='execution backend for compute steps: numpy '
-                        '(vectorized whole-array expressions) or c '
-                        '(compile generated C and run cache-blocked '
-                        'loop nests via ctypes; falls back to numpy '
-                        'with a warning when no toolchain is found). '
-                        'Default: configuration, i.e. REPRO_BACKEND '
-                        'or numpy')
-    return p
+    return _config_flags(p, None)
 
 
 def _doctor_parser():
@@ -186,12 +177,9 @@ def _doctor_parser():
     p.add_argument('--require-c', action='store_true',
                    help='exit nonzero unless the compiled backend is '
                         'usable end-to-end (the CI exec-job gate)')
-    p.add_argument('--cache-dir', default=None, metavar='PATH',
-                   help='build-cache directory to inspect (default: '
-                        'configuration cache_dir)')
     p.add_argument('--json', action='store_true',
                    help='machine-readable JSON output')
-    return p
+    return _config_flags(p, 'doctor')
 
 
 def _cache_parser():
@@ -204,16 +192,12 @@ def _cache_parser():
                    help='stats: print cumulative hit/miss counters and '
                         'disk usage; clear: delete every cached entry '
                         '(and the counters)')
-    p.add_argument('--cache-dir', default=None, metavar='PATH',
-                   help='cache directory (default: configuration '
-                        'cache_dir, i.e. .repro_cache or '
-                        'REPRO_CACHE_DIR)')
     p.add_argument('--min-hits', type=int, default=None, metavar='N',
                    help='stats: exit nonzero unless the cumulative hit '
                         'count is >= N (the CI cache-warm gate)')
     p.add_argument('--json', action='store_true',
                    help='stats: machine-readable JSON output')
-    return p
+    return _config_flags(p, 'cache')
 
 
 def _analyze_parser():
@@ -241,6 +225,7 @@ def _analyze_parser():
     p.add_argument('--topology', nargs='+', type=int, default=None,
                    help='process grid (0 entries auto-derived)')
     p.add_argument('--weights', default=None, metavar='W,...',
+                   type=_flag_type('repartition_weights'),
                    help='comma-separated per-rank split weights (one per '
                         'rank): verify the schedule a weighted elastic '
                         'repartition would run, before running it')
@@ -294,6 +279,7 @@ def _submit_parser():
     p.add_argument('--priority', type=int, default=0,
                    help='scheduling priority; higher runs earlier, '
                         'ties are FIFO')
+    # the job's own ShotSpec fields, not configuration overrides
     p.add_argument('--inject-faults', default=None, metavar='SPEC',
                    help='per-job fault plan (FaultPlan grammar, e.g. '
                         '"seed=1,kill=0@5"); applied to this job\'s '
@@ -302,11 +288,7 @@ def _submit_parser():
                    help='per-job retry budget override')
     p.add_argument('--job-id', default=None,
                    help='explicit job id (default: generated)')
-    p.add_argument('--dir', dest='service_dir', default=None,
-                   metavar='PATH',
-                   help='service root (default .repro_service or '
-                        'REPRO_SERVICE_DIR)')
-    return p
+    return _config_flags(p, 'submit')
 
 
 def _serve_parser():
@@ -316,24 +298,10 @@ def _serve_parser():
                     'results land in <dir>/store, per-job records in '
                     '<dir>/jobs, the batch report in <dir>/report.json. '
                     'Exits nonzero when any job failed.')
-    p.add_argument('--dir', dest='service_dir', default=None,
-                   metavar='PATH',
-                   help='service root (default .repro_service or '
-                        'REPRO_SERVICE_DIR)')
-    p.add_argument('--workers', type=int, default=None, metavar='N',
-                   help='jobs in flight at once (default configuration '
-                        'service_workers)')
-    p.add_argument('--retries', type=int, default=None, metavar='N',
-                   help='default per-job retry budget (default '
-                        'configuration service_retries)')
-    p.add_argument('--cache', choices=['on', 'memory', 'disk', 'off'],
-                   default=None,
-                   help='build-cache mode backing the pool (default: '
-                        'configuration build_cache)')
     p.add_argument('--keep-queue', action='store_true',
                    help='leave consumed spec files in <dir>/queue '
                         '(default: delete them after the drain)')
-    return p
+    return _config_flags(p, 'serve')
 
 
 def _status_parser():
@@ -344,13 +312,9 @@ def _status_parser():
     p.add_argument('job_id', nargs='?', default=None,
                    help='show one job\'s full record instead of the '
                         'batch summary')
-    p.add_argument('--dir', dest='service_dir', default=None,
-                   metavar='PATH',
-                   help='service root (default .repro_service or '
-                        'REPRO_SERVICE_DIR)')
     p.add_argument('--json', action='store_true',
                    help='machine-readable JSON output')
-    return p
+    return _config_flags(p, 'status')
 
 
 def _fetch_parser():
@@ -364,146 +328,94 @@ def _fetch_parser():
     p.add_argument('-o', '--out', default=None, metavar='PATH',
                    help='write the array as .npy here (default: print '
                         'shape/dtype/norm only)')
-    p.add_argument('--dir', dest='service_dir', default=None,
-                   metavar='PATH',
-                   help='service root (default .repro_service or '
-                        'REPRO_SERVICE_DIR)')
-    return p
+    return _config_flags(p, 'fetch')
 
 
 def run_benchmark(kernel, shape, tn, space_order, nbl=10, mpi='basic',
                   ranks=1, topology=None, opt=True, verify=False,
-                  out=None, profile=None, profile_out=None, faults=None,
-                  recover=None, checkpoint_every=None, checkpoint_dir=None,
-                  checkpoint_keep=None, resume=False,
-                  health_check_every=None, sanitize=False,
-                  dump_schedule=False, cache=None, cache_dir=None,
-                  repartition=None, repartition_every=None,
-                  repartition_weights=None, backend=None):
-    """Run one benchmark; returns (summary, gathered primary field)."""
+                  out=None, profile=None, profile_out=None, resume=False,
+                  dump_schedule=False, config=None):
+    """Run one benchmark; returns (summary, gathered primary field).
+
+    ``config`` maps configuration keys to the values this run uses (the
+    CLI's configuration flags); ``profile`` also sets ``profiling``.
+    The run happens inside ``configuration.override``, so the global
+    configuration is restored however it ends.
+    """
     # resolve stdout at call time (pytest capture swaps sys.stdout)
     out = out if out is not None else sys.stdout
-    from . import configuration
-    saved_cache = configuration['build_cache']
-    saved_cache_dir = configuration['cache_dir']
-    if cache is not None:
-        configuration['build_cache'] = cache
-    if cache_dir is not None:
-        configuration['cache_dir'] = cache_dir
-    saved_backend = configuration['backend']
-    if backend is not None:
-        configuration['backend'] = backend
-        if backend == 'c':
+    config = dict(config or {})
+    if profile is not None:
+        config['profiling'] = profile
+    with configuration.override(**config):
+        if configuration['backend'] == 'c':
             print('backend         : compiled C (cache-blocked loop '
                   'nests via ctypes)', file=out)
-    saved_sanitizer = configuration['sanitizer']
-    if sanitize:
-        if sanitize == 'reconcile':
-            configuration['sanitizer'] = 'reconcile'
+        if configuration['sanitizer'] == 'reconcile':
             print('sanitizer       : certificate reconcile mode',
                   file=out)
-        else:  # True / 'poison'
-            configuration['sanitizer'] = True
+        elif configuration['sanitizer']:
             print('sanitizer       : poisoned-halo (NaN) mode', file=out)
-    if profile is not None:
-        saved_level = configuration['profiling']
-        configuration['profiling'] = profile
-    saved_faults = configuration['faults']
-    if faults is not None:
-        configuration['faults'] = faults
-        plan = configuration['faults']
-        if plan:
-            print('fault injection : %s' % plan.describe(), file=out)
-    overrides = {'recovery': recover, 'checkpoint_every': checkpoint_every,
-                 'checkpoint_dir': checkpoint_dir,
-                 'checkpoint_keep': checkpoint_keep,
-                 'health_check_every': health_check_every,
-                 'repartition': repartition,
-                 'repartition_every': repartition_every,
-                 'repartition_weights': repartition_weights}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    # also snapshot the keys --verify resets for its serial reference
-    saved_cfg = {k: configuration[k]
-                 for k in set(overrides) | {'recovery', 'checkpoint_every',
-                                            'health_check_every',
-                                            'repartition',
-                                            'repartition_every',
-                                            'repartition_weights'}}
-    for k, v in overrides.items():
-        configuration[k] = v
-    if recover is not None and recover != 'abort':
-        print('recovery policy : %s' % recover, file=out)
-    if repartition is not None and repartition != 'off':
-        print('repartitioning  : %s' % repartition, file=out)
-    setup = _setups()[kernel]
-    spacing = (10.0,) * len(shape)
+        if configuration['faults']:
+            print('fault injection : %s' % configuration['faults'].describe(),
+                  file=out)
+        if configuration['recovery'] != 'abort':
+            print('recovery policy : %s' % configuration['recovery'],
+                  file=out)
+        if configuration['repartition'] != 'off':
+            print('repartitioning  : %s' % configuration['repartition'],
+                  file=out)
+        setup = _setups()[kernel]
+        spacing = (10.0,) * len(shape)
 
-    def single(comm=None, resume_run=False):
-        solver, tr = setup(shape=tuple(shape), spacing=spacing, tn=tn,
-                           space_order=space_order, nbl=nbl, comm=comm,
-                           topology=tuple(topology) if topology else None,
-                           mpi=mpi if comm is not None else None,
-                           opt=opt, nrec=16)
-        result = solver.forward(**({'resume': True} if resume_run else {}))
-        summary = result[-1]
-        wf = result[1]
-        field = wf.data.gather() if hasattr(wf, 'data') \
-            else wf[0].data.gather()
-        return summary, field, solver.op
+        def single(comm=None, resume_run=False):
+            solver, tr = setup(shape=tuple(shape), spacing=spacing, tn=tn,
+                               space_order=space_order, nbl=nbl, comm=comm,
+                               topology=tuple(topology) if topology
+                               else None,
+                               mpi=mpi if comm is not None else None,
+                               opt=opt, nrec=16)
+            result = solver.forward(**({'resume': True} if resume_run
+                                       else {}))
+            summary = result[-1]
+            wf = result[1]
+            field = wf.data.gather() if hasattr(wf, 'data') \
+                else wf[0].data.gather()
+            return summary, field, solver.op
 
-    def spmd(comm):
-        try:
-            return single(comm, resume_run=resume)
-        except RankKilledError:
-            if configuration['recovery'] == 'shrink':
-                # under shrink the victim leaves the job; the survivors
-                # carry the run to completion without it
-                return None
-            raise
+        def spmd(comm):
+            try:
+                return single(comm, resume_run=resume)
+            except RankKilledError:
+                if configuration['recovery'] == 'shrink':
+                    # under shrink the victim leaves the job; the
+                    # survivors carry the run to completion without it
+                    return None
+                raise
 
-    try:
         if ranks == 1:
             summary, field, op = single(resume_run=resume)
-            if dump_schedule:
-                print(op.schedule.dump(), file=out)
-            _report(kernel, shape, space_order, mpi, 1, summary, op, out,
-                    profile=profile, profile_out=profile_out)
-            return summary, field
-
-        from .mpi import run_parallel
-        results = run_parallel(spmd, ranks)
-        survivors = [r for r in results if r is not None]
-        summary, field, op = survivors[0]
+        else:
+            from .mpi import run_parallel
+            results = run_parallel(spmd, ranks)
+            summary, field, op = [r for r in results if r is not None][0]
         if dump_schedule:
             print(op.schedule.dump(), file=out)
         _report(kernel, shape, space_order, mpi, ranks, summary, op, out,
                 profile=profile, profile_out=profile_out)
-        if verify:
-            # the serial reference runs fault-free and recovery-free:
+        if verify and ranks > 1:
             # IDENTICAL proves injected faults were fully masked (non-
             # lethal plans) or fully recovered (kills + --recover)
-            configuration['faults'] = False
-            for key in ('recovery', 'checkpoint_every',
-                        'health_check_every', 'repartition',
-                        'repartition_every', 'repartition_weights'):
-                del configuration[key]  # reset to defaults
-            serial_summary, serial_field, _ = single()
+            with configuration.override(**{
+                    key: configuration.parameter(key).default
+                    for key in _SERIAL_RESET}):
+                _, serial_field, _ = single()
             ok = np.array_equal(field, serial_field)
             print('verification vs serial run: %s'
                   % ('IDENTICAL' if ok else 'MISMATCH'), file=out)
             if not ok:
                 raise SystemExit(1)
         return summary, field
-    finally:
-        configuration['faults'] = saved_faults
-        configuration['sanitizer'] = saved_sanitizer
-        configuration['backend'] = saved_backend
-        configuration['build_cache'] = saved_cache
-        configuration['cache_dir'] = saved_cache_dir
-        for k, v in saved_cfg.items():
-            configuration[k] = v
-        if profile is not None:
-            configuration['profiling'] = saved_level
 
 
 def run_analyze(kernel, shape, space_order, nbl=10, mpi='basic', ranks=2,
@@ -679,11 +591,9 @@ def run_cache(action, cache_dir=None, min_hits=None, as_json=False,
     import json as _json
 
     out = out if out is not None else sys.stdout
-    from . import configuration
     from .buildcache import (clear_disk, disk_objects, disk_usage,
                              read_disk_stats)
-    directory = cache_dir if cache_dir is not None \
-        else configuration['cache_dir']
+    directory = configuration.resolve('cache_dir', cache_dir)
     if action == 'clear':
         removed = clear_disk(directory)
         print('build cache cleared: %d entr%s removed from %s'
@@ -730,7 +640,6 @@ def run_doctor(require_c=False, cache_dir=None, as_json=False, out=None):
     import os
 
     out = out if out is not None else sys.stdout
-    from . import configuration
     from .buildcache import disk_usage, read_disk_stats
     from .codegen import jit
 
@@ -738,8 +647,8 @@ def run_doctor(require_c=False, cache_dir=None, as_json=False, out=None):
     report['backend_requested'] = configuration['backend']
     report['backend_effective'] = jit.resolve_backend(
         configuration['backend'], warn=False)
-    directory = os.path.abspath(cache_dir if cache_dir is not None
-                                else configuration['cache_dir'])
+    directory = os.path.abspath(configuration.resolve('cache_dir',
+                                                      cache_dir))
     nentries, nbytes = disk_usage(directory)
     stats = read_disk_stats(directory)
     report['cache'] = {
@@ -801,10 +710,8 @@ def run_doctor(require_c=False, cache_dir=None, as_json=False, out=None):
 
 def _service_dir(service_dir):
     import os
-
-    from . import configuration
-    return os.path.abspath(service_dir if service_dir is not None
-                           else configuration['service_dir'])
+    return os.path.abspath(configuration.resolve('service_dir',
+                                                 service_dir))
 
 
 def run_submit(kernel, shape, tn=100.0, space_order=4, nbl=10, nrec=8,
@@ -831,9 +738,9 @@ def run_submit(kernel, shape, tn=100.0, space_order=4, nbl=10, nrec=8,
     return job_id
 
 
-def run_serve(service_dir=None, workers=None, retries=None, cache=None,
-              keep_queue=False, out=None):
-    """The ``serve`` subcommand: drain the queue over the warm pool.
+def run_serve(service_dir=None, keep_queue=False, out=None):
+    """The ``serve`` subcommand: drain the queue over the warm pool
+    (workers, retry budget and build cache as configured).
 
     Returns a process exit status (nonzero when any job failed), so a
     scripted survey can gate on batch health.
@@ -857,9 +764,7 @@ def run_serve(service_dir=None, workers=None, retries=None, cache=None,
         except (ValueError, TypeError, OSError) as exc:
             print('skipping unreadable spec %s: %s' % (path, exc),
                   file=out)
-    sched = SurveyScheduler(workers=workers,
-                            store=os.path.join(root, 'store'),
-                            cache=cache, max_retries=retries,
+    sched = SurveyScheduler(store=os.path.join(root, 'store'),
                             record_dir=os.path.join(root, 'jobs'))
     for _, spec in specs:
         sched.submit(spec)
@@ -965,98 +870,72 @@ def run_fetch(key, out_path=None, service_dir=None, out=None):
     return 0
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == 'submit':
-        args = _submit_parser().parse_args(argv[1:])
-        if len(args.shape) not in (2, 3):
-            raise SystemExit('-d expects 2 or 3 dimensions')
-        run_submit(args.kernel, args.shape, tn=args.tn,
-                   space_order=args.space_order, nbl=args.nbl,
-                   nrec=args.nrec, dt=args.dt, priority=args.priority,
-                   faults=args.inject_faults, retries=args.retries,
-                   job_id=args.job_id, service_dir=args.service_dir)
-        return
-    if argv and argv[0] == 'serve':
-        args = _serve_parser().parse_args(argv[1:])
-        status = run_serve(service_dir=args.service_dir,
-                           workers=args.workers, retries=args.retries,
-                           cache=args.cache, keep_queue=args.keep_queue)
-        if status:
-            raise SystemExit(status)
-        return
-    if argv and argv[0] == 'status':
-        args = _status_parser().parse_args(argv[1:])
-        status = run_status(job_id=args.job_id,
-                            service_dir=args.service_dir,
-                            as_json=args.json)
-        if status:
-            raise SystemExit(status)
-        return
-    if argv and argv[0] == 'fetch':
-        args = _fetch_parser().parse_args(argv[1:])
-        status = run_fetch(args.key, out_path=args.out,
-                           service_dir=args.service_dir)
-        if status:
-            raise SystemExit(status)
-        return
-    if argv and argv[0] == 'doctor':
-        args = _doctor_parser().parse_args(argv[1:])
-        status = run_doctor(require_c=args.require_c,
-                            cache_dir=args.cache_dir, as_json=args.json)
-        if status:
-            raise SystemExit(status)
-        return
-    if argv and argv[0] == 'cache':
-        args = _cache_parser().parse_args(argv[1:])
-        status = run_cache(args.action, cache_dir=args.cache_dir,
-                           min_hits=args.min_hits, as_json=args.json)
-        if status:
-            raise SystemExit(status)
-        return
-    if argv and argv[0] == 'analyze':
-        args = _analyze_parser().parse_args(argv[1:])
-        if len(args.shape) not in (2, 3):
-            raise SystemExit('-d expects 2 or 3 dimensions')
-        weights = None
-        if args.weights is not None:
-            try:
-                weights = [float(w) for w in args.weights.split(',')]
-            except ValueError:
-                raise SystemExit('--weights expects comma-separated '
-                                 'numbers, got %r' % args.weights)
-        report = run_analyze(args.kernel, args.shape, args.space_order,
-                             nbl=args.nbl, mpi=args.mpi, ranks=args.ranks,
-                             topology=args.topology, weights=weights,
-                             opt=not args.no_opt,
-                             dump_schedule=args.dump_schedule,
-                             count_nodes=args.count_nodes,
-                             certificate=args.certificate, fmt=args.fmt,
-                             verbose=args.verbose)
-        if report.errors:
-            raise SystemExit(1)
-        return
-    args = _parser().parse_args(argv)
-    if len(args.shape) not in (2, 3):
-        raise SystemExit('-d expects 2 or 3 dimensions')
+def _main_run(args):
     run_benchmark(args.kernel, args.shape, args.tn, args.space_order,
                   nbl=args.nbl, mpi=args.mpi, ranks=args.ranks,
                   topology=args.topology, opt=not args.no_opt,
                   verify=args.verify, profile=args.profile,
-                  profile_out=args.profile_out,
-                  faults=args.inject_faults, recover=args.recover,
-                  checkpoint_every=args.checkpoint_every,
-                  checkpoint_dir=args.checkpoint_dir,
-                  checkpoint_keep=args.checkpoint_keep,
-                  resume=args.resume,
-                  health_check_every=args.health_check_every,
-                  sanitize=args.sanitize,
-                  dump_schedule=args.dump_schedule,
-                  cache=args.cache, cache_dir=args.cache_dir,
-                  repartition=args.repartition_policy,
-                  repartition_every=args.repartition_every,
-                  repartition_weights=args.repartition_weights,
-                  backend=args.backend)
+                  profile_out=args.profile_out, resume=args.resume,
+                  dump_schedule=args.dump_schedule)
+
+
+def _main_analyze(args):
+    report = run_analyze(args.kernel, args.shape, args.space_order,
+                         nbl=args.nbl, mpi=args.mpi, ranks=args.ranks,
+                         topology=args.topology, weights=args.weights,
+                         opt=not args.no_opt,
+                         dump_schedule=args.dump_schedule,
+                         count_nodes=args.count_nodes,
+                         certificate=args.certificate, fmt=args.fmt,
+                         verbose=args.verbose)
+    return 1 if report.errors else 0
+
+
+def _main_submit(args):
+    run_submit(args.kernel, args.shape, tn=args.tn,
+               space_order=args.space_order, nbl=args.nbl, nrec=args.nrec,
+               dt=args.dt, priority=args.priority,
+               faults=args.inject_faults, retries=args.retries,
+               job_id=args.job_id)
+
+
+#: verb -> (parser, handler); ``None`` is the benchmark run
+_VERBS = {
+    None: (_parser, _main_run),
+    'doctor': (_doctor_parser, lambda args: run_doctor(
+        require_c=args.require_c, as_json=args.json)),
+    'cache': (_cache_parser, lambda args: run_cache(
+        args.action, min_hits=args.min_hits, as_json=args.json)),
+    'analyze': (_analyze_parser, _main_analyze),
+    'submit': (_submit_parser, _main_submit),
+    'serve': (_serve_parser, lambda args: run_serve(
+        keep_queue=args.keep_queue)),
+    'status': (_status_parser, lambda args: run_status(
+        job_id=args.job_id, as_json=args.json)),
+    'fetch': (_fetch_parser, lambda args: run_fetch(
+        args.key, out_path=args.out)),
+}
+
+
+def _parse(argv):
+    """``(handler, args, configuration overrides)`` of a command line."""
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    parser, handler = _VERBS[verb]
+    args = parser().parse_args(argv[1:] if verb else argv)
+    if len(getattr(args, 'shape', (2, 2))) not in (2, 3):
+        raise SystemExit('-d expects 2 or 3 dimensions')
+    return handler, args, {key: getattr(args, key)
+                           for key in VERB_KEYS[verb]
+                           if getattr(args, key) is not None}
+
+
+def main(argv=None):
+    handler, args, overrides = _parse(sys.argv[1:] if argv is None
+                                      else list(argv))
+    with configuration.override(**overrides):
+        status = handler(args)
+    if status:
+        raise SystemExit(status)
 
 
 if __name__ == '__main__':

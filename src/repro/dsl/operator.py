@@ -28,8 +28,9 @@ from ..symbolics import unique_nodes
 __all__ = ['Operator', 'PerformanceSummary', 'RESILIENCE_KWARGS',
            'SERVICE_KWARGS']
 
-#: keyword arguments of ``apply`` consumed by the resilience machinery
-#: (everything else must name a grid spacing, a Constant or a time bound)
+#: keyword arguments of ``apply`` consumed by the resilience machinery:
+#: the configuration keys of the same names, plus ``resume`` (everything
+#: else must name a grid spacing, a Constant or a time bound)
 RESILIENCE_KWARGS = ('recovery', 'checkpoint_every', 'checkpoint_dir',
                      'checkpoint_keep', 'max_recoveries',
                      'health_check_every', 'health_max', 'resume',
@@ -112,16 +113,13 @@ class Operator:
         self.name = name
         self._expressions = expressions
         self._opt = opt
-        self._mpi_requested = mpi if mpi is not None else \
-            configuration['mpi']
-        self.profiler = Profiler(profiling if profiling is not None
-                                 else configuration['profiling'])
+        self._mpi_requested = configuration.resolve('mpi', mpi)
+        self.profiler = Profiler(configuration.resolve('profiling',
+                                                       profiling))
         self._progress = bool(progress)
         #: False (off), True (poisoned-halo hooks) or 'reconcile'
         #: (certificate-vs-ledger check after every apply)
-        self._sanitize = self._sanitize_mode(
-            sanitizer if sanitizer is not None
-            else configuration['sanitizer'])
+        self._sanitize = configuration.resolve('sanitizer', sanitizer)
         #: the static CommCertificate of this rank's kernel (predicted
         #: per-neighbor message counts/bytes; None until built)
         self.certificate = None
@@ -144,27 +142,10 @@ class Operator:
         #: into (or stores) compiled artifacts
         from ..codegen import jit
         self.backend = jit.resolve_backend(
-            backend if backend is not None else configuration['backend'])
+            configuration.resolve('backend', backend))
         self._build(verify=self._verify)
 
     # -- build-time plumbing ----------------------------------------------------
-
-    @staticmethod
-    def _sanitize_mode(value):
-        """Normalize a sanitizer spec to False / True / 'reconcile'."""
-        if isinstance(value, str):
-            low = value.strip().lower()
-            if low == 'reconcile':
-                return 'reconcile'
-            if low == 'poison':
-                return True
-        from ..parameters import _as_bool
-        try:
-            return _as_bool(value)
-        except ValueError:
-            raise ValueError(
-                "sanitizer= expects 'poison', 'reconcile' or a "
-                "boolean-like value, got %r" % (value,)) from None
 
     def _build(self, verify):
         """The one build path: this rank's kernel for the grid's
@@ -484,8 +465,9 @@ class Operator:
         message matching (no unmatched sends) and the summary carries
         the transport's robustness counters as ``comm_health``.
 
-        Resilience: the kwargs in :data:`RESILIENCE_KWARGS` (defaulting
-        to the ``configuration`` keys of the same names) turn ``apply``
+        Resilience: the kwargs in :data:`RESILIENCE_KWARGS` (validated
+        as, and defaulting to, the ``configuration`` keys of the same
+        names; ``resume`` is ``apply``-only) turn ``apply``
         into a supervised loop — periodic sealed checkpoints, NaN/
         Inf health scans, and on a rank death either a same-world
         ``restart`` or a ``shrink`` onto the survivors, resuming from
@@ -585,44 +567,22 @@ class Operator:
         return out
 
     def _make_controller(self, kwargs):
-        """Pop the resilience kwargs (falling back to ``configuration``)
-        and build the per-apply supervisor, or None for plain runs."""
+        """Pop the resilience kwargs, each resolved through
+        ``configuration`` (an explicit value is validated like
+        ``configuration[key] = value``; an absent one is the configured
+        value), and build the per-apply supervisor, or None for plain
+        runs."""
         join = kwargs.pop('_elastic_join', None)
-        opts = {key: kwargs.pop(key) for key in RESILIENCE_KWARGS
-                if key in kwargs}
-        policy = opts.get('recovery', configuration['recovery'])
-        every = int(opts.get('checkpoint_every',
-                             configuration['checkpoint_every']))
-        hevery = int(opts.get('health_check_every',
-                              configuration['health_check_every']))
-        resume = bool(opts.get('resume', False))
-        repartition = opts.get('repartition', configuration['repartition'])
-        if policy == 'abort' and every == 0 and hevery == 0 \
-                and not resume and repartition == 'off' and join is None:
+        resume = bool(kwargs.pop('resume', False))
+        opts = {key: configuration.resolve(key, kwargs.pop(key, None))
+                for key in RESILIENCE_KWARGS if key != 'resume'}
+        if opts['recovery'] == 'abort' and not opts['checkpoint_every'] \
+                and not opts['health_check_every'] and not resume \
+                and opts['repartition'] == 'off' and join is None:
             return None
         from ..resilience import ResilienceController
-        return ResilienceController(
-            self, policy=policy, checkpoint_every=every,
-            checkpoint_dir=opts.get('checkpoint_dir',
-                                    configuration['checkpoint_dir']),
-            checkpoint_keep=opts.get('checkpoint_keep',
-                                     configuration['checkpoint_keep']),
-            max_recoveries=opts.get('max_recoveries',
-                                    configuration['max_recoveries']),
-            health_check_every=hevery,
-            health_max=opts.get('health_max', configuration['health_max']),
-            resume=resume, repartition=repartition,
-            repartition_every=opts.get(
-                'repartition_every', configuration['repartition_every']),
-            min_steps_between_repartitions=opts.get(
-                'min_steps_between_repartitions',
-                configuration['min_steps_between_repartitions']),
-            max_repartitions=opts.get(
-                'max_repartitions', configuration['max_repartitions']),
-            repartition_weights=opts.get(
-                'repartition_weights',
-                configuration['repartition_weights']),
-            elastic_join=join)
+        return ResilienceController(self, resume=resume, elastic_join=join,
+                                    **opts)
 
     def _accumulate_deltas(self, stash, before):
         """Fold this attempt's exchanger counter deltas into ``stash``

@@ -150,18 +150,6 @@ def new_lineage():
             'epoch': 0, 'topology0': None}
 
 
-def _configured(key, fallback):
-    """Read a configuration key, tolerating bootstrap/circular imports."""
-    try:
-        from .. import configuration
-    except ImportError:  # pragma: no cover - package bootstrap only
-        return fallback
-    try:
-        return configuration[key]
-    except (KeyError, ValueError):  # pragma: no cover - unregistered key
-        return fallback
-
-
 class SimWorld:
     """The shared state of a simulated MPI job: one mailbox per rank.
 
@@ -206,18 +194,17 @@ class SimWorld:
         self._conds = [threading.Condition() for _ in range(size)]
         self._failed = threading.Event()
         self._fail_reason = None
-        if faults is None:
-            faults = _configured('faults', False)
-        self.faults = faults or None
-        self.recv_timeout = float(recv_timeout
-                                  if recv_timeout is not None
-                                  else _configured('comm_timeout', 60.0))
-        self.max_retries = int(max_retries
-                               if max_retries is not None
-                               else _configured('comm_retries', 3))
+        # imported here: seeding REPRO_FAULTS imports this module while
+        # the configuration is still being built
+        from ..parameters import configuration
+        self.faults = configuration.resolve('faults', faults) or None
+        self.recv_timeout = configuration.resolve('comm_timeout',
+                                                  recv_timeout)
+        self.max_retries = configuration.resolve('comm_retries',
+                                                 max_retries)
         self.check_interval = float(check_interval)
         from .commlog import CommLog
-        self.commlog = CommLog(size, enabled=_configured('commlog', True))
+        self.commlog = CommLog(size, enabled=configuration['commlog'])
         #: transport-level instrumentation: messages/bytes delivered per
         #: destination rank (monotonic; profiling reads, never resets)
         self.ndelivered = [0] * size

@@ -1,10 +1,22 @@
-"""The global, validating ``configuration`` object.
+"""The global, validating ``configuration`` object: the one declaration
+of every setting.
 
 Mirrors Devito's ``DEVITO_*`` switchboard: a mapping with a fixed set of
-registered keys, value validation (unknown keys and invalid values raise
-``ValueError`` listing the accepted options), and environment-variable
-seeding (``REPRO_MPI``, ``REPRO_PROFILING``, ``REPRO_OPT``).  Item
-assignment keeps working exactly as with the original plain dict::
+keys, each declared once as a :class:`Parameter` carrying its default,
+its validation (unknown keys and invalid values raise ``ValueError``
+listing the accepted options), its environment variable and its
+command-line flag.  Every key is seeded from ``REPRO_<KEY>`` --
+``REPRO_MPI``, ``REPRO_CHECKPOINT_EVERY``, ``REPRO_SERVICE_DIR``, ... --
+except the build-cache mode, which is ``REPRO_CACHE``.  The ``repro.cli``
+verbs derive their flags (spelling, type, choices, help) from the same
+specs, and every other layer reads values through two accessors instead
+of re-declaring a default or a check::
+
+    configuration.resolve('checkpoint_keep', value)  # None: configured
+    with configuration.override(recovery='restart', checkpoint_every=5):
+        op.apply(...)
+
+Item assignment keeps working exactly as with the original plain dict::
 
     configuration['mpi'] = 'diagonal'
     configuration['profiling'] = 'advanced'
@@ -14,6 +26,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import MutableMapping
+from contextlib import contextmanager
 
 __all__ = ['Configuration', 'Parameter', 'configuration']
 
@@ -22,6 +35,7 @@ _FALSE = {'0', 'false', 'no', 'off'}
 
 
 def _as_bool(value):
+    """a boolean: 1/0, true/false, yes/no, on/off"""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)) and value in (0, 1):
@@ -35,17 +49,32 @@ def _as_bool(value):
     raise ValueError("expected a boolean-like value, got %r" % (value,))
 
 
-class Parameter:
-    """Spec of one configuration key."""
+def _as_path(value):
+    """a directory path"""
+    return str(value)
 
-    def __init__(self, name, default, accepted=None, env=None,
-                 converter=None, description=''):
+
+class Parameter:
+    """Spec of one configuration key.
+
+    ``env`` defaults to ``REPRO_<NAME>`` and ``flag`` (the spelling of a
+    CLI verb that exposes the key) to ``--name-with-dashes``;
+    ``metavar`` names the flag's argument in ``--help`` and ``bare`` is
+    the value of the flag given without one (None: it needs one).
+    """
+
+    def __init__(self, name, default, accepted=None, converter=None,
+                 description='', env=None, flag=None, metavar=None,
+                 bare=None):
         self.name = name
         self.default = default
         self.accepted = tuple(accepted) if accepted is not None else None
-        self.env = env
         self.converter = converter
         self.description = description
+        self.env = env or 'REPRO_' + name.upper()
+        self.flag = flag or '--' + name.replace('_', '-')
+        self.metavar = metavar or ('PATH' if name.endswith('_dir') else 'N')
+        self.bare = bare
 
     def validate(self, value):
         if self.converter is not None:
@@ -74,171 +103,147 @@ class Configuration(MutableMapping):
     """
 
     def __init__(self, environ=None):
-        self._registry = {}
-        self._values = {}
         environ = os.environ if environ is None else environ
-
         from .profiling import PROFILING_LEVELS
-        self.register(Parameter(
-            'mpi', default='basic', env='REPRO_MPI',
-            accepted=('basic', 'diag', 'diagonal', 'diag2', 'full', False),
-            converter=self._convert_mpi,
-            description='default DMP pattern for distributed grids'))
-        self.register(Parameter(
-            'opt', default=True, env='REPRO_OPT',
-            converter=self._convert_opt,
-            description='flop-reducing pipeline (CSE/factorization/'
-                        'hoisting); the special value \'verify\' keeps '
-                        'the pipeline on and additionally gates every '
-                        'Operator build behind the static verifier '
-                        '(repro.analysis)'))
-        self.register(Parameter(
-            'sanitizer', default=False, env='REPRO_SANITIZER',
-            converter=self._convert_sanitizer,
-            description='runtime sanitizer mode: boolean-like or '
-                        '\'poison\' enables the poisoned-halo sanitizer '
-                        '(kernels NaN-poison neighbor-owned ghost cells '
-                        'each iteration and scan written domains); '
-                        '\'reconcile\' checks the static communication '
-                        'certificate against the commlog send ledger '
-                        'after every apply'))
-        self.register(Parameter(
-            'backend', default='numpy', env='REPRO_BACKEND',
-            accepted=('numpy', 'c'),
-            converter=self._convert_backend,
-            description='execution backend of compute steps: numpy '
-                        '(vectorized whole-array expressions) or c '
-                        '(compile generated C with the system toolchain '
-                        'and call cache-blocked loop nests via ctypes; '
-                        'degrades to numpy with a ToolchainWarning when '
-                        'no compiler is found)'))
-        self.register(Parameter(
-            'profiling', default='basic', env='REPRO_PROFILING',
-            accepted=PROFILING_LEVELS,
-            description='instrumentation level of generated kernels'))
-        self.register(Parameter(
-            'faults', default=False, env='REPRO_FAULTS',
-            converter=self._convert_faults,
-            description='deterministic fault-injection plan for the '
-                        'simulated transport (spec string, e.g. '
-                        '"seed=1,drop=0.05,kill=1@10"; False = off)'))
-        self.register(Parameter(
-            'commlog', default=True, env='REPRO_COMMLOG',
-            converter=_as_bool,
-            description='communication-correctness validator (message '
-                        'matching, tag hygiene, deadlock-cycle '
-                        'detection)'))
-        self.register(Parameter(
-            'comm_timeout', default=60.0, env='REPRO_COMM_TIMEOUT',
-            converter=self._convert_positive_float,
-            description='per-receive timeout budget in seconds (spans '
-                        'all retries)'))
-        self.register(Parameter(
-            'comm_retries', default=3, env='REPRO_COMM_RETRIES',
-            converter=self._convert_nonneg_int,
-            description='bounded redelivery attempts for fault-dropped '
-                        'messages per blocked receive'))
-        self.register(Parameter(
-            'recovery', default='abort', env='REPRO_RECOVERY',
-            accepted=('abort', 'restart', 'shrink', 'grow'),
-            description='what Operator.apply does when a rank dies: '
-                        'abort (propagate, today\'s behaviour), restart '
-                        '(same-world restore from the newest valid '
-                        'checkpoint), shrink (drop the dead rank, '
-                        'redistribute onto the survivors), or grow '
-                        '(shrink, then repartition back onto the full '
-                        'rank set once the healed rank rejoins)'))
-        self.register(Parameter(
-            'checkpoint_every', default=0, env='REPRO_CHECKPOINT_EVERY',
-            converter=self._convert_nonneg_int,
-            description='checkpoint cadence in timesteps (0: only the '
-                        'baseline snapshot recovery policies need)'))
-        self.register(Parameter(
-            'checkpoint_dir', default='.repro_checkpoints',
-            env='REPRO_CHECKPOINT_DIR', converter=str,
-            description='checkpoint directory shared by all ranks'))
-        self.register(Parameter(
-            'checkpoint_keep', default=2, env='REPRO_CHECKPOINT_KEEP',
-            converter=self._convert_positive_int,
-            description='number of most-recent checkpoints retained'))
-        self.register(Parameter(
-            'max_recoveries', default=2, env='REPRO_MAX_RECOVERIES',
-            converter=self._convert_nonneg_int,
-            description='upper bound on recovery attempts per apply'))
-        self.register(Parameter(
-            'health_check_every', default=0,
-            env='REPRO_HEALTH_CHECK_EVERY',
-            converter=self._convert_nonneg_int,
-            description='NaN/Inf/blowup scan cadence in timesteps '
-                        '(0 disables)'))
-        self.register(Parameter(
-            'health_max', default=1e12, env='REPRO_HEALTH_MAX',
-            converter=self._convert_positive_float,
-            description='amplitude bound for the blowup health check'))
-        self.register(Parameter(
-            'repartition', default='off', env='REPRO_REPARTITION',
-            accepted=('off', 'grow', 'balance'),
-            description='elastic adaptation policy of Operator.apply: '
-                        'off, grow (extend onto announced reserve '
-                        'ranks), or balance (weighted re-split of the '
-                        'current world)'))
-        self.register(Parameter(
-            'repartition_every', default=0, env='REPRO_REPARTITION_EVERY',
-            converter=self._convert_nonneg_int,
-            description='cadence of the elastic adaptation check in '
-                        'timesteps (0: repartition once, at the '
-                        'earliest legal step)'))
-        self.register(Parameter(
-            'min_steps_between_repartitions', default=4,
-            env='REPRO_MIN_STEPS_BETWEEN_REPARTITIONS',
-            converter=self._convert_positive_int,
-            description='hysteresis: minimum timesteps between '
-                        'consecutive repartitions (bounds oscillation; '
-                        'also delays the grow-back after a shrink)'))
-        self.register(Parameter(
-            'max_repartitions', default=4, env='REPRO_MAX_REPARTITIONS',
-            converter=self._convert_nonneg_int,
-            description='upper bound on cadence-driven repartitions per '
-                        'apply'))
-        self.register(Parameter(
-            'repartition_weights', default=None,
-            env='REPRO_REPARTITION_WEIGHTS',
-            converter=self._convert_weights,
-            description='per-rank split weights for repartitioning '
-                        '(comma-separated floats, e.g. "2,1,1"; None: '
-                        'measure capacities from the profiler)'))
-        self.register(Parameter(
-            'build_cache', default='memory', env='REPRO_CACHE',
-            accepted=('on', 'memory', 'disk', 'off'),
-            converter=self._convert_cache,
-            description='content-addressed operator build cache: on '
-                        '(memory + disk tiers), memory (in-process '
-                        'only, the default), disk, or off'))
-        self.register(Parameter(
-            'cache_dir', default='.repro_cache', env='REPRO_CACHE_DIR',
-            converter=str,
-            description='directory of the on-disk build-cache tier'))
-        self.register(Parameter(
-            'service_dir', default='.repro_service',
-            env='REPRO_SERVICE_DIR', converter=str,
-            description='root directory of the survey service (job '
-                        'queue, records, array store, batch report)'))
-        self.register(Parameter(
-            'service_workers', default=2, env='REPRO_SERVICE_WORKERS',
-            converter=self._convert_positive_int,
-            description='bounded concurrency of the survey scheduler '
-                        '(jobs in flight at once)'))
-        self.register(Parameter(
-            'service_retries', default=1, env='REPRO_SERVICE_RETRIES',
-            converter=self._convert_nonneg_int,
-            description='default per-job retry budget for transport/'
-                        'fault failures in the survey scheduler'))
-
-        for key, spec in self._registry.items():
-            value = spec.default
-            if spec.env is not None and spec.env in environ:
-                value = environ[spec.env]
-            self[key] = value
+        nonneg, positive = self._convert_nonneg_int, self._convert_positive_int
+        self._registry = {p.name: p for p in (
+            Parameter('mpi', 'basic', converter=self._convert_mpi,
+                      accepted=('basic', 'diag', 'diagonal', 'diag2',
+                                'full', False),
+                      description='default DMP pattern for distributed '
+                                  'grids'),
+            Parameter('opt', True, converter=self._convert_opt,
+                      description='flop-reducing pipeline (CSE/'
+                                  'factorization/hoisting); the special '
+                                  'value \'verify\' keeps the pipeline on '
+                                  'and additionally gates every Operator '
+                                  'build behind the static verifier '
+                                  '(repro.analysis)'),
+            Parameter('sanitizer', False, converter=self._convert_sanitizer,
+                      flag='--sanitize', bare='poison',
+                      metavar='{poison,reconcile}',
+                      description='runtime sanitizer mode: boolean-like or '
+                                  '\'poison\' enables the poisoned-halo '
+                                  'sanitizer (kernels NaN-poison neighbor-'
+                                  'owned ghost cells each iteration and '
+                                  'scan written domains); \'reconcile\' '
+                                  'checks the static communication '
+                                  'certificate against the commlog send '
+                                  'ledger after every apply'),
+            Parameter('backend', 'numpy', accepted=('numpy', 'c'),
+                      converter=self._convert_backend,
+                      description='execution backend of compute steps: '
+                                  'numpy (vectorized whole-array '
+                                  'expressions) or c (compile generated C '
+                                  'with the system toolchain and call '
+                                  'cache-blocked loop nests via ctypes; '
+                                  'degrades to numpy with a '
+                                  'ToolchainWarning when no compiler is '
+                                  'found)'),
+            Parameter('profiling', 'basic', accepted=PROFILING_LEVELS,
+                      description='instrumentation level of generated '
+                                  'kernels'),
+            Parameter('faults', False, converter=self._convert_faults,
+                      flag='--inject-faults', metavar='SPEC',
+                      description='deterministic fault-injection plan for '
+                                  'the simulated transport (spec string, '
+                                  'e.g. "seed=1,drop=0.05,kill=1@10"; '
+                                  'False = off)'),
+            Parameter('commlog', True, converter=_as_bool,
+                      description='communication-correctness validator '
+                                  '(message matching, tag hygiene, '
+                                  'deadlock-cycle detection)'),
+            Parameter('comm_timeout', 60.0,
+                      converter=self._convert_positive_float,
+                      description='per-receive timeout budget in seconds '
+                                  '(spans all retries)'),
+            Parameter('comm_retries', 3, converter=nonneg,
+                      description='bounded redelivery attempts for fault-'
+                                  'dropped messages per blocked receive'),
+            Parameter('recovery', 'abort', flag='--recover',
+                      accepted=('abort', 'restart', 'shrink', 'grow'),
+                      description='what Operator.apply does when a rank '
+                                  'dies: abort (propagate), restart (same-'
+                                  'world restore from the newest valid '
+                                  'checkpoint), shrink (drop the dead '
+                                  'rank, redistribute onto the survivors), '
+                                  'or grow (shrink, then repartition back '
+                                  'onto the full rank set once the healed '
+                                  'rank rejoins)'),
+            Parameter('checkpoint_every', 0, converter=nonneg,
+                      description='checkpoint cadence in timesteps (0: '
+                                  'only the baseline snapshot recovery '
+                                  'policies need)'),
+            Parameter('checkpoint_dir', '.repro_checkpoints', converter=_as_path,
+                      description='checkpoint directory shared by all '
+                                  'ranks'),
+            Parameter('checkpoint_keep', 2, converter=positive,
+                      description='number of most-recent checkpoints '
+                                  'retained'),
+            Parameter('max_recoveries', 2, converter=nonneg,
+                      description='upper bound on recovery attempts per '
+                                  'apply'),
+            Parameter('health_check_every', 0, converter=nonneg,
+                      description='NaN/Inf/blowup scan cadence in '
+                                  'timesteps (0 disables)'),
+            Parameter('health_max', 1e12,
+                      converter=self._convert_positive_float,
+                      description='amplitude bound for the blowup health '
+                                  'check'),
+            Parameter('repartition', 'off', flag='--repartition-policy',
+                      accepted=('off', 'grow', 'balance'),
+                      description='elastic adaptation policy of '
+                                  'Operator.apply: off, grow (extend onto '
+                                  'announced reserve ranks), or balance '
+                                  '(weighted re-split of the current '
+                                  'world)'),
+            Parameter('repartition_every', 0, converter=nonneg,
+                      description='cadence of the elastic adaptation check '
+                                  'in timesteps (0: repartition once, at '
+                                  'the earliest legal step)'),
+            Parameter('min_steps_between_repartitions', 4,
+                      converter=positive,
+                      description='hysteresis: minimum timesteps between '
+                                  'consecutive repartitions (bounds '
+                                  'oscillation; also delays the grow-back '
+                                  'after a shrink)'),
+            Parameter('max_repartitions', 4, converter=nonneg,
+                      description='upper bound on cadence-driven '
+                                  'repartitions per apply'),
+            Parameter('repartition_weights', None,
+                      converter=self._convert_weights, metavar='W,...',
+                      description='per-rank split weights for '
+                                  'repartitioning (comma-separated floats, '
+                                  'e.g. "2,1,1"; None: measure capacities '
+                                  'from the profiler)'),
+            Parameter('build_cache', 'memory', env='REPRO_CACHE',
+                      flag='--cache',
+                      accepted=('on', 'memory', 'disk', 'off'),
+                      converter=self._convert_cache,
+                      description='content-addressed operator build cache: '
+                                  'on (memory + disk tiers), memory (in-'
+                                  'process only), disk, or off'),
+            Parameter('cache_dir', '.repro_cache', converter=_as_path,
+                      description='directory of the on-disk build-cache '
+                                  'tier'),
+            Parameter('service_dir', '.repro_service', converter=_as_path,
+                      flag='--dir',
+                      description='root directory of the survey service '
+                                  '(job queue, records, array store, batch '
+                                  'report)'),
+            Parameter('service_workers', 2, converter=positive,
+                      flag='--workers',
+                      description='bounded concurrency of the survey '
+                                  'scheduler (jobs in flight at once)'),
+            Parameter('service_retries', 1, converter=nonneg,
+                      flag='--retries',
+                      description='default per-job retry budget for '
+                                  'transport/fault failures in the survey '
+                                  'scheduler'),
+        )}
+        self._values = {key: spec.validate(environ.get(spec.env,
+                                                       spec.default))
+                        for key, spec in self._registry.items()}
         # pointing REPRO_CACHE_DIR somewhere implies wanting the disk
         # tier: escalate the default mode (an explicit REPRO_CACHE wins)
         if 'REPRO_CACHE_DIR' in environ and 'REPRO_CACHE' not in environ:
@@ -258,15 +263,15 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_opt(value):
-        # boolean-like, or the string 'verify' (optimize + static gate)
+        """a boolean, or 'verify' (optimize and gate every build behind
+        the static verifier)"""
         if isinstance(value, str) and value.strip().lower() == 'verify':
             return 'verify'
         return _as_bool(value)
 
     @staticmethod
     def _convert_sanitizer(value):
-        # boolean-like (True = the poisoned-halo mode, kept for
-        # backward compatibility), or a mode string
+        """a boolean (true: 'poison'), 'poison' or 'reconcile'"""
         if isinstance(value, str):
             low = value.strip().lower()
             if low == 'reconcile':
@@ -308,6 +313,8 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_faults(value):
+        """a FaultPlan spec such as 'seed=1,drop=0.05,kill=1@10', or
+        false/empty for none"""
         if value is None or value is False:
             return False
         from .mpi.faults import FaultPlan
@@ -328,6 +335,8 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_weights(value):
+        """comma-separated non-negative floats, not all zero (none:
+        measured)"""
         if value is None or value is False:
             return None
         if isinstance(value, str):
@@ -344,13 +353,15 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_positive_float(value):
+        """a positive number"""
         value = float(value)
         if value <= 0:
-            raise ValueError("expected a positive number of seconds")
+            raise ValueError("expected a positive number")
         return value
 
     @staticmethod
     def _convert_nonneg_int(value):
+        """a non-negative integer"""
         value = int(value)
         if value < 0:
             raise ValueError("expected a non-negative integer")
@@ -358,6 +369,7 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_positive_int(value):
+        """a positive integer"""
         value = int(value)
         if value <= 0:
             raise ValueError("expected a positive integer")
@@ -365,25 +377,52 @@ class Configuration(MutableMapping):
 
     # -- registry ---------------------------------------------------------------
 
-    def register(self, parameter):
-        self._registry[parameter.name] = parameter
+    def parameter(self, key):
+        """The :class:`Parameter` declaring ``key``."""
+        spec = self._registry.get(key)
+        if spec is None:
+            raise self._unknown(key)
+        return spec
 
     def accepted(self, key):
         """Accepted values of ``key`` (None = any after conversion)."""
-        return self._registry[key].accepted
+        return self.parameter(key).accepted
 
     def _unknown(self, key):
         return ValueError(
             "unknown configuration key %r; accepted keys: %s"
             % (key, ', '.join(sorted(self._registry))))
 
+    # -- the two accessors ------------------------------------------------------
+
+    def resolve(self, key, value=None):
+        """The configured value of ``key`` when ``value`` is None, else
+        ``value`` validated exactly as ``configuration[key] = value``
+        would validate it (same conversion, same ``ValueError``)."""
+        if value is None:
+            return self[key]
+        return self.parameter(key).validate(value)
+
+    @contextmanager
+    def override(self, **values):
+        """Set ``values`` for the duration of a ``with`` block.
+
+        Every value is validated before any is applied; on exit --
+        exceptions included -- the previous values are restored.
+        """
+        new = {key: self.parameter(key).validate(value)
+               for key, value in values.items()}
+        saved = {key: self._values[key] for key in new}
+        self._values.update(new)
+        try:
+            yield self
+        finally:
+            self._values.update(saved)
+
     # -- mutable mapping protocol -------------------------------------------------
 
     def __setitem__(self, key, value):
-        spec = self._registry.get(key)
-        if spec is None:
-            raise self._unknown(key)
-        self._values[key] = spec.validate(value)
+        self._values[key] = self.parameter(key).validate(value)
 
     def __getitem__(self, key):
         try:
@@ -393,9 +432,7 @@ class Configuration(MutableMapping):
 
     def __delitem__(self, key):
         """Reset ``key`` to its registered default."""
-        spec = self._registry.get(key)
-        if spec is None:
-            raise self._unknown(key)
+        spec = self.parameter(key)
         self._values[key] = spec.validate(spec.default)
 
     def __iter__(self):

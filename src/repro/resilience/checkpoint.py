@@ -40,6 +40,7 @@ import shutil
 from ..ioutil import (SealError, read_sealed, read_sealed_arrays,
                       read_sealed_json, write_sealed_arrays,
                       write_sealed_json)
+from ..parameters import configuration
 
 __all__ = ['Checkpointer', 'CheckpointError']
 
@@ -65,14 +66,15 @@ class Checkpointer:
     ----------
     directory : str
         Checkpoint root (shared by all ranks).
-    keep : int
+    keep : int, optional
         Number of most-recent checkpoints retained (older step
-        directories are pruned by the coordinator after each save).
+        directories are pruned by the coordinator after each save;
+        default ``configuration['checkpoint_keep']``).
     """
 
-    def __init__(self, directory, keep=2):
+    def __init__(self, directory, keep=None):
         self.directory = os.fspath(directory)
-        self.keep = max(int(keep), 1)
+        self.keep = configuration.resolve('checkpoint_keep', keep)
 
     # -- layout -----------------------------------------------------------
 

@@ -39,6 +39,7 @@ import time as _time
 
 from ..mpi.faults import RankKilledError
 from ..mpi.sim import RemoteRankError
+from ..parameters import configuration
 from ..profiling import SectionMeta
 from .checkpoint import Checkpointer
 from .health import HealthGuard
@@ -46,8 +47,9 @@ from .health import HealthGuard
 __all__ = ['RECOVERY_POLICIES', 'REPARTITION_POLICIES',
            'ResilienceController']
 
-RECOVERY_POLICIES = ('abort', 'restart', 'shrink', 'grow')
-REPARTITION_POLICIES = ('off', 'grow', 'balance')
+#: the accepted values of ``configuration['recovery']`` / ``['repartition']``
+RECOVERY_POLICIES = configuration.accepted('recovery')
+REPARTITION_POLICIES = configuration.accepted('repartition')
 
 
 class ResilienceController:
@@ -55,14 +57,17 @@ class ResilienceController:
 
     One instance per rank per ``apply`` (like the kernel invocation it
     supervises).  All parameters must agree across ranks — saves,
-    restores and health verdicts are collectives.
+    restores and health verdicts are collectives.  Every parameter
+    named like a ``configuration`` key takes a value already resolved
+    and validated through it (``Operator.apply`` does that); the
+    defaults and accepted values live in :mod:`repro.parameters` only.
 
     Parameters
     ----------
     op : Operator
         The operator being supervised (gives access to the schedule,
         grid, profiler and kernel for rebuilds).
-    policy : str
+    recovery : str
         'abort' | 'restart' | 'shrink' | 'grow'.
     checkpoint_every : int
         Snapshot cadence in timesteps (0: only the initial baseline
@@ -108,32 +113,23 @@ class ResilienceController:
         grant before giving up with ``RemoteRankError``.
     """
 
-    def __init__(self, op, policy='abort', checkpoint_every=0,
-                 checkpoint_dir='.repro_checkpoints', checkpoint_keep=2,
-                 max_recoveries=2, health_check_every=0, health_max=1e12,
-                 resume=False, repartition='off', repartition_every=0,
-                 min_steps_between_repartitions=4, max_repartitions=4,
-                 repartition_weights=None, elastic_join=None,
+    def __init__(self, op, recovery, checkpoint_every, checkpoint_dir,
+                 checkpoint_keep, max_recoveries, health_check_every,
+                 health_max, repartition, repartition_every,
+                 min_steps_between_repartitions, max_repartitions,
+                 repartition_weights, resume=False, elastic_join=None,
                  rejoin_timeout=120.0):
-        if policy not in RECOVERY_POLICIES:
-            raise ValueError("unknown recovery policy %r (accepted: %s)"
-                             % (policy, ', '.join(RECOVERY_POLICIES)))
-        if repartition not in REPARTITION_POLICIES:
-            raise ValueError("unknown repartition policy %r (accepted: "
-                             "%s)" % (repartition,
-                                      ', '.join(REPARTITION_POLICIES)))
         self.op = op
-        self.policy = policy
-        self.every = int(checkpoint_every)
-        self.max_recoveries = int(max_recoveries)
-        self.resume = bool(resume)
+        self.policy = recovery
+        self.every = checkpoint_every
+        self.max_recoveries = max_recoveries
+        self.resume = resume
         self.nrecoveries = 0
         self.repartition = repartition
-        self.repartition_every = int(repartition_every)
-        self.min_steps = int(min_steps_between_repartitions)
-        self.max_repartitions = int(max_repartitions)
-        self.repartition_weights = None if repartition_weights is None \
-            else tuple(float(w) for w in repartition_weights)
+        self.repartition_every = repartition_every
+        self.min_steps = min_steps_between_repartitions
+        self.max_repartitions = max_repartitions
+        self.repartition_weights = repartition_weights
         self.elastic_join = elastic_join
         self.rejoin_timeout = float(rejoin_timeout)
         self.nrepartitions = 0
@@ -142,14 +138,13 @@ class ResilienceController:
         self._reserves_waiting = False  # prepare()-time lineage snapshot
         self._rejoining = False         # this rank is a healed victim
         self._rejoin_orig = None
-        self.checkpointing = (self.every > 0
-                              or policy in ('restart', 'shrink', 'grow')
-                              or self.resume)
+        self.checkpointing = (self.every > 0 or self.resume
+                              or recovery in ('restart', 'shrink', 'grow'))
         self.checkpointer = Checkpointer(checkpoint_dir,
                                          keep=checkpoint_keep) \
             if self.checkpointing else None
         self.health = HealthGuard(health_check_every, health_max) \
-            if int(health_check_every) > 0 else None
+            if health_check_every > 0 else None
 
         prof = op.profiler
         if prof.enabled:

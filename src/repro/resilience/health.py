@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parameters import configuration
+
 __all__ = ['HealthGuard', 'NumericalHealthError']
 
 
@@ -44,13 +46,15 @@ class HealthGuard:
     ----------
     every : int
         Check cadence in timesteps (0 disables).
-    max_amplitude : float
-        Absolute values above this are flagged as blowup.
+    max_amplitude : float, optional
+        Absolute values above this are flagged as blowup (default
+        ``configuration['health_max']``).
     """
 
-    def __init__(self, every, max_amplitude=1e12):
+    def __init__(self, every, max_amplitude=None):
         self.every = int(every)
-        self.max_amplitude = float(max_amplitude)
+        self.max_amplitude = configuration.resolve('health_max',
+                                                   max_amplitude)
 
     def due(self, timestep, t0):
         return self.every > 0 and (timestep - t0) % self.every == 0

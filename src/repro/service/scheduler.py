@@ -183,17 +183,14 @@ class SurveyScheduler:
     def __init__(self, workers=None, store=None, pool=None, cache=None,
                  max_retries=None, record_dir=None, autoscale=False,
                  autoscale_max=None):
-        self.workers = int(workers if workers is not None
-                           else configuration['service_workers'])
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        self.workers = configuration.resolve('service_workers', workers)
         if store is None or isinstance(store, ArrayStore):
             self.store = store
         else:
             self.store = ArrayStore(store)
         self.pool = pool if pool is not None else OperatorPool(cache=cache)
-        self.max_retries = int(max_retries if max_retries is not None
-                               else configuration['service_retries'])
+        self.max_retries = configuration.resolve('service_retries',
+                                                 max_retries)
         self.record_dir = None if record_dir is None \
             else os.fspath(record_dir)
         self.autoscale = bool(autoscale)

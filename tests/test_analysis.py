@@ -183,14 +183,10 @@ class TestVerifyGate:
         assert 'REPRO-E101' in str(err.value)
 
     def test_configuration_accepts_verify(self):
-        saved = configuration['opt']
-        try:
-            configuration['opt'] = 'verify'
-            assert configuration['opt'] == 'verify'
-            op, _ = _diffusion_op()  # global gate, clean build passes
-            assert op.analysis is not None
-        finally:
-            configuration['opt'] = saved
+        configuration['opt'] = 'verify'
+        assert configuration['opt'] == 'verify'
+        op, _ = _diffusion_op()  # global gate, clean build passes
+        assert op.analysis is not None
 
     def test_analysis_build_time_recorded(self):
         op, _ = _diffusion_op(opt='verify')
@@ -243,14 +239,10 @@ class TestSanitizer:
             assert np.array_equal(field, serial), (mode, r)
 
     def test_configuration_key(self):
-        saved = configuration['sanitizer']
-        try:
-            configuration['sanitizer'] = 'yes'
-            assert configuration['sanitizer'] is True
-            configuration['sanitizer'] = 0
-            assert configuration['sanitizer'] is False
-        finally:
-            configuration['sanitizer'] = saved
+        configuration['sanitizer'] = 'yes'
+        assert configuration['sanitizer'] is True
+        configuration['sanitizer'] = 0
+        assert configuration['sanitizer'] is False
 
 
 # -- reserved tag spaces -------------------------------------------------------------
@@ -359,7 +351,7 @@ class TestCLI:
     def test_benchmark_sanitize_flag(self, capsys):
         from repro.cli import run_benchmark
         run_benchmark('acoustic', [41, 41], 30.0, 4, nbl=4, ranks=2,
-                      sanitize=True, verify=True)
+                      config={'sanitizer': True}, verify=True)
         out = capsys.readouterr().out
         assert 'sanitizer' in out
         assert 'IDENTICAL' in out
@@ -367,7 +359,7 @@ class TestCLI:
     def test_benchmark_reconcile_flag(self, capsys):
         from repro.cli import run_benchmark
         run_benchmark('acoustic', [41, 41], 30.0, 4, nbl=4, ranks=2,
-                      sanitize='reconcile', verify=True)
+                      config={'sanitizer': 'reconcile'}, verify=True)
         out = capsys.readouterr().out
         assert 'reconcile' in out
         assert 'IDENTICAL' in out
@@ -595,14 +587,10 @@ class TestCertificates:
         assert 'ledger recorded' in str(err.value)
 
     def test_configuration_reconcile_mode(self):
-        saved = configuration['sanitizer']
-        try:
-            configuration['sanitizer'] = 'reconcile'
-            assert configuration['sanitizer'] == 'reconcile'
-            configuration['sanitizer'] = 'poison'
-            assert configuration['sanitizer'] is True
-        finally:
-            configuration['sanitizer'] = saved
+        configuration['sanitizer'] = 'reconcile'
+        assert configuration['sanitizer'] == 'reconcile'
+        configuration['sanitizer'] = 'poison'
+        assert configuration['sanitizer'] is True
 
     def test_fingerprint_tracks_analysis_version(self, monkeypatch):
         import repro.buildcache.fingerprint as fp
@@ -633,32 +621,28 @@ class TestDataflowMatrix:
     @pytest.mark.parametrize('mode', MODES)
     def test_inference_certificate_and_proof(self, model, so, mode):
         setup = SETUPS[model]
-        saved = configuration['sanitizer']
         configuration['sanitizer'] = 'reconcile'
-        try:
-            def build(comm):
-                solver, _ = setup(shape=(36, 36), spacing=(10., 10.),
-                                  tn=30.0, space_order=so, nbl=4,
-                                  comm=comm, mpi=mode, nrec=4)
-                op = solver.op
-                report = analyze_schedule(op.schedule)
-                inferred = infer_min_widths(op.schedule)
-                declared = declared_widths(op.schedule)
-                minimal = all(covers(declared.get(k), need)
-                              for k, need in inferred.items())
-                # the forward run reconciles the commlog ledger against
-                # the certificate after apply (raises on any mismatch)
-                solver.forward()
-                return report, minimal, op.certificate
-            for rank, (report, minimal, cert) in \
-                    enumerate(run_parallel(build, 2)):
-                # zero REPRO-E: in-bounds proof + inference both clean
-                assert not report.errors, (rank, report.render())
-                # inferred minimal widths never exceed the declared ones
-                assert minimal, rank
-                assert cert is not None and cert.entries, rank
-        finally:
-            configuration['sanitizer'] = saved
+        def build(comm):
+            solver, _ = setup(shape=(36, 36), spacing=(10., 10.),
+                              tn=30.0, space_order=so, nbl=4,
+                              comm=comm, mpi=mode, nrec=4)
+            op = solver.op
+            report = analyze_schedule(op.schedule)
+            inferred = infer_min_widths(op.schedule)
+            declared = declared_widths(op.schedule)
+            minimal = all(covers(declared.get(k), need)
+                          for k, need in inferred.items())
+            # the forward run reconciles the commlog ledger against
+            # the certificate after apply (raises on any mismatch)
+            solver.forward()
+            return report, minimal, op.certificate
+        for rank, (report, minimal, cert) in \
+                enumerate(run_parallel(build, 2)):
+            # zero REPRO-E: in-bounds proof + inference both clean
+            assert not report.errors, (rank, report.render())
+            # inferred minimal widths never exceed the declared ones
+            assert minimal, rank
+            assert cert is not None and cert.entries, rank
 
 
 # -- cross-rank merged reporting -----------------------------------------------------

@@ -358,19 +358,14 @@ class TestSurface:
         assert get_cache('off') is None
         inst = BuildCache('memory')
         assert get_cache(inst) is inst
-        saved = (configuration['build_cache'], configuration['cache_dir'])
-        try:
-            configuration['cache_dir'] = str(tmp_path)
-            configuration['build_cache'] = 'off'
-            assert get_cache(None) is None
-            configuration['build_cache'] = 'disk'
-            a = get_cache(None)
-            b = get_cache('disk')
-            assert a is b and a.mode == 'disk'
-            assert get_cache(True).mode == 'on'
-        finally:
-            configuration['build_cache'], configuration['cache_dir'] = \
-                saved
+        configuration['cache_dir'] = str(tmp_path)
+        configuration['build_cache'] = 'off'
+        assert get_cache(None) is None
+        configuration['build_cache'] = 'disk'
+        a = get_cache(None)
+        b = get_cache('disk')
+        assert a is b and a.mode == 'disk'
+        assert get_cache(True).mode == 'on'
         with pytest.raises(ValueError):
             get_cache(3.14)
         with pytest.raises(ValueError):

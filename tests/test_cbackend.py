@@ -40,7 +40,6 @@ def _no_cache():
     saved = configuration['build_cache']
     configuration['build_cache'] = 'off'
     yield saved
-    configuration['build_cache'] = saved
 
 
 def _diffusion(shape=(28, 25), so=4, dtype=None):
@@ -72,12 +71,8 @@ class TestResolution:
             configuration['backend'] = 'fortran'
 
     def test_configuration_py_alias(self):
-        saved = configuration['backend']
-        try:
-            configuration['backend'] = 'py'
-            assert configuration['backend'] == 'numpy'
-        finally:
-            configuration['backend'] = saved
+        configuration['backend'] = 'py'
+        assert configuration['backend'] == 'numpy'
 
     def test_masked_toolchain_falls_back_with_warning(self):
         env = {'CC': '/nonexistent/compiler'}
@@ -187,17 +182,13 @@ class TestSerialEquivalence:
         from repro.models import acoustic_setup
 
         def run(backend):
-            saved = configuration['backend']
             configuration['backend'] = backend
-            try:
-                solver, _ = acoustic_setup(shape=(36, 36), tn=80.0,
-                                           space_order=4, nbl=6, nrec=4)
-                rec, wf, _ = solver.forward()
-                field = wf.data.gather() if hasattr(wf, 'data') \
-                    else wf[0].data.gather()
-                return field, np.array(rec.data), solver.op.backend
-            finally:
-                configuration['backend'] = saved
+            solver, _ = acoustic_setup(shape=(36, 36), tn=80.0,
+                                       space_order=4, nbl=6, nrec=4)
+            rec, wf, _ = solver.forward()
+            field = wf.data.gather() if hasattr(wf, 'data') \
+                else wf[0].data.gather()
+            return field, np.array(rec.data), solver.op.backend
 
         field_np, rec_np, bk_np = run('numpy')
         field_c, rec_c, bk_c = run('c')
@@ -211,18 +202,14 @@ class TestSerialEquivalence:
         from repro.models import viscoelastic_setup
 
         def run(backend):
-            saved = configuration['backend']
             configuration['backend'] = backend
-            try:
-                solver, _ = viscoelastic_setup(shape=(30, 28), tn=40.0,
-                                               nbl=4, space_order=4, nrec=4)
-                rec = solver.forward()[0]
-                fields = sorted((f for f in solver.op.functions
-                                 if f.is_TimeFunction), key=lambda f: f.name)
-                return ([f.data.gather() for f in fields] + [np.array(rec)],
-                        solver.op.backend)
-            finally:
-                configuration['backend'] = saved
+            solver, _ = viscoelastic_setup(shape=(30, 28), tn=40.0,
+                                           nbl=4, space_order=4, nrec=4)
+            rec = solver.forward()[0]
+            fields = sorted((f for f in solver.op.functions
+                             if f.is_TimeFunction), key=lambda f: f.name)
+            return ([f.data.gather() for f in fields] + [np.array(rec)],
+                    solver.op.backend)
 
         ref, bk_np = run('numpy')
         out, bk_c = run('c')
@@ -601,16 +588,13 @@ class TestShapeGeneric:
         build(None)  # the one compile, if no earlier test paid for it
         before = jit.compile_count()
         configuration['faults'] = 'seed=5,kill=1@8'
-        try:
-            active, reserve = run_elastic(
-                lambda comm: run(*build(comm), repartition='grow',
-                                 min_steps_between_repartitions=3),
-                2, nreserve=2,
-                reserve_fn=lambda lineage, orig: run(
-                    *build(SimComm(SimWorld(4, faults=False), 0)),
-                    _elastic_join={'lineage': lineage, 'orig': orig}))
-        finally:
-            del configuration['faults']
+        active, reserve = run_elastic(
+            lambda comm: run(*build(comm), repartition='grow',
+                             min_steps_between_repartitions=3),
+            2, nreserve=2,
+            reserve_fn=lambda lineage, orig: run(
+                *build(SimComm(SimWorld(4, faults=False), 0)),
+                _elastic_join={'lineage': lineage, 'orig': orig}))
         finished = [r for r in active + reserve if r is not None]
         assert len(finished) == 3
         for field, backend, size in finished:
@@ -652,7 +636,7 @@ class TestCLI:
     def test_benchmark_backend_flag(self, capsys):
         from repro.cli import run_benchmark
         run_benchmark('acoustic', [32, 32], 40.0, 4, nbl=4,
-                      backend='c', cache='off')
+                      config={'backend': 'c', 'build_cache': 'off'})
         text = capsys.readouterr().out
         assert 'compiled C' in text
 
@@ -667,4 +651,4 @@ class TestCLI:
         with pytest.raises(ValueError, match="poison.*reconcile"):
             configuration['sanitizer'] = 'bogus'
         with pytest.raises(ValueError, match="poison.*reconcile"):
-            Operator._sanitize_mode('bogus')
+            Operator(_diffusion()[0], sanitizer='bogus')

@@ -49,16 +49,6 @@ def _small_receiver_blocks(monkeypatch):
                         5 * 8 * len(REC_COORDS))
 
 
-@pytest.fixture(autouse=True)
-def _restore_config():
-    yield
-    for key in ('faults', 'recovery', 'checkpoint_every', 'checkpoint_dir',
-                'repartition', 'repartition_every',
-                'min_steps_between_repartitions', 'max_repartitions',
-                'repartition_weights'):
-        del configuration[key]
-
-
 def _initial(shape=SHAPE):
     return (np.add.outer(np.arange(shape[0]) * 0.01,
                          np.arange(shape[1]) * 0.001).astype(np.float32))
@@ -115,10 +105,7 @@ class TestGrowBack:
                     dict(world.recovery_stats), set(world.disarmed_kills),
                     op.grid.distributor.topology, op.analysis)
 
-        try:
-            return oracle, run_parallel(job, ranks)
-        finally:
-            configuration['faults'] = False
+        return oracle, run_parallel(job, ranks)
 
     def test_grow_back_restores_size_and_bits(self, tmp_path):
         oracle, results = self._run(tmp_path)

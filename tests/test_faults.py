@@ -30,16 +30,6 @@ from repro.mpi import (CommValidationError, Data, DeadlockError, DimSpec,
 from repro.parameters import Configuration
 
 
-@pytest.fixture(autouse=True)
-def _restore_config():
-    """Every test leaves the global configuration as it found it."""
-    yield
-    del configuration['faults']
-    del configuration['commlog']
-    del configuration['comm_timeout']
-    del configuration['comm_retries']
-
-
 def _leaked_progress_threads():
     return [t for t in threading.enumerate()
             if t.name == 'mpi-progress' and t.is_alive()]

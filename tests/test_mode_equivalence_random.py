@@ -164,19 +164,15 @@ def test_mid_run_kill_restart_matches_serial(case, tmp_path):
     """Every sampled configuration survives a rank kill at step 2 with
     restart recovery, bit-identically, under all three modes."""
     reference = _operator_job(None, case, 'basic')
-    saved = configuration['faults']
     configuration['faults'] = 'seed=11,kill=1@2'
-    try:
-        for mode in MODES:
-            out = run_parallel(
-                lambda c: _operator_job(
-                    c, case, mode, recovery='restart', checkpoint_every=2,
-                    checkpoint_dir=str(tmp_path / mode)),
-                case['ranks'])
-            for field in out:
-                assert np.array_equal(field, reference), (case, mode)
-    finally:
-        configuration['faults'] = saved
+    for mode in MODES:
+        out = run_parallel(
+            lambda c: _operator_job(
+                c, case, mode, recovery='restart', checkpoint_every=2,
+                checkpoint_dir=str(tmp_path / mode)),
+            case['ranks'])
+        for field in out:
+            assert np.array_equal(field, reference), (case, mode)
 
 
 # -- the same property under elastic repartitioning --------------------------
@@ -189,19 +185,15 @@ def test_mid_run_kill_grow_back_matches_serial(case, tmp_path):
     """Every sampled configuration survives kill -> shrink -> grow back
     to full size (the victim rejoins), bit-identically, in all modes."""
     reference = _operator_job(None, case, 'basic')
-    saved = configuration['faults']
     configuration['faults'] = 'seed=11,kill=1@2'
-    try:
-        for mode in MODES:
-            out = run_parallel(
-                lambda c: _operator_job(
-                    c, case, mode, recovery='grow', checkpoint_every=2,
-                    checkpoint_dir=str(tmp_path / ('grow-' + mode))),
-                case['ranks'])
-            for field in out:
-                assert np.array_equal(field, reference), (case, mode)
-    finally:
-        configuration['faults'] = saved
+    for mode in MODES:
+        out = run_parallel(
+            lambda c: _operator_job(
+                c, case, mode, recovery='grow', checkpoint_every=2,
+                checkpoint_dir=str(tmp_path / ('grow-' + mode))),
+            case['ranks'])
+        for field in out:
+            assert np.array_equal(field, reference), (case, mode)
 
 
 @pytest.mark.parametrize('case', RECOVERY_CASES,
@@ -287,14 +279,10 @@ def test_compiled_backend_preserves_equivalence(case):
     every communication pattern (REPRO_BACKEND=c flows through
     ``configuration`` exactly like the env var would)."""
     reference = _operator_job(None, case, 'basic')
-    saved = configuration['backend']
     configuration['backend'] = 'c'
-    try:
-        for mode in MODES:
-            out = run_parallel(
-                lambda c: _operator_job(c, case, mode, cache=False),
-                case['ranks'])
-            for field in out:
-                assert np.array_equal(field, reference), (case, mode)
-    finally:
-        configuration['backend'] = saved
+    for mode in MODES:
+        out = run_parallel(
+            lambda c: _operator_job(c, case, mode, cache=False),
+            case['ranks'])
+        for field in out:
+            assert np.array_equal(field, reference), (case, mode)

@@ -19,14 +19,6 @@ from repro.profiling import Profiler, RankStats, Timer
 MODES = ('basic', 'diagonal', 'full')
 
 
-@pytest.fixture(autouse=True)
-def _restore_configuration():
-    saved = dict(configuration)
-    yield
-    for key, value in saved.items():
-        configuration[key] = value
-
-
 def _diffusion_op(grid, **kwargs):
     u = TimeFunction(name='u', grid=grid, space_order=2)
     u.data[0, 1:-1, 1:-1] = 1.0
@@ -316,6 +308,22 @@ class TestConfiguration:
         cfg['mpi'] = False
         assert cfg['mpi'] is False
 
+    def test_readme_configuration_table(self):
+        """README's Configuration table is the registry, rendered."""
+        import pathlib
+        from repro.cli import VERB_KEYS
+        exposed = set().union(*VERB_KEYS.values())
+        rows = ['| key | env var | CLI flag | default | accepted |',
+                '|---|---|---|---|---|']
+        for key in configuration:
+            p = configuration.parameter(key)
+            rows.append('| `%s` | `%s` | %s | `%r` | %s |' % (
+                key, p.env, '`%s`' % p.flag if key in exposed else '—',
+                p.default, ', '.join('`%r`' % a for a in p.accepted or ())
+                or ' '.join(p.converter.__doc__.split())))
+        readme = pathlib.Path(__file__).parents[1] / 'README.md'
+        assert '\n'.join(rows) in readme.read_text(encoding='utf-8')
+
     def test_delete_resets_to_default(self):
         configuration['profiling'] = 'advanced'
         del configuration['profiling']
@@ -384,12 +392,50 @@ class TestCLIProfile:
         assert any(n.startswith('halo') for n in profile['sections'])
         assert len(profile['traces']) > 0
 
-    def test_cli_profile_restores_configuration(self, capsys):
+    def test_cli_profile_restores_configuration(self, capsys, tmp_path,
+                                                monkeypatch):
+        """``main`` leaves the configuration as it found it: after a run,
+        after a rejected flag value and after a --verify mismatch."""
         from repro.cli import main
-        before = configuration['profiling']
-        main(['acoustic', '-d', '24', '24', '--tn', '10', '-so', '2',
-              '--nbl', '4', '--profile', 'advanced', '--profile-out', ''])
-        assert configuration['profiling'] == before
+        before = dict(configuration)
+        run = ['acoustic', '-d', '24', '24', '--tn', '10', '-so', '2',
+               '--nbl', '4', '--checkpoint-dir', str(tmp_path)]
+        main(run + ['--profile', 'advanced', '--profile-out', '',
+                    '--recover', 'restart', '--sanitize'])
+        assert dict(configuration) == before
+        with pytest.raises(SystemExit):
+            main(run + ['--checkpoint-keep', '0'])
+        assert dict(configuration) == before
+        monkeypatch.setattr('repro.cli.np.array_equal', lambda a, b: False)
+        with pytest.raises(SystemExit):
+            main(run + ['--ranks', '2', '--inject-faults', 'seed=1,drop=0.1',
+                        '--cache', 'off', '--verify'])
+        assert 'MISMATCH' in capsys.readouterr().out
+        assert dict(configuration) == before
+
+    def test_cli_flags_match_environment(self):
+        """``--flag S`` sets ``configuration[key]`` exactly as
+        ``REPRO_<KEY>=S`` seeds it, for every key of every verb."""
+        from repro.cli import VERB_KEYS, _parse
+        samples = {'faults': 'seed=3,drop=0.1', 'recovery': 'grow',
+                   'repartition': 'balance', 'repartition_every': '3',
+                   'repartition_weights': '2,1', 'checkpoint_every': '5',
+                   'checkpoint_dir': 'ck', 'checkpoint_keep': '3',
+                   'health_check_every': '2', 'sanitizer': 'reconcile',
+                   'build_cache': 'DISK', 'cache_dir': 'cd', 'backend': 'c',
+                   'service_dir': 'svc', 'service_workers': '3',
+                   'service_retries': '0'}
+        heads = {None: ['acoustic'], 'cache': ['cache', 'stats'],
+                 'fetch': ['fetch', 'k'], 'submit': ['submit', 'acoustic']}
+        for verb, keys in VERB_KEYS.items():
+            for key in keys:
+                spec = configuration.parameter(key)
+                _, _, overrides = _parse(heads.get(verb, [verb])
+                                         + [spec.flag, samples[key]])
+                env = Configuration(environ={spec.env: samples[key]})
+                with configuration.override(**overrides):
+                    assert configuration[key] == env[key], (verb, key)
+        assert _parse(['acoustic', '--sanitize'])[2] == {'sanitizer': True}
 
 
 class TestCCode:

@@ -57,17 +57,6 @@ def _small_receiver_blocks(monkeypatch):
                         5 * 8 * len(REC_COORDS))
 
 
-@pytest.fixture(autouse=True)
-def _restore_config():
-    """Every test leaves the global configuration as it found it."""
-    yield
-    for key in ('faults', 'commlog', 'comm_timeout', 'comm_retries',
-                'recovery', 'checkpoint_every', 'checkpoint_dir',
-                'checkpoint_keep', 'max_recoveries', 'health_check_every',
-                'health_max'):
-        del configuration[key]
-
-
 def _leaked_progress_threads():
     return [t for t in threading.enumerate()
             if t.name == 'mpi-progress' and t.is_alive()]
@@ -148,10 +137,7 @@ class TestAtomicWrites:
     def test_profile_json_is_atomic(self, tmp_path):
         out = tmp_path / 'prof.json'
         configuration['profiling'] = 'advanced'
-        try:
-            _, summary = _job(None)
-        finally:
-            del configuration['profiling']
+        _, summary = _job(None)
         summary.save_json(out)
         data = json.loads(out.read_text())
         assert 'sections' in data
@@ -304,6 +290,27 @@ class TestUnknownKnobValidation:
             configuration['health_max'] = -1.0
         configuration['recovery'] = 'restart'
         assert configuration['recovery'] == 'restart'
+
+    @pytest.mark.parametrize('kwargs', [
+        {'checkpoint_every': -3}, {'health_check_every': -1},
+        {'checkpoint_keep': 0, 'checkpoint_every': 1},
+        {'max_recoveries': -1, 'recovery': 'restart'},
+        {'health_max': -5.0, 'health_check_every': 1},
+        {'repartition_weights': '2.5', 'repartition': 'balance'}])
+    def test_apply_validates_like_configuration(self, kwargs, tmp_path):
+        """``apply`` rejects (or accepts) its first kwarg exactly as
+        ``configuration[key] = value`` does, with the same error."""
+        key, value = next(iter(kwargs.items()))
+        run = lambda: self._op().apply(
+            time_M=1, checkpoint_dir=str(tmp_path), **kwargs)
+        try:
+            configuration[key] = value
+        except ValueError as expected:
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == str(expected)
+        else:
+            assert run().timesteps == 2
 
 
 # -- kill + restart recovery ---------------------------------------------------
