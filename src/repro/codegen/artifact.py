@@ -43,7 +43,9 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #:    step's row of the per-rank geometry table joined ``c_steps``.
 #: 5: distributed interpolation keeps partial rows per rank and reduces
 #:    them once per block of steps (the driver text changed).
-ARTIFACT_VERSION = 5
+#: 6: ``backend='c'`` runs one compiled step per timestep; ``c_steps``
+#:    became the step's binding (emitter metadata + the driver's plan).
+ARTIFACT_VERSION = 6
 
 _REQUIRED_KEYS = ('version', 'source', 'step_lines', 'sections',
                   'exchangers', 'mpi_mode', 'sanitizer_writes',
@@ -176,17 +178,15 @@ class KernelArtifact:
             'build_seconds': float(build_seconds),
             # compiled-backend products ('numpy' builds carry Nones).
             # The object is shared by every build of the same equations
-            # (its file name is its content key); c_steps is this
-            # rank's binding.  so_path is rewritten by the disk cache
-            # tier when it publishes the object into its own store.
+            # (its file name is its content key); c_steps is what this
+            # rank binds to its step (cstep.StepProgram's input).
+            # so_path is rewritten by the disk cache tier when it
+            # publishes the object into its own store.
             'backend': kernel.backend,
             'c_source': kernel.c_source,
             'so_path': kernel.so_path,
             'so_checksum': kernel.so_checksum,
-            # string keys, as JSON will have them: the memory tier
-            # serves what the disk tier would
-            'c_steps': None if kernel.c_steps is None else
-            {str(sid): meta for sid, meta in kernel.c_steps.items()},
+            'c_steps': kernel.c_steps,
         }
         return cls(payload)
 
@@ -297,7 +297,7 @@ class KernelArtifact:
         # the content name says who may run it: an object this host's
         # toolchain and CPU would not have produced is foreign too.
         backend = p.get('backend') or 'numpy'
-        c_funcs = c_geom = None
+        c_funcs = program = None
         if backend == 'c':
             import os
             from ..ioutil import file_digest
@@ -314,10 +314,13 @@ class KernelArtifact:
             if file_digest(so_path) != p['so_checksum']:
                 raise ArtifactError("compiled artifact's shared object "
                                     "fails its checksum: %r" % (so_path,))
+            from .cstep import StepProgram
             try:
-                self._lib, c_funcs, c_geom = jit.load_steps(
-                    so_path, p['c_steps'] or {}, grid.dtype)
-            except (jit.JITError, KeyError, TypeError) as e:
+                self._lib, c_funcs = jit.load_steps(so_path)
+                program = StepProgram(
+                    self._lib, p['c_steps']['plan'], p['c_steps']['meta'],
+                    exchangers, dist, san, grid.dtype)
+            except (jit.JITError, KeyError, TypeError, ValueError) as e:
                 raise ArtifactError(str(e)) from None
 
         # compile + exec the cached source (memoized per artifact object)
@@ -328,7 +331,7 @@ class KernelArtifact:
         if san is not None:
             namespace['__SAN'] = san
         if c_funcs is not None:
-            namespace.update(__C=c_funcs, __G=c_geom)
+            namespace.update(__C=c_funcs, __CS=program)
         exec(self._code, namespace)  # noqa: S102 - the cached JIT artifact
         func = namespace.get('__kernel')
         if func is None:

@@ -8,17 +8,18 @@ Two emitters live here:
 * :func:`generate_c_steps` — the *executable* emitter behind
   ``backend='c'``: one exported, *shape-generic* C function per cluster
   body over cache-blocked loop nests
-  (:func:`~repro.ir.schedule.plan_blocking`).  Equations, space order,
-  dtype and dimensionality are baked into the text; extents, strides,
-  halo offsets and iteration boxes arrive at run time in a per-rank
-  geometry table, so every rank of every decomposition compiles (once)
-  and loads the same object.
-  Halo exchanges, sparse scatter/gather, profiling, sanitizer and
-  resilience hooks stay in the Python driver — only the hot loops move
-  to C, so all three comm modes, certificates and fault machinery work
-  unchanged.  Arithmetic is printed with
+  (:func:`~repro.ir.schedule.plan_blocking`), one function per sparse
+  operation, and the runtime (:mod:`.cruntime`) whose exported
+  ``step(time, nrows, binding)`` runs one timestep — compute, halo
+  spots over in-process channels, injection, interpolation, section
+  timers, sanitizer hooks — from a per-rank op program.  Equations,
+  space order, dtype and dimensionality are baked into the text;
+  extents, strides, halo offsets, iteration boxes, neighbour tables and
+  the op program itself arrive at run time (:mod:`.cstep`), so every
+  rank of every decomposition and comm mode compiles (once) and loads
+  the same object.  Arithmetic is printed with
   :class:`~repro.symbolics.CExecPrinter`, which mirrors NumPy's
-  weak-scalar (NEP-50) promotion semantics so a compiled step can agree
+  weak-scalar (NEP-50) promotion semantics so a compiled step agrees
   with the NumPy backend bitwise.
 """
 
@@ -28,7 +29,8 @@ from ..ir.schedule import plan_blocking
 from ..profiling import assign_section_names
 from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
                          unique_nodes)
-from .common import function_nb
+from .common import class_geometry, function_nb
+from .cruntime import STEP_MARK, prelude_source, runtime_source
 
 __all__ = ['generate_c', 'generate_c_steps']
 
@@ -419,20 +421,6 @@ def _layout_classes(funcs):
     return index, halos
 
 
-def _class_geometry(halo, shape_local):
-    """One layout class's values on this rank, in geometry-table order:
-    the stride of a step along each dimension but the unit-stride last
-    one, the time-buffer stride, the folded halo offset.  Must match
-    the ``Data`` allocation exactly, since the compiled step indexes
-    the NumPy buffer through a raw pointer."""
-    shape = [int(n) + hl + hr for n, (hl, hr) in zip(shape_local, halo)]
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    return strides[:-1] + [strides[0] * shape[0], sum(
-        hl * s for (hl, _), s in zip(halo, strides))]
-
-
 def _flat_index_printer(tvars, used_tvars, classes):
     """CExecPrinter index callback: flattened pointer arithmetic.
 
@@ -521,7 +509,7 @@ def _free_scalars(expr, skip):
 
 def _emit_kernel(em, name, params, halos, dims, body_lines, parallel):
     """One shape-generic kernel, as two C functions over its geometry
-    row ``__g = [nboxes, <_class_geometry per layout class>, <lo, hi
+    row ``__g = [nboxes, <class_geometry per layout class>, <lo, hi
     per box and dimension>]``: ``<name>_nest``, the plain loop nest over
     one tile, and the exported ``<name>``, which walks the boxes, cuts
     every dimension but the innermost into blocks
@@ -577,22 +565,31 @@ def _emit_kernel(em, name, params, halos, dims, body_lines, parallel):
 def generate_c_steps(schedule, dtype=None):
     """Emit the executable C translation unit for ``schedule``.
 
-    Returns ``(source, steps)``: the shape-generic ``source`` (one
-    function per cluster; see the module docstring for what is baked
-    and what is bound) and this rank's binding of it, by compute step
-    schedule index::
+    Returns ``(source, meta)``.  ``source`` is two translation units,
+    split by :data:`~.cruntime.STEP_MARK`: one shape-generic kernel per
+    cluster (see the module docstring for what is baked and what is
+    bound); and the step — a thunk per kernel that reads its operands
+    from the binding, one function per sparse operation, and the
+    runtime (:mod:`.cruntime`) with the exported ``step(time, nrows,
+    binding)`` that runs one timestep's op program.  Nothing in it
+    depends on the comm mode, the decomposition or the rank: the op
+    program and everything it points at are run-time data
+    (:mod:`.cstep`).
 
-        {'name': 'k<n>',                        # exported C symbol
-         'sig':  ['p3', 'd', 'i', ..., 'g'],    # ctypes binding codes
-         'call': ['u', 'r0', '(time + 1) % 2', ..., '__G[<sid>]'],
-         'geom': [nboxes, strides..., lo, hi, ...]}   # __G[<sid>]
+    ``meta`` is this rank's description of what the source offers, by
+    schedule step index::
 
-    Dense fields are passed as raw float/double pointers (the driver
-    hands the NumPy arrays straight to ctypes), every scalar as a
+        {sid: {'name': 'k<n>' | '__sp<n>',   # the C function
+               'fn': <its entry in the step's function table>,
+               'fields': [...], 'scalars': [...],   # operands, in order
+               'geom': [nboxes, strides..., lo, hi, ...]   # compute
+               'halos': [layout-class halos]}}              # sparse
+
+    Dense fields are raw float/double pointers, every scalar a
     ``double`` (weak-scalar semantics keep pure-scalar math in double —
-    see :class:`~repro.symbolics.CExecPrinter`), modulo time-buffer
-    indices as ``int`` and the step's geometry row last.  Steps without
-    iteration points on this rank get no entry (the driver skips them).
+    see :class:`~repro.symbolics.CExecPrinter`), time-buffer indices
+    Python's floor modulo of ``time``.  Compute steps without iteration
+    points on this rank get no entry (the program skips them).
     """
     grid = schedule.grid
     dist = grid.distributor
@@ -620,34 +617,57 @@ def generate_c_steps(schedule, dtype=None):
             'cluster; strict IEEE */')
     em.emit('#include <math.h>')
     em.emit()
+    # the step unit: thunks reading the kernels' operands from the
+    # binding, the sparse functions, the runtime
+    glue = _CEmitter()
+    glue.lines += prelude_source(ctype).splitlines()
+    glue.emit()
 
     kernels = {}  # (cluster, parallel) -> its steps' shared metadata
-    steps = {}
+    fns = []
+    meta = {}
     for sid, step in enumerate(schedule.steps):
         if not step.is_compute:
             continue
         key = (id(step.cluster), bool(step.parallel))
         if key not in kernels:
             kernels[key] = _print_kernel(
-                em, 'k%d' % len(kernels), step.cluster, key[1], ctype,
-                dtype, tvars, scalar_kinds)
+                em, glue, 'k%d' % len(kernels), len(fns), step.cluster,
+                key[1], ctype, dtype, tvars, scalar_kinds)
+            fns.append('__call_k%d' % (len(kernels) - 1))
         boxes = step.boxes(dist)
         if boxes:
-            name, halos, sig, call = kernels[key]
+            fn, halos, fields, scalars = kernels[key]
             geom = [len(boxes)]
             for halo in halos:
-                geom += _class_geometry(halo, dist.shape_local)
+                geom += class_geometry(halo, dist.shape_local)
             geom += [bound for box in boxes for lohi in box for bound in lohi]
-            steps[sid] = {'name': name, 'sig': sig, 'geom': geom,
-                          'call': call + ['__G[%d]' % sid]}
-    return em.source(), steps
+            meta[sid] = {'name': fns[fn][len('__call_'):], 'fn': fn,
+                         'fields': fields, 'scalars': scalars, 'geom': geom}
+    libm = False
+    for sid, step in enumerate(schedule.steps):
+        if step.is_sparse:
+            name = '__sp%d' % (len(fns) - len(kernels))
+            fields, scalars, halos, uses = _print_sparse(
+                glue, name, step, ctype, dtype, scalar_kinds)
+            libm = libm or uses
+            meta[sid] = {'name': name, 'fn': len(fns), 'fields': fields,
+                         'scalars': scalars, 'halos': halos}
+            fns.append(name)
+    glue.lines += runtime_source(fns).splitlines()
+    if libm:
+        glue.lines.insert(0, '#include <math.h>')
+    return em.source() + STEP_MARK + glue.source(), meta
 
 
-def _print_kernel(em, name, cluster, parallel, ctype, dtype, tvars,
-                  scalar_kinds):
-    """Print ``cluster`` as the C function ``name``; returns ``(name,
-    layout-class halos, ctypes codes, driver operands)`` — the last two
-    without the geometry row."""
+def _print_kernel(em, glue, name, fn, cluster, parallel, ctype, dtype,
+                  tvars, scalar_kinds):
+    """Print ``cluster`` as the C function ``name`` and, into ``glue``,
+    its prototype and thunk ``__call_<name>`` (entry ``fn`` of the
+    step's function table).  Returns ``(fn, layout-class halos, field
+    names, scalar names)``: the thunk's operands, in the order its
+    argument record lists their binding slots after the geometry
+    row."""
     funcs = sorted(cluster.functions, key=lambda f: f.name)
     classes, halos = _layout_classes(funcs)
     temps = [t.name for t, _ in cluster.temps]
@@ -679,8 +699,149 @@ def _print_kernel(em, name, cluster, parallel, ctype, dtype, tvars,
     _emit_kernel(em, name, params, halos, cluster.grid.dimensions,
                  body_lines, parallel)
 
-    sig = ['p%d' % len(f.dimensions) for f in funcs]
-    sig += ['d'] * len(scalars) + ['i'] * len(targs) + ['g']
-    call = [f.name for f in funcs] + list(scalars)
-    call += ['(time + %d) %% %d' % (shift, nb) for shift, nb in targs]
-    return name, halos, sig, call
+    operands = ['(%s *)__b->ptrs[__a[%d]]' % (ctype, i + 1)
+                for i in range(len(funcs))]
+    operands += ['__b->scalars[__a[%d]]' % (i + 1 + len(funcs))
+                 for i in range(len(scalars))]
+    operands += ['(int)__rp_mod(time + %d, %d)' % k for k in targs]
+    glue.emit('extern void %s(%s);' % (name, ', '.join(
+        ['%s %s' % p for p in params] + ['const long *restrict __g'])))
+    glue.open_block('static int __call_%s(__rp_binding *__b, '
+                    'const long *__a, long time, long __nrows)' % name)
+    glue.emit('(void)__nrows;')
+    glue.emit('%s(%s);' % (name, ', '.join(operands
+                                           + ['__b->geom + __a[0]'])))
+    glue.emit('return 0;')
+    glue.close_block()
+    glue.emit()
+    return fn, halos, [f.name for f in funcs], scalars
+
+
+class _SparseExecPrinter(CExecPrinter):
+    """CExecPrinter that also resolves the sparse function's own atom:
+    its value at the contribution's point (and, for a time series, at
+    the current row, which the function pre-offsets ``__sd`` to)."""
+
+    def __init__(self, sparse, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sparse = sparse
+        #: whether the expression calls libm (only then does the unit
+        #: include math.h: parsing it costs 0.01-0.03 s)
+        self.libm = False
+
+    def _call_math(self, stem, args):
+        self.libm = True
+        return super()._call_math(stem, args)
+
+    def _printk(self, expr):
+        if getattr(expr, 'is_SparseFunction', False):
+            if expr.name != self.sparse.name:
+                raise ValueError("sparse expr references foreign sparse "
+                                 "function %s" % expr.name)
+            return '__sd[__p]', 'A'
+        return super()._printk(expr)
+
+
+def _print_sparse(em, name, step, ctype, dtype, scalar_kinds):
+    """Print one sparse operation as ``name``: a loop over this rank's
+    contributions in plan order, with the dimension variables bound to
+    the contribution's local grid point.  Injection adds ``w * expr``
+    into the field element by element, as ``np.add.at`` does;
+    interpolation adds it, widened to double, into a float64 row per
+    point, as ``np.bincount`` does, and then either casts the row into
+    the sparse data (mode 1, serial) or leaves it in the pending block
+    (mode 2).  Returns ``(fields, scalars, layout-class halos, whether
+    it calls libm)``."""
+    from ..ir.lowered import accesses_of
+    sparse = step.op.sparse
+    dims = list(sparse.grid.dimensions)
+    funcs = {acc.function.name: acc.function for acc in accesses_of(step.expr)}
+    if step.field_access is not None:
+        funcs[step.field_access.function.name] = step.field_access.function
+    funcs = [funcs[k] for k in sorted(funcs)]
+    classes, halos = _layout_classes(funcs)
+    scalars = sorted(_free_scalars(step.expr, ()))
+    tkeys = set()
+    for acc in accesses_of(step.expr):
+        if acc.time_shift is not None and acc.function.is_TimeFunction:
+            tkeys.add((acc.time_shift, function_nb(acc.function)))
+    target = step.field_access
+    if target is not None and target.time_shift is not None:
+        tkeys.add((target.time_shift, function_nb(target.function)))
+    tvars = {key: '__tv%d' % i for i, key in enumerate(sorted(tkeys))}
+    printer = _SparseExecPrinter(
+        sparse, _flat_index_printer(tvars, set(), classes),
+        dtype=str(dtype), symbol_kinds={s: scalar_kinds.get(s, 'w')
+                                        for s in scalars})
+    text, kind = printer.doprint_kinded(step.expr)
+    value, _ = printer._combine('__w[__k]', 'A', '(%s)' % text, kind, '*')
+
+    nd = len(dims)
+    # -O1 in a unit compiled at -O0: the gather/scatter loops run
+    # 2.5x faster, and do not vectorise (-O3 only costs compile time)
+    em.open_block('static int __attribute__((optimize("O1"))) '
+                  '%s(__rp_binding *__b, const long *__a, long time, '
+                  'long __nrows)' % name)
+    em.emit('const long *__g = __b->geom + __a[0];')
+    for c in range(len(halos)):
+        for i, v in enumerate([d.name for d in dims[:-1]] + ['t', 'o']):
+            em.emit('const long __c%d_%s = __g[%d];'
+                    % (c, v, 1 + c * (len(dims) + 1) + i))
+    em.emit('const long __n = __a[1];')
+    em.emit('const long *__pid = (const long *)__b->ptrs[__a[2]];')
+    em.emit('const %s *__w = (const %s *)__b->ptrs[__a[3]];' % (ctype, ctype))
+    for d in range(nd):
+        em.emit('const long *__i%d = (const long *)__b->ptrs[__a[%d]];'
+                % (d, 4 + d))
+    em.emit('%s *__sd = (%s *)__b->ptrs[__a[%d]];' % (ctype, ctype, 4 + nd))
+    em.emit('const long __np = __a[%d], __nt = __a[%d], __mode = __a[%d];'
+            % (5 + nd, 6 + nd, 7 + nd))
+    for i, f in enumerate(funcs):
+        em.emit('%s *restrict %s = (%s *)__b->ptrs[__a[%d]];'
+                % (ctype, f.name, ctype, 9 + nd + i))
+    for i, sname in enumerate(scalars):
+        em.emit('const double %s = __b->scalars[__a[%d]];'
+                % (sname, 9 + nd + len(funcs) + i))
+    for (shift, nb), var in sorted(tvars.items(), key=lambda kv: kv[1]):
+        em.emit('const long %s = __rp_mod(time + %d, %d);' % (var, shift, nb))
+    em.open_block('if (__nt)')
+    em.open_block('if (time < 0 || time >= __nt)')
+    em.emit('__b->err[0] = time;')
+    em.emit('return 4;')
+    em.close_block()
+    em.emit('__sd += time*__np;')
+    em.close_block()
+    if step.kind == 'inject':
+        f = target.function
+        c = classes[f.name]
+        terms = []
+        if target.time_shift is not None and f.is_TimeFunction:
+            terms.append('%s*__c%d_t' % (
+                tvars[(target.time_shift, function_nb(f))], c))
+        for dim in dims[:-1]:
+            terms.append('%s*__c%d_%s' % (dim.name, c, dim.name))
+        terms.append(dims[-1].name)
+        lhs = '%s[%s + __c%d_o]' % (f.name, ' + '.join(terms), c)
+        em.emit('(void)__mode; (void)__nrows; (void)__np;')
+    else:
+        em.emit('double *__r = (double *)__b->ptrs[__a[%d]] + '
+                '(__mode == 2 && __nt ? __nrows*__np : 0);' % (8 + nd))
+        em.emit('for (long __p = 0; __p < __np; __p += 1) __r[__p] = 0.0;')
+    em.open_block('for (long __k = 0; __k < __n; __k += 1)')
+    em.emit('const long __p = __pid[__k];')
+    for d, dim in enumerate(dims):
+        em.emit('const long %s = __i%d[__k];' % (dim.name, d))
+    if step.kind == 'inject':
+        em.emit('%s = %s + %s;' % (lhs, lhs, value))
+    else:
+        em.emit('__r[__p] += %s;' % value)
+    em.close_block()
+    if step.kind != 'inject':
+        em.open_block('if (__mode == 1)')
+        em.emit('for (long __p = 0; __p < __np; __p += 1) '
+                '__sd[__p] = (%s)__r[__p];' % ctype)
+        em.close_block()
+    em.emit('return 0;')
+    em.close_block()
+    em.emit()
+    return [f.name for f in funcs], scalars, halos, printer.libm

@@ -5,10 +5,9 @@ compiler (honoring ``$CC`` first, exactly so CI can mask the toolchain
 with ``CC=/nonexistent`` to prove the fallback path), compile one
 translation unit of shape-generic kernel functions into a shared object
 — once per process, whichever rank thread gets there first —
-``dlopen`` it with :mod:`ctypes`, and bind argument types so the driver
-can pass NumPy arrays (raw pointers), Python floats (``double``),
-modulo time indices (``int``) and each step's row of the per-rank
-geometry table (``long *``) directly.
+``dlopen`` it with :mod:`ctypes` and bind its one entry point for the
+driver, ``step(time, nrows, binding)`` — one timestep of compute, halo
+exchange and sparse operations (:mod:`repro.codegen.cruntime`).
 
 Design points:
 
@@ -45,8 +44,6 @@ import subprocess
 import tempfile
 import threading
 import warnings
-
-import numpy as np
 
 __all__ = ['JITError', 'ToolchainWarning', 'find_compiler',
            'compiler_version', 'cffi_available', 'resolve_backend',
@@ -256,29 +253,48 @@ def compile_shared(source, cc=None):
     compiler runs inside the scratch directory, so no path reaches the
     object (the source file name is in its symbol table) and equal
     names give equal bytes.
+
+    A source of the compiled step (:func:`~repro.codegen.cgen.
+    generate_c_steps`) is two translation units, compiled at once and
+    linked into one object: the kernels at the flags of
+    :func:`_flag_sets`, and meanwhile the step (thunks, sparse
+    functions, runtime) at ``-O0``.
     """
+    from .cruntime import STEP_MARK
     if cc is None:
         cc = find_compiler()
     if cc is None:
         raise JITError("no C compiler available (set $CC or install cc/"
                        "gcc/clang)")
     workdir = _store.directory()
+    kernels, _, step = source.partition(STEP_MARK)
     for flags, so_name in zip(_flag_sets(cc), object_names(source, cc)):
         so_path = os.path.join(workdir, so_name)
         with _store.lock(so_name):
             if os.path.exists(so_path):
                 return so_path
-            c_name = so_name[:-3] + '.c'
-            with open(os.path.join(workdir, c_name), 'w',
-                      encoding='utf-8') as f:
-                f.write(source)
-            cmd = [cc, *flags, c_name, '-o', so_name + '.tmp', '-lm']
-            try:
-                run = subprocess.run(cmd, cwd=workdir, capture_output=True,
-                                     text=True, timeout=300)
-            except (OSError, subprocess.TimeoutExpired) as e:
-                raise JITError("C compiler failed to run: %s"
-                               % (e,)) from None
+            stem = so_name[:-3]
+            out = ['-o', so_name + '.tmp', '-lm']
+            if not step:
+                run = _finish(_start(cc, [*flags, _write(
+                    workdir, stem + '.c', source), *out], workdir))
+            else:
+                cflags = [f for f in flags if f != '-shared']
+                objs = [stem + '.o', stem + '_step.o']
+                proc = _start(cc, [*cflags, '-c', _write(
+                    workdir, stem + '.c', kernels), '-o', objs[0]], workdir)
+                try:
+                    run = _finish(_start(cc, [
+                        *[f for f in cflags if f != '-O3'], '-O0', '-c',
+                        _write(workdir, stem + '_step.c', step), '-o',
+                        objs[1]], workdir))
+                finally:
+                    kernel_run = _finish(proc)
+                if run.returncode == 0:
+                    run = kernel_run
+                if run.returncode == 0:
+                    run = _finish(_start(cc, ['-shared', *objs, *out],
+                                         workdir))
             if run.returncode == 0:
                 os.replace(so_path + '.tmp', so_path)
                 _store.compiled()
@@ -287,58 +303,59 @@ def compile_shared(source, cc=None):
             break
         _store.no_native.add(cc)  # retry portable, and stop asking
     raise JITError("C compilation failed (%s):\n%s"
-                   % (' '.join(cmd), run.stderr.strip()))
+                   % (' '.join(run.args), run.stderr.strip()))
 
 
-def _argtype(spec, dtype):
-    """One ctypes argtype from a signature code.
-
-    Codes: ``p<ndim>`` — pointer to a C-contiguous ndarray of the
-    kernel dtype; ``d`` — double scalar; ``i`` — int (time index);
-    ``g`` — the step's geometry row (``long *``).
-    """
-    if spec.startswith('p'):
-        return np.ctypeslib.ndpointer(dtype=dtype, ndim=int(spec[1:]),
-                                      flags='C_CONTIGUOUS')
-    if spec == 'd':
-        return ctypes.c_double
-    if spec == 'i':
-        return ctypes.c_int
-    if spec == 'g':
-        return ctypes.POINTER(ctypes.c_long)
-    raise JITError("unknown argument code %r in step signature" % (spec,))
+def _write(workdir, name, text):
+    with open(os.path.join(workdir, name), 'w', encoding='utf-8') as f:
+        f.write(text)
+    return name
 
 
-def load_steps(so_path, c_steps, dtype):
-    """dlopen a compiled kernel and bind it to one rank's geometry.
+def _start(cc, args, workdir):
+    try:
+        return subprocess.Popen([cc, *args], cwd=workdir, text=True,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+    except OSError as e:
+        raise JITError("C compiler failed to run: %s" % (e,)) from None
 
-    ``c_steps`` is the per-step metadata of
-    :func:`~repro.codegen.cgen.generate_c_steps` (possibly back from
-    JSON).  Returns ``(lib, funcs, tables)``: ``funcs`` maps C function
-    name -> ready-to-call ctypes function (the ``__C`` namespace the
-    generated driver indexes into), ``tables`` maps schedule step index
-    -> that step's geometry row as a C ``long`` array (``__G``) — the
-    only per-rank state of a compiled kernel.
+
+def _finish(proc):
+    try:
+        stdout, stderr = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise JITError("C compiler timed out: %s"
+                       % ' '.join(proc.args)) from None
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout,
+                                       stderr)
+
+
+def load_steps(so_path):
+    """dlopen a compiled kernel and bind its entry points.
+
+    Returns ``(lib, funcs)``: ``funcs`` is the ``__C`` table the
+    generated driver indexes into — ``step(time, nrows, binding)``, one
+    timestep of this rank's op program and the only compiled call the
+    driver makes (ctypes releases the GIL for it).  What a rank binds
+    to it is data (:class:`~repro.codegen.cstep.StepProgram`).
     """
     try:
         lib = ctypes.CDLL(so_path)
     except OSError as e:
         raise JITError("cannot load %s: %s" % (so_path, e)) from None
-    funcs, tables = {}, {}
-    for sid, meta in c_steps.items():
-        tables[int(sid)] = (ctypes.c_long * len(meta['geom']))(*meta['geom'])
-        fname = meta['name']
-        if fname in funcs:
-            continue
-        try:
-            fn = getattr(lib, fname)
-        except AttributeError:
-            raise JITError("compiled object %s lacks symbol %r"
-                           % (so_path, fname)) from None
-        fn.restype = None
-        fn.argtypes = [_argtype(s, dtype) for s in meta['sig']]
-        funcs[fname] = fn
-    return lib, funcs, tables
+    try:
+        step, wake = lib.step, lib.repro_wake
+    except AttributeError:
+        raise JITError("compiled object %s lacks the step entry points"
+                       % (so_path,)) from None
+    step.restype = ctypes.c_int
+    step.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+    wake.restype = None
+    wake.argtypes = [ctypes.c_void_p]
+    return lib, {'step': step}
 
 
 def toolchain_report(env=None):

@@ -47,7 +47,7 @@ class PyKernel:
         self.step_lines = dict(step_lines or {})
         #: the HaloSanitizer when compiled in sanitizer mode, else None
         self.sanitizer = sanitizer
-        #: 'numpy', or 'c' when the compute steps run as compiled C
+        #: 'numpy', or 'c' when each timestep runs as one compiled step
         self.backend = backend
         #: the executable C translation unit ('c' backend only)
         self.c_source = c_source
@@ -55,8 +55,8 @@ class PyKernel:
         #: every kernel built from the same equations
         self.so_path = so_path
         self.so_checksum = so_checksum
-        #: this rank's binding of it: {sid: {'name', 'sig', 'call',
-        #: 'geom'}} ('c' only)
+        #: what this rank binds to its step ('c' only): ``{'meta':
+        #: generate_c_steps metadata, 'plan': the op program}``
         self.c_steps = c_steps
         #: the loaded ctypes library (keeps the dlopen handle alive)
         self.lib = lib
@@ -173,13 +173,17 @@ def generate_kernel(schedule, progress=False, profiler=None,
     (:mod:`repro.analysis.sanitizer`).  Like the profiling calls, the
     hooks are *compiled out* entirely when disabled.
 
-    With ``backend='c'`` the compute steps are emitted as C
-    (:func:`~repro.codegen.cgen.generate_c_steps`), compiled into a
-    shared object and called through ctypes; everything else — halo
-    exchanges, sparse steps, profiling, sanitizer, resilience hooks —
-    stays in the generated Python driver, byte-for-byte identical to
-    the NumPy backend's.  Unsupported grids (dtype outside
-    float32/float64) degrade to NumPy with a visible warning.
+    With ``backend='c'`` the whole timestep runs as one compiled call:
+    compute kernels, halo spots, sparse injection and interpolation,
+    section timers and sanitizer hooks
+    (:func:`~repro.codegen.cgen.generate_c_steps`,
+    :mod:`~repro.codegen.cstep`).  The Python driver keeps the time
+    loop, the resilience and fault hooks and the block flush of pending
+    receiver rows; it runs the NumPy driver (``__kernel_py``, the NumPy
+    backend's text) instead when the world has an armed fault plan.
+    Unsupported builds (dtype outside float32/float64, a distributed
+    interpolation another sparse step reads in the same timestep)
+    degrade to NumPy with a visible warning.
     """
     grid = schedule.grid
     dist = grid.distributor
@@ -194,18 +198,25 @@ def generate_kernel(schedule, progress=False, profiler=None,
         if not san.enabled:
             san = None
     preamble_names, step_names = assign_section_names(schedule)
+    sparse_steps = [(i, s) for i, s in enumerate(schedule.steps)
+                    if s.is_sparse]
+    deferred = _deferred_interpolations(sparse_steps) \
+        if dist.is_parallel else {}
 
-    c_source = c_meta = c_funcs = c_geom = None
+    c_source = c_meta = c_funcs = None
     so_path = so_checksum = lib = None
     if backend == 'c':
         from . import jit
         from .cgen import generate_c_steps
         try:
+            if any(step.kind == 'interpolate' and sid not in deferred
+                   for sid, step in sparse_steps) and dist.is_parallel:
+                raise ValueError("a distributed interpolation is read by "
+                                 "another sparse step of its timestep")
             c_source, c_meta = generate_c_steps(schedule)
             so_path = jit.compile_shared(c_source)
             so_checksum = file_digest(so_path)
-            lib, c_funcs, c_geom = jit.load_steps(so_path, c_meta,
-                                                  grid.dtype)
+            lib, c_funcs = jit.load_steps(so_path)
         except (ValueError, jit.JITError) as e:
             import warnings
             warnings.warn("compiled backend unavailable for this build "
@@ -213,10 +224,13 @@ def generate_kernel(schedule, progress=False, profiler=None,
                           % (e,), jit.ToolchainWarning, stacklevel=2)
             backend = 'numpy'
             c_source = c_meta = so_path = so_checksum = lib = None
+    compiled = backend == 'c'
+    #: the compiled step's program, recorded alongside the NumPy driver
+    plan = _Plan(schedule)
 
     em = _Emitter()
-    em.emit('def __kernel(time_m, time_M, __A, __P, __EX, __SP, __comm, '
-            'np, __T, __RES=None):')
+    em.emit('def __kernel%s(time_m, time_M, __A, __P, __EX, __SP, __comm, '
+            'np, __T, __RES=None):' % ('_py' if compiled else ''))
     em.level += 1
 
     def sec_begin():
@@ -251,8 +265,6 @@ def generate_kernel(schedule, progress=False, profiler=None,
         em.emit()
 
     # -- preamble: sparse plan unpacking --------------------------------------------
-    sparse_steps = [(i, s) for i, s in enumerate(schedule.steps)
-                    if s.is_sparse]
     for sid, step in sparse_steps:
         plan_funcs = _sparse_grid_functions(step)
         em.emit("__p%d = __SP[%d]['pids']" % (sid, sid))
@@ -264,8 +276,6 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 em.emit("__s%d_i%d_%s = __SP[%d]['idx'][%d] + %d"
                         % (sid, d, f.name, sid, d, hl))
         em.emit()
-    deferred = _deferred_interpolations(sparse_steps) \
-        if dist.is_parallel else {}
     if deferred:
         _emit_pending_rows(em, deferred)
 
@@ -286,6 +296,7 @@ def generate_kernel(schedule, progress=False, profiler=None,
         em.emit('# sanitizer: poison every neighbor-owned ghost cell')
         em.emit('__SAN.poison_invariants(__A)')
         em.emit()
+        plan.add('pre', 'poison', 'all')
 
     if schedule.preamble_halo:
         em.emit('# hoisted halo exchanges (time-invariant functions)')
@@ -297,6 +308,8 @@ def generate_kernel(schedule, progress=False, profiler=None,
             sec_begin()
             em.emit("__EX['%s'].exchange(%s)" % (key, req.function.name))
             sec_end(sname, in_loop=False)
+            plan.section('pre', sname, instrument, [
+                ('update', key, req.function.name, None)])
         em.emit()
 
     # -- the time loop ---------------------------------------------------------------
@@ -312,8 +325,14 @@ def generate_kernel(schedule, progress=False, profiler=None,
     if san is not None:
         em.emit('# sanitizer: buffer rotation invalidated every halo')
         em.emit('__SAN.poison(__A)')
+        plan.add('loop', 'poison', 'time')
     body_emitted = False
     step_lines = {}
+
+    def scans(sname):
+        return [('scan', sname, name, tshift)
+                for name, tshift in san._writes.get(sname, ())] \
+            if san is not None else []
 
     for sid, step in enumerate(schedule.steps):
         sname = step_names[sid]
@@ -326,6 +345,7 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 sname, 'halo' if step.kind != 'wait' else 'wait',
                 exchanger_keys=keys if step.kind != 'wait' else ()))
             sec_begin()
+            ops = []
             for req, key in zip(step.exchanges, keys):
                 view = _view_expr(req.function, req.time_shift)
                 if step.kind == 'update':
@@ -340,7 +360,11 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 elif step.kind == 'wait':
                     em.emit("__EX['%s'].finish(%s, __pend_%s)"
                             % (key, view, key))
+                ops.append(({'update': 'update', 'begin': 'send',
+                             'wait': 'recv'}[step.kind], key,
+                            req.function.name, req.time_shift))
             sec_end(sname)
+            plan.section('loop', sname, instrument, ops)
         elif step.is_compute:
             body_emitted = True
             boxes = step.boxes(dist)
@@ -352,22 +376,15 @@ def generate_kernel(schedule, progress=False, profiler=None,
                     grid.dtype.itemsize)))
             if boxes:
                 sec_begin()
-                if backend == 'c' and sid in c_meta:
-                    meta = c_meta[sid]
-                    em.emit('# compiled %s over %s' % (
-                        meta['name'],
-                        ' + '.join(' x '.join('[%d:%d)' % b for b in box)
-                                   for box in boxes)))
-                    em.emit("__C['%s'](%s)" % (meta['name'],
-                                               ', '.join(meta['call'])))
-                else:
-                    for box in boxes:
-                        _emit_cluster(em, step.cluster, box)
+                for box in boxes:
+                    _emit_cluster(em, step.cluster, box)
                 sec_end(sname)
                 if san is not None:
                     san.register_writes(sname,
                                         sorted(step.cluster.write_keys))
                     em.emit("__SAN.check('%s', __A, time)" % sname)
+                plan.section('loop', sname, instrument,
+                                      [('call', sid)], scans(sname))
         else:
             body_emitted = True
             profiler.register(SectionMeta(
@@ -381,6 +398,9 @@ def generate_kernel(schedule, progress=False, profiler=None,
             if san is not None and step.field_access is not None:
                 san.register_writes(sname, [step.field_access.key])
                 em.emit("__SAN.check('%s', __A, time)" % sname)
+            plan.sparse(sid, step, sid in deferred)
+            plan.section('loop', sname, instrument, [('call', sid)],
+                         scans(sname))
         step_lines[sid] = (first_line, len(em.lines))
 
     if not body_emitted:
@@ -392,19 +412,129 @@ def generate_kernel(schedule, progress=False, profiler=None,
     # own disjoint tag spaces (a collision would cross-deliver halos)
     check_tag_spaces(exchangers)
 
+    c_steps = None
+    if compiled:
+        c_steps = {'meta': {str(sid): m for sid, m in c_meta.items()},
+                   'plan': plan.finish(exchangers, c_meta)}
+        em.level = 0
+        em.emit()
+        _emit_compiled_driver(em, schedule, c_steps['plan'], deferred,
+                              scalar_names, instrument)
     source = em.source()
     namespace = {}
     if san is not None:
         namespace['__SAN'] = san
-    if c_funcs is not None:
-        namespace.update(__C=c_funcs, __G=c_geom)
+    if compiled:
+        from .cstep import StepProgram
+        namespace.update(__C=c_funcs, __CS=StepProgram(
+            lib, c_steps['plan'], c_meta, exchangers, dist, san,
+            grid.dtype))
     code = compile(source, '<repro-jit-kernel>', 'exec')
     exec(code, namespace)  # noqa: S102 - this is the JIT compiler
     return PyKernel(source, namespace['__kernel'], exchangers, sparse_plans,
                     schedule, profiler=profiler, step_lines=step_lines,
                     sanitizer=san, backend=backend, c_source=c_source,
                     so_path=so_path, so_checksum=so_checksum,
-                    c_steps=c_meta, lib=lib)
+                    c_steps=c_steps, lib=lib)
+
+
+class _Plan:
+    """The compiled step's program, recorded while the NumPy driver is
+    emitted (see :mod:`.cstep` for the op vocabulary)."""
+
+    def __init__(self, schedule):
+        self.ops = {'pre': [], 'loop': []}
+        self.sections = []
+        self.modes = {}
+        self.nbuffers = {f.name: function_nb(f) for f in schedule.functions}
+
+    def add(self, where, *op):
+        self.ops[where].append(list(op))
+
+    def section(self, where, name, timed, ops, after=()):
+        """``ops`` bracketed by the section's timer (when profiling is
+        compiled in), then ``after`` (the sanitizer scans)."""
+        if timed:
+            if name not in self.sections:
+                self.sections.append(name)
+            self.add(where, 'begin', self.sections.index(name))
+        for op in ops:
+            self.add(where, *op)
+        if timed:
+            self.add(where, 'stop', self.sections.index(name))
+        for op in after:
+            if op[1] not in self.sections:
+                self.sections.append(op[1])
+            self.add(where, 'scan', self.sections.index(op[1]), *op[2:])
+
+    def sparse(self, sid, step, deferred):
+        """Mode of a sparse function: 0 inject, 1 interpolate into the
+        sparse data, 2 into the pending block of rows."""
+        self.modes[str(sid)] = 0 if step.kind == 'inject' else \
+            2 if deferred else 1
+
+    def finish(self, exchangers, meta):
+        scalars = set()
+        for m in meta.values():
+            scalars.update(m['scalars'])
+        return {'pre': self.ops['pre'], 'loop': self.ops['loop'],
+                'sections': self.sections, 'sparse': self.modes,
+                'fields': sorted(self.nbuffers), 'nbuffers': self.nbuffers,
+                'scalars': sorted(scalars), 'exchangers': list(exchangers)}
+
+
+def _emit_compiled_driver(em, schedule, plan, deferred, scalar_names,
+                          instrument):
+    """The ``backend='c'`` driver: one call of the compiled ``step`` per
+    timestep, between the resilience / fault hooks and the block flush
+    of pending receiver rows; the NumPy driver when a fault plan is
+    armed (that transport is the one that injects faults)."""
+    em.emit('def __kernel(time_m, time_M, __A, __P, __EX, __SP, __comm, '
+            'np, __T, __RES=None):')
+    em.level += 1
+    em.emit("if getattr(getattr(__comm, 'world', None), 'faults', None) "
+            "is not None:")
+    em.emit(_INDENT + 'return __kernel_py(time_m, time_M, __A, __P, __EX, '
+            '__SP, __comm, np, __T, __RES)')
+    for name in scalar_names:
+        em.emit("%s = __P['%s']" % (name, name))
+    if schedule.scalar_assignments:
+        printer = PyPrinter()
+        for temp, rhs in schedule.scalar_assignments:
+            em.emit('%s = %s' % (temp.name, printer.doprint(rhs)))
+    if deferred:
+        for sid in deferred:
+            em.emit("__sd%d = __SP[%d]['data']" % (sid, sid))
+        _emit_pending_rows(em, deferred)
+    em.emit('__B = __CS.bind(__A, __SP, __comm, (%s), (%s))' % (
+        ''.join('%s, ' % s for s in plan['scalars']),
+        ''.join('__rows%d, ' % sid for sid in sorted(deferred))))
+    em.emit("__step, __ref = __C['step'], __B.ref")
+    if instrument:
+        em.emit('__adv = __T.advanced')
+    em.emit('try:')
+    em.level += 1
+    if plan['pre']:
+        em.emit('__B.check(__step(time_m, 0, __B.pre), time_m, __A, '
+                'pre=True)')
+        em.emit('__B.fold(__T)')
+    em.emit('for time in range(time_m, time_M + 1):')
+    em.level += 1
+    em.emit('__RES is None or __RES.tick(time%s)'
+            % (', __flush' if deferred else ''))
+    em.emit('__comm is None or __comm.fault_tick(time)')
+    em.emit('__rc = __step(time, %s, __ref)'
+            % ('__nrows' if deferred else '0'))
+    em.emit('if __rc:')
+    em.emit(_INDENT + '__B.check(__rc, time, __A)')
+    if instrument:
+        em.emit('__adv and __B.trace(__T, time)')
+    if deferred:
+        _emit_block_end(em, deferred)
+    em.level -= 2
+    em.emit('finally:')
+    em.emit(_INDENT + '__B.fold(__T)')
+    em.level -= 1
 
 
 def _box_volume(box):

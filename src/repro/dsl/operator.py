@@ -96,15 +96,16 @@ class Operator:
         and the kernel is rehydrated from the cached artifact; the
         result is bitwise-identical to a cold build.
     backend : str or None
-        Execution backend for the compute steps: ``'numpy'`` (default,
-        vectorized whole-array expressions) or ``'c'`` (generate C,
-        compile it with the system toolchain and call the cache-blocked
-        loop nests through ctypes).  Defaults to
+        Execution backend: ``'numpy'`` (default, vectorized whole-array
+        expressions) or ``'c'`` (generate C, compile it with the system
+        toolchain and run each timestep — cache-blocked compute, halo
+        exchanges over in-process channels, sparse operations, timers —
+        as one GIL-free ctypes call).  Defaults to
         ``configuration['backend']`` (env ``REPRO_BACKEND``).  When no
         C compiler is available the build degrades to NumPy with a
-        :class:`~repro.codegen.jit.ToolchainWarning`; halo exchanges,
-        sparse steps and instrumentation always stay in the Python
-        driver, so every comm mode works identically on both backends.
+        :class:`~repro.codegen.jit.ToolchainWarning`; when the world
+        has an armed fault plan the compiled build runs its NumPy
+        driver on the Python transport, so faults inject as before.
     """
 
     def __init__(self, expressions, name='Kernel', opt=True, mpi=None,

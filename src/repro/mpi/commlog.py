@@ -85,32 +85,35 @@ class CommLog:
 
     # -- ledger ------------------------------------------------------------------
 
-    def record_send(self, src, dst, tag, nbytes, section=None):
+    def record_send(self, src, dst, tag, nbytes, section=None, count=1):
+        """Ledger ``count`` sends of ``nbytes`` bytes in total (the
+        compiled step's channels are folded in this way, many messages
+        per call)."""
         if not self.enabled:
             return
         with self._lock:
-            self.nsends += 1
+            self.nsends += count
             self.nbytes_sent += nbytes
             rec = self._sends.get((src, dst, tag))
             if rec is None:
-                self._sends[(src, dst, tag)] = [1, nbytes, section]
+                self._sends[(src, dst, tag)] = [count, nbytes, section]
             else:
-                rec[0] += 1
+                rec[0] += count
                 rec[1] += nbytes
                 if section is not None:
                     rec[2] = section
 
-    def record_recv(self, src, dst, tag, nbytes):
+    def record_recv(self, src, dst, tag, nbytes, count=1):
         if not self.enabled:
             return
         with self._lock:
-            self.nrecvs += 1
+            self.nrecvs += count
             self.nbytes_recv += nbytes
             rec = self._recvs.get((src, dst, tag))
             if rec is None:
-                self._recvs[(src, dst, tag)] = [1, nbytes]
+                self._recvs[(src, dst, tag)] = [count, nbytes]
             else:
-                rec[0] += 1
+                rec[0] += count
                 rec[1] += nbytes
 
     def clear_ledgers(self):
@@ -254,18 +257,20 @@ class CommLog:
         leftovers = []
         cond = world._conds[rank]
         with cond:
-            for msg in world._boxes[rank]:
+            for msg in world._boxes[rank] + world._dropped[rank]:
                 if msg.tag >= 0:
-                    leftovers.append(msg)
-            for msg in world._dropped[rank]:
-                if msg.tag >= 0:
-                    leftovers.append(msg)
+                    leftovers.append((msg.source, msg.tag, msg.section))
+        # the compiled step's channels: sent, never consumed
+        for ch, count in world.channels.unconsumed(rank):
+            if ch.tag >= 0:
+                section = self._sends.get((ch.src, rank, ch.tag),
+                                          (0, 0, None))[2]
+                leftovers.extend([(ch.src, ch.tag, section)] * count)
         if leftovers:
             with self._lock:
                 self.nunmatched += len(leftovers)
             detail = ', '.join(
-                '(src=%d, tag=%d, section=%s)'
-                % (m.source, m.tag, m.section) for m in leftovers[:8])
+                '(src=%d, tag=%d, section=%s)' % m for m in leftovers[:8])
             raise CommValidationError(
                 "unmatched sends: %d message(s) addressed to rank %d were "
                 "never received: %s%s"

@@ -20,6 +20,11 @@ Section III-h (Table I, Figure 5):
     so the compiler can overlap the CORE computation with communication
     (Listing 8), optionally prodding the progress engine like the
     sacrificed OpenMP thread calling ``MPI_Test``.
+
+Every exchanger builds its per-neighbour :class:`HaloMessage` table once,
+at construction: peers, send and receive boxes, tags and basic mode's
+phase order.  The Python exchange methods and the compiled step
+(:mod:`repro.codegen.cstep`) both read that one table.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ import numpy as np
 
 from .sim import PROC_NULL, Request
 
-__all__ = ['HaloWidths', 'BasicExchanger', 'DiagonalExchanger',
-           'FullExchanger', 'make_exchanger', 'core_region',
-           'remainder_regions']
+__all__ = ['HaloWidths', 'HaloMessage', 'BasicExchanger',
+           'DiagonalExchanger', 'FullExchanger', 'make_exchanger',
+           'core_region', 'remainder_regions']
 
 
 class HaloWidths:
@@ -190,51 +195,30 @@ class _ExchangerBase:
 
     # -- region algebra ----------------------------------------------------------
 
-    def _domain_slice(self, d, lo_extend=0, hi_extend=0):
-        """Slice of dim ``d`` covering the domain, optionally extended
-        into the halo (array coordinates)."""
-        hl = self.halo[d][0]
-        return slice(hl - lo_extend, hl + self.local_shape[d] + hi_extend)
-
-    def _send_region(self, offsets, extended_dims=()):
-        """Array-coordinate region sent toward neighbor ``offsets``."""
-        key = []
+    def _region(self, offsets, extended_dims, side):
+        """Array-coordinate box, as ``(lo, hi)`` per dimension, of the
+        data sent toward (``side='send'``) or received from
+        (``side='recv'``) neighbor ``offsets``.  Along a zero offset the
+        box spans the domain, extended into the halo for the dimensions
+        in ``extended_dims`` (basic mode's multi-step corner
+        propagation)."""
+        box = []
         for d, off in enumerate(offsets):
             hl = self.halo[d][0]
             n = self.local_shape[d]
             wl, wr = self.widths[d]
             if off == 0:
-                if d in extended_dims:
-                    # include already-updated halo (multi-step propagation)
-                    key.append(slice(hl - wl, hl + n + wr))
-                else:
-                    key.append(self._domain_slice(d))
-            elif off > 0:
-                # neighbor's left halo = my last wl points
-                key.append(slice(hl + n - wl, hl + n))
+                box.append((hl - wl, hl + n + wr) if d in extended_dims
+                           else (hl, hl + n))
+            elif side == 'send':
+                # my last wl points feed the neighbor's left halo, my
+                # first wr points its right halo
+                box.append((hl + n - wl, hl + n) if off > 0
+                           else (hl, hl + wr))
             else:
-                # neighbor's right halo = my first wr points
-                key.append(slice(hl, hl + wr))
-        return tuple(key)
-
-    def _recv_region(self, offsets, extended_dims=()):
-        """Array-coordinate halo region receiving from neighbor ``offsets``."""
-        key = []
-        for d, off in enumerate(offsets):
-            hl = self.halo[d][0]
-            n = self.local_shape[d]
-            wl, wr = self.widths[d]
-            if off == 0:
-                if d in extended_dims:
-                    key.append(slice(hl - wl, hl + n + wr))
-                else:
-                    key.append(self._domain_slice(d))
-            elif off > 0:
-                # from my right neighbor into my right halo
-                key.append(slice(hl + n, hl + n + wr))
-            else:
-                key.append(slice(hl - wl, hl))
-        return tuple(key)
+                box.append((hl + n, hl + n + wr) if off > 0
+                           else (hl - wl, hl))
+        return tuple(box)
 
     def _tag(self, offsets):
         """A tag unique to (function, direction): receiver matches the
@@ -251,56 +235,91 @@ class _ExchangerBase:
                 and (self.widths[d][0] or self.widths[d][1])]
 
 
+class HaloMessage:
+    """One row of an exchanger's per-neighbour table: what goes to
+    ``dest`` (``send_box`` under ``send_tag``) and what comes back from
+    ``src`` (into ``recv_box`` under ``recv_tag``) in one ``phase``.
+    Boxes are ``(lo, hi)`` per dimension in array coordinates (halo
+    included); a side with no peer is ``PROC_NULL`` and its box None."""
+
+    __slots__ = ('phase', 'dest', 'send_tag', 'send_box', 'src',
+                 'recv_tag', 'recv_box', 'send_slices', 'recv_slices')
+
+    def __init__(self, phase, dest, send_tag, send_box, src, recv_tag,
+                 recv_box):
+        self.phase = phase
+        self.dest, self.send_tag, self.send_box = dest, send_tag, send_box
+        self.src, self.recv_tag, self.recv_box = src, recv_tag, recv_box
+        self.send_slices = _slices(send_box)
+        self.recv_slices = _slices(recv_box)
+
+    def __repr__(self):
+        return ('HaloMessage(phase=%d, dest=%d, send_tag=%d, src=%d, '
+                'recv_tag=%d)' % (self.phase, self.dest, self.send_tag,
+                                  self.src, self.recv_tag))
+
+
+def _slices(box):
+    return None if box is None else tuple(slice(lo, hi) for lo, hi in box)
+
+
 class BasicExchanger(_ExchangerBase):
     """Multi-step synchronous face exchanges (paper's *basic* mode)."""
 
     diagonals = False
 
-    def exchange(self, view):
-        """Update all halo regions of ``view`` (array incl. halo)."""
-        comm = self.distributor.comm
-        done_dims = []
-        self._enter()
+    def __init__(self, distributor, halo, widths, tag_base=0, name=None):
+        super().__init__(distributor, halo, widths, tag_base=tag_base,
+                         name=name)
+        #: the per-neighbour table, in phase order: per active dimension
+        #: one phase toward +1 and one toward -1; each phase's slabs
+        #: include the halo the earlier phases updated
+        self.table = []
+        done = []
         for d in self._active_dims():
             for sign in (1, -1):
                 offsets = tuple(sign if i == d else 0
                                 for i in range(self.ndim))
-                dest = self.distributor.neighbor(offsets)
-                src = self.distributor.neighbor(
-                    tuple(-o for o in offsets))
-                ext = tuple(done_dims)
-                sendbuf = None
-                if dest != PROC_NULL:
-                    # allocated at call time, as in the paper's basic mode
-                    sendbuf = np.ascontiguousarray(
-                        view[self._send_region(offsets, ext)])
-                    self.nmessages += 1
-                    self.nbytes_sent += sendbuf.nbytes
+                back = tuple(-o for o in offsets)
+                dest = distributor.neighbor(offsets)
+                src = distributor.neighbor(back)
+                ext = tuple(done)
                 tag = self._tag(offsets)
-                if dest != PROC_NULL and src != PROC_NULL:
-                    recv_region = self._recv_region(
-                        tuple(-o for o in offsets), ext)
-                    recvbuf = np.empty(view[recv_region].shape,
-                                       dtype=view.dtype)
-                    tic = perf_counter()
-                    comm.sendrecv(sendbuf, dest, sendtag=tag,
-                                  source=src, recvtag=tag, recvbuf=recvbuf)
-                    self.wait_time += perf_counter() - tic
-                    self.nbytes_recv += recvbuf.nbytes
-                    view[recv_region] = recvbuf
-                elif dest != PROC_NULL:
-                    comm.send(sendbuf, dest, tag=tag)
-                elif src != PROC_NULL:
-                    recv_region = self._recv_region(
-                        tuple(-o for o in offsets), ext)
-                    recvbuf = np.empty(view[recv_region].shape,
-                                       dtype=view.dtype)
-                    tic = perf_counter()
-                    comm.recv(buf=recvbuf, source=src, tag=tag)
-                    self.wait_time += perf_counter() - tic
-                    self.nbytes_recv += recvbuf.nbytes
-                    view[recv_region] = recvbuf
-            done_dims.append(d)
+                self.table.append(HaloMessage(
+                    len(self.table), dest, tag,
+                    self._region(offsets, ext, 'send')
+                    if dest != PROC_NULL else None,
+                    src, tag,
+                    self._region(back, ext, 'recv')
+                    if src != PROC_NULL else None))
+            done.append(d)
+
+    def exchange(self, view):
+        """Update all halo regions of ``view`` (array incl. halo)."""
+        comm = self.distributor.comm
+        self._enter()
+        for msg in self.table:
+            sendbuf = None
+            if msg.dest != PROC_NULL:
+                # allocated at call time, as in the paper's basic mode
+                sendbuf = np.ascontiguousarray(view[msg.send_slices])
+                self.nmessages += 1
+                self.nbytes_sent += sendbuf.nbytes
+            if msg.src == PROC_NULL:
+                if sendbuf is not None:
+                    comm.send(sendbuf, msg.dest, tag=msg.send_tag)
+                continue
+            recvbuf = np.empty(view[msg.recv_slices].shape, dtype=view.dtype)
+            tic = perf_counter()
+            if sendbuf is not None:
+                comm.sendrecv(sendbuf, msg.dest, sendtag=msg.send_tag,
+                              source=msg.src, recvtag=msg.recv_tag,
+                              recvbuf=recvbuf)
+            else:
+                comm.recv(buf=recvbuf, source=msg.src, tag=msg.recv_tag)
+            self.wait_time += perf_counter() - tic
+            self.nbytes_recv += recvbuf.nbytes
+            view[msg.recv_slices] = recvbuf
 
 
 class DiagonalExchanger(_ExchangerBase):
@@ -312,51 +331,44 @@ class DiagonalExchanger(_ExchangerBase):
         super().__init__(distributor, halo, widths, tag_base=tag_base,
                          name=name)
         active = set(self._active_dims())
-        self._neighbors = {}
+        #: the per-neighbour table: one phase, every Moore neighbour
+        #: across an active dimension; the matching receive carries
+        #: the direction as seen from the neighbour (negated offsets)
+        self.table = []
         for offsets, rank in distributor.neighborhood(diagonals=True).items():
-            if any(offsets[d] != 0 and d not in active
-                   for d in range(self.ndim)):
+            if not any(offsets) or any(offsets[d] != 0 and d not in active
+                                       for d in range(self.ndim)):
                 continue
-            if not any(offsets):
-                continue
-            self._neighbors[offsets] = rank
-        # Python-land preallocated buffers, one per neighbor (paper Table I)
-        self._sendbufs = {}
-        self._recvbufs = {}
+            self.table.append(HaloMessage(
+                0, rank, self._tag(offsets), self._region(offsets, (), 'send'),
+                rank, self._tag(tuple(-o for o in offsets)),
+                self._region(offsets, (), 'recv')))
+        # Python-land preallocated buffers, one pair per neighbor (paper
+        # Table I), allocated at the first exchange
+        self._bufs = None
 
-    def _buffers(self, view, offsets):
-        send_region = self._send_region(offsets)
-        recv_region = self._recv_region(offsets)
-        shape_s = view[send_region].shape
-        shape_r = view[recv_region].shape
-        sb = self._sendbufs.get(offsets)
-        if sb is None or sb.shape != shape_s or sb.dtype != view.dtype:
-            sb = np.empty(shape_s, dtype=view.dtype)
-            self._sendbufs[offsets] = sb
-        rb = self._recvbufs.get(offsets)
-        if rb is None or rb.shape != shape_r or rb.dtype != view.dtype:
-            rb = np.empty(shape_r, dtype=view.dtype)
-            self._recvbufs[offsets] = rb
-        return sb, rb, send_region, recv_region
+    def _buffers(self, dtype):
+        if self._bufs is None or self._bufs[0][0].dtype != dtype:
+            self._bufs = [(np.empty([hi - lo for lo, hi in m.send_box],
+                                    dtype=dtype),
+                           np.empty([hi - lo for lo, hi in m.recv_box],
+                                    dtype=dtype)) for m in self.table]
+        return self._bufs
 
     def begin(self, view):
         """Post all sends/receives; return the pending receive list."""
         comm = self.distributor.comm
         pending = []
         self._enter()
-        for offsets, rank in self._neighbors.items():
-            sb, rb, send_region, recv_region = self._buffers(view, offsets)
+        bufs = self._buffers(view.dtype) if self.table else ()
+        for msg, (sb, rb) in zip(self.table, bufs):
             # pack (OpenMP-threaded in the paper; vectorized copy here)
-            sb[...] = view[send_region]
-            comm.isend(sb, rank, tag=self._tag(offsets))
+            sb[...] = view[msg.send_slices]
+            comm.isend(sb, msg.dest, tag=msg.send_tag)
             self.nmessages += 1
             self.nbytes_sent += sb.nbytes
-            # matching receive: neighbor sent with the direction as seen
-            # from *their* side, i.e. the negated offsets
-            req = comm.irecv(buf=rb,
-                             source=rank,
-                             tag=self._tag(tuple(-o for o in offsets)))
-            pending.append((req, rb, recv_region))
+            req = comm.irecv(buf=rb, source=msg.src, tag=msg.recv_tag)
+            pending.append((req, rb, msg.recv_slices))
         self._inflight.append(pending)
         return pending
 
@@ -385,7 +397,9 @@ class FullExchanger(DiagonalExchanger):
     Identical message set to :class:`DiagonalExchanger`; the compiler
     emits ``begin`` before the CORE computation and ``finish`` before the
     REMAINDER computation (Listing 8).  ``progress_thread`` emulates the
-    sacrificed OpenMP worker that periodically calls ``MPI_Test``.
+    sacrificed OpenMP worker that periodically calls ``MPI_Test``.  The
+    compiled step needs no such thread: a send is visible to its
+    receiver as soon as it is packed into the channel slot.
     """
 
     def __init__(self, distributor, halo, widths, tag_base=0,

@@ -203,8 +203,11 @@ class SimWorld:
         self.max_retries = configuration.resolve('comm_retries',
                                                  max_retries)
         self.check_interval = float(check_interval)
+        from .channel import ChannelTable
         from .commlog import CommLog
         self.commlog = CommLog(size, enabled=configuration['commlog'])
+        #: the compiled step's transport (:mod:`.channel`)
+        self.channels = ChannelTable()
         #: transport-level instrumentation: messages/bytes delivered per
         #: destination rank (monotonic; profiling reads, never resets)
         self.ndelivered = [0] * size
@@ -425,6 +428,7 @@ class SimWorld:
             self._fail_reason = ("rank %s failed: %s" % (origin, reason)
                                  if origin is not None else str(reason))
         self._failed.set()
+        self.channels.fail()
         for cond in self._conds:
             with cond:
                 cond.notify_all()
@@ -446,6 +450,7 @@ class SimWorld:
             with cond:
                 box.clear()
                 dropped.clear()
+        self.channels.reset()
         self.commlog.clear_all_waits()
         self.commlog.clear_ledgers()
         for comm in list(self._comms):

@@ -350,6 +350,14 @@ class CExecPrinter(_PrinterBase):
                     and arg.exp.value < 0:
                 den.append(self._printk_pow_positive(arg.base,
                                                      -arg.exp.value))
+            elif arg.is_Pow and isinstance(arg.exp, Integer) \
+                    and 2 <= arg.exp.value <= 3:
+                # printed inline (``a*b*b``): each factor folds into the
+                # running product, left to right, as Python evaluates it
+                base = self._printk_operand(arg.base)
+                if arg.base.is_Mul or arg.base.is_Pow:
+                    base = ('(%s)' % self._printk(arg.base)[0], base[1])
+                num.extend([base] * arg.exp.value)
             else:
                 num.append(self._printk_operand(arg))
         if not num:

@@ -1,11 +1,14 @@
 """The compiled C execution backend: equivalence, fallback, caching.
 
-The contract under test: ``backend='c'`` changes *how* compute steps
-execute (cache-blocked C loop nests called through ctypes) and nothing
-else — results are bitwise-identical to the NumPy backend in every
-communication mode, every comm certificate reconciles the same, a host
-without a toolchain degrades to NumPy with a visible warning, and a
-cached compiled artifact whose shared object was deleted or tampered
+The contract under test: ``backend='c'`` changes *how* a timestep
+executes (one compiled ``step`` per timestep: cache-blocked kernels,
+halo spots over in-process channels, sparse operations, timers) and
+nothing else — results are bitwise-identical to the NumPy backend in
+every communication mode, exchanger counters, the commlog ledger and
+the profile rows equal the NumPy driver's, every comm certificate
+reconciles the same, failures surface as the Python transport's do, a
+host without a toolchain degrades to NumPy with a visible warning, and
+a cached compiled artifact whose shared object was deleted or tampered
 with demotes to a cold rebuild instead of crashing or running stale
 code.
 """
@@ -13,12 +16,13 @@ code.
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from repro import (Eq, Grid, Operator, TimeFunction, configuration,
-                   solve)
+from repro import (Eq, Function, Grid, Operator, SparseTimeFunction,
+                   TimeFunction, configuration, solve)
 from repro.buildcache import BuildCache, disk_objects
 from repro.codegen import jit
 from repro.codegen.cgen import generate_c_steps
@@ -250,11 +254,244 @@ class TestDistributedEquivalence:
     @pytest.mark.parametrize('mode', MODES)
     def test_certificates_reconcile(self, mode):
         """The reconcile sanitizer (static certificate vs runtime send
-        ledger) passes identically under the compiled backend: the C
-        steps change compute, never communication."""
+        ledger) passes identically under the compiled backend: the
+        step's channel traffic, folded into the ledger after the run,
+        is exactly what the certificate predicts."""
         out = run_parallel(
             lambda c: self._job(c, mode, 'c', sanitizer='reconcile'), 2)
         assert all(backend == 'c' for _, backend in out)
+
+
+# -- the compiled step: one call per rank per timestep ------------------------
+
+
+def _propagate(kernel, comm=None, **kwargs):
+    """A small model run: every wavefield and the receiver rows."""
+    from repro import models
+    ret = getattr(models, kernel + '_setup')(
+        shape=(20, 16), nbl=4, tn=30.0, space_order=4, nrec=5, comm=comm,
+        **kwargs)
+    solver = ret[0] if isinstance(ret, tuple) else ret
+    rec = solver.forward()[0]
+    fields = sorted((f for f in solver.op.functions if f.is_TimeFunction),
+                    key=lambda f: f.name)
+    return ([f.data.gather() for f in fields]
+            + [np.array(getattr(rec, 'data', rec))], solver.op.backend)
+
+
+#: one distributed variant per propagator: rank counts 2-4, every comm
+#: mode, weighted decompositions
+_STEP_VARIANTS = {
+    'acoustic': dict(ranks=4, mpi='full', topology=(2, 2),
+                     weights=((3, 1), (1, 2))),
+    'elastic': dict(ranks=3, mpi='diagonal'),
+    'tti': dict(ranks=2, mpi='basic', weights=((1, 2), None)),
+    'viscoelastic': dict(ranks=2, mpi='full'),
+}
+
+#: receivers on and around the rank boundaries of 2-, 3- and 2x2-rank
+#: splits of a 24 x 18 grid
+_REC_COORDS = np.array([[12.0, 9.0], [11.5, 3.25], [8.0, 8.5], [16.0, 1.0],
+                        [0.0, 17.0], [23.0, 0.0]])
+
+
+def _receiver_job(comm, mode, backend, **apply_kwargs):
+    """A source, receivers straddling rank boundaries, a velocity field
+    and the wave equation; returns what both drivers must agree on:
+    state, exchanger counters, the rank's ledger and the profile."""
+    shape = (24, 18)
+    grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
+                comm=comm)
+    u = TimeFunction(name='u', grid=grid, space_order=4, time_order=2)
+    m = Function(name='m', grid=grid, space_order=4)
+    m.data[:] = 1.0 + 0.01 * np.add.outer(np.arange(shape[0]),
+                                          np.arange(shape[1]))
+    src = SparseTimeFunction('src', grid, npoint=1, nt=12,
+                             coordinates=np.array([[11.3, 8.6]]))
+    src.data[:, 0] = np.sin(np.arange(12, dtype=np.float32))
+    rec = SparseTimeFunction('rec', grid, npoint=len(_REC_COORDS), nt=12,
+                             coordinates=_REC_COORDS)
+    eq = Eq(m * u.dt2, u.laplace)
+    op = Operator([Eq(u.forward, solve(eq, u.forward)),
+                   src.inject(field=u.forward, expr=src * m),
+                   rec.interpolate(expr=u)],
+                  mpi=mode if comm is not None else None, backend=backend,
+                  profiling='basic')
+    assert op.backend == backend
+    world = comm.world if comm is not None else None
+    summary = op.apply(time_M=11, dt=0.1, **apply_kwargs)
+    state = [u.data.gather(), rec.data.copy()]
+    if world is None:
+        return state
+    comm.barrier()  # every peer's channels are folded
+    counters = {key: {k: v for k, v in ex.counters().items()
+                      if k != 'wait_time'}
+                for key, ex in op.kernel.exchangers.items()}
+    log = world.commlog
+    ledger = (log.sends_snapshot(src=comm.rank),
+              {k: tuple(v) for k, v in log._recvs.items()
+               if k[1] == comm.rank and k[2] >= 0})
+    rows = {name: (e.kind, e.ncalls, e.nmessages, e.bytes)
+            for name, e in summary.items()}
+    return state, counters, ledger, rows
+
+
+@needs_cc
+class TestCompiledStep:
+
+    @pytest.mark.parametrize('kernel', sorted(_STEP_VARIANTS))
+    def test_propagator_matches_serial_numpy(self, kernel):
+        variant = dict(_STEP_VARIANTS[kernel])
+        ranks = variant.pop('ranks')
+        configuration['backend'] = 'numpy'
+        ref, _ = _propagate(kernel)
+        configuration['backend'] = 'c'
+        for out, backend in run_parallel(
+                lambda c: _propagate(kernel, comm=c, **variant), ranks):
+            assert backend == 'c'
+            assert all(np.array_equal(a, b) for a, b in zip(ref, out))
+
+    @pytest.mark.parametrize('mode,ranks', [('basic', 3), ('diagonal', 2),
+                                            ('full', 4)])
+    def test_counters_ledger_and_profile_match_numpy_driver(
+            self, mode, ranks, tmp_path, monkeypatch):
+        """Blocks of 5 receiver rows, checkpoints every 4 steps: the
+        flush straddles the checkpoints.  Everything the NumPy driver
+        counts — exchanger counters, the send/recv ledger, the profile
+        rows — the compiled step counts the same."""
+        from repro.dsl import sparse as sparse_mod
+        monkeypatch.setattr(sparse_mod, 'PENDING_ROWS_BYTES',
+                            5 * 8 * len(_REC_COORDS))
+        serial = _receiver_job(None, None, 'numpy')
+        runs = {}
+        for backend in ('numpy', 'c'):
+            runs[backend] = run_parallel(
+                lambda c: _receiver_job(
+                    c, mode, backend, checkpoint_every=4,
+                    checkpoint_dir=str(tmp_path / backend)), ranks)
+        for ref, out in zip(runs['numpy'], runs['c']):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(serial, out[0]))
+            assert out[1:] == ref[1:]
+
+    def test_time_buffers_use_floor_modulo(self):
+        """Time 0 reads buffer (0 - 1) % 3 == 2, as Python indexes."""
+        def run(backend):
+            grid = Grid(shape=(10, 9))
+            u = TimeFunction(name='u', grid=grid, space_order=2,
+                             time_order=2)
+            u.data[:] = np.arange(3, dtype=np.float32)[:, None, None]
+            Operator([Eq(u.forward, u.backward + 0.5 * u)],
+                     backend=backend).apply(time_m=0, time_M=2)
+            return u.data.gather()
+        assert np.array_equal(run('c'), run('numpy'))
+
+    def test_sanitizer_catches_stale_halo_read(self):
+        """With poison on, the step fills the ghost boxes and scans what
+        a section wrote; Python re-runs the sanitizer to name it."""
+        from repro.analysis import HaloPoisonError
+        from repro.codegen.pybackend import generate_kernel
+
+        def job(comm):
+            grid = Grid(shape=(12, 10), comm=comm)
+            u = TimeFunction(name='u', grid=grid, space_order=2)
+            u.data[0] = 1.0
+            op = Operator([Eq(u.forward, u + 0.1 * u.laplace)],
+                          mpi='basic')
+            op.schedule.steps = [s for s in op.schedule.steps
+                                 if not s.is_halo]
+            op.kernel = generate_kernel(op.schedule, profiler=op.profiler,
+                                        sanitizer=True, backend='c')
+            assert op.kernel.backend == 'c'
+            op.apply(time_M=3)
+
+        with pytest.raises(HaloPoisonError, match='section0'):
+            run_parallel(job, 2)
+
+    def test_fault_plan_runs_the_numpy_driver(self, monkeypatch):
+        """An armed fault plan is a world-wide decision: no rank calls
+        the compiled step, and the result is still the serial one."""
+        from repro.codegen import cstep
+        binds = []
+        real = cstep.StepProgram.bind
+        monkeypatch.setattr(cstep.StepProgram, 'bind',
+                            lambda self, *a: binds.append(1) or
+                            real(self, *a))
+        serial = _receiver_job(None, None, 'numpy')
+        configuration['faults'] = 'seed=3,drop=0.2,duplicate=0.1'
+        for out in run_parallel(
+                lambda c: _receiver_job(c, 'diagonal', 'c'), 2):
+            assert all(np.array_equal(a, b) for a, b in zip(serial, out[0]))
+        assert not binds
+
+
+def _stalled_job(comm, stall, box):
+    """Rank 1 builds the operator and then ``stall``s instead of
+    applying; rank 0 applies and records how it failed and when."""
+    grid = Grid(shape=(16, 12), comm=comm)
+    u = TimeFunction(name='u', grid=grid, space_order=2)
+    op = Operator([Eq(u.forward, u + 0.1 * u.laplace)], mpi='diagonal',
+                  backend='c')
+    comm.barrier()
+    if comm.rank == 1:
+        stall()
+        return
+    tic = time.perf_counter()
+    try:
+        op.apply(time_M=4)
+    except Exception as exc:  # noqa: BLE001 - inspected by the test
+        box.update(error=exc, seconds=time.perf_counter() - tic)
+        raise
+
+
+@needs_cc
+class TestStepFailures:
+
+    def test_peer_failure_wakes_the_waiting_step(self):
+        """A peer raising while this rank waits inside the step: the
+        wait returns within about ``check_interval``, not after the
+        ``comm_timeout`` of 60 s."""
+        import threading
+        from repro.mpi import RemoteRankError
+        configuration['comm_timeout'] = 60.0
+        box = {}
+        threads = threading.active_count()
+
+        def stall():
+            time.sleep(0.3)
+            raise ValueError('peer failed')
+
+        with pytest.raises(ValueError, match='peer failed'):
+            run_parallel(lambda c: _stalled_job(c, stall, box), 2)
+        assert isinstance(box['error'], RemoteRankError)
+        assert box['seconds'] < 2.0
+        assert threading.active_count() == threads
+
+    def test_missing_message_times_out_naming_the_channel(self):
+        """A message that is never sent: a typed timeout naming
+        (src, dst, tag) after ``comm_timeout``; the world's channels are
+        gone once it is reset."""
+        from repro.mpi.channel import ChannelTimeoutError
+        configuration['comm_timeout'] = 0.3
+        box = {}
+        worlds = []
+
+        def stall():
+            time.sleep(0.9)
+
+        def job(comm):
+            worlds.append(comm.world)
+            return _stalled_job(comm, stall, box)
+
+        with pytest.raises(ChannelTimeoutError) as err:
+            run_parallel(job, 2)
+        exc = err.value
+        assert (exc.src, exc.dst) == (1, 0) and exc.tag >= 0
+        assert 'src=1 -> dst=0, tag=%d' % exc.tag in str(exc)
+        assert 0.3 <= box['seconds'] < 0.9
+        world = worlds[0]
+        world.reset()
+        assert len(world.channels) == 0
 
 
 # -- artifact caching: .so lifecycle ------------------------------------------

@@ -272,17 +272,51 @@ def _toolchain_available():
 @pytest.mark.parametrize('case', COMPILED_CASES,
                          ids=['case%d' % i
                               for i in range(len(COMPILED_CASES))])
-def test_compiled_backend_preserves_equivalence(case):
+def test_compiled_backend_preserves_equivalence(case, tmp_path):
     """Swapping the execution backend is invisible to the cross-mode
-    property: for sampled configurations, compiled cache-blocked C
-    steps produce the same bits as the serial NumPy reference — under
-    every communication pattern (REPRO_BACKEND=c flows through
-    ``configuration`` exactly like the env var would)."""
+    property: for sampled configurations, the compiled step (kernels,
+    halo spots over in-process channels) produces the same bits as the
+    serial NumPy reference — under every communication pattern, built
+    cold and then rehydrated from the disk cache (REPRO_BACKEND=c flows
+    through ``configuration`` exactly like the env var would)."""
+    from repro.buildcache import BuildCache
+
     reference = _operator_job(None, case, 'basic')
     configuration['backend'] = 'c'
+    cache = BuildCache('disk', str(tmp_path))
     for mode in MODES:
-        out = run_parallel(
-            lambda c: _operator_job(c, case, mode, cache=False),
-            case['ranks'])
-        for field in out:
-            assert np.array_equal(field, reference), (case, mode)
+        for repeat in range(2):          # populate, then rehydrate
+            out = run_parallel(
+                lambda c: _operator_job(c, case, mode, cache=cache),
+                case['ranks'])
+            for field in out:
+                assert np.array_equal(field, reference), (case, mode,
+                                                          repeat)
+    assert cache.stats['hits'] == len(MODES) * case['ranks']
+
+
+@pytest.mark.skipif(not _toolchain_available(),
+                    reason='no C toolchain on this host')
+@pytest.mark.parametrize('recovery', ['restart', 'shrink', 'grow'])
+def test_compiled_fault_fallback_matches_serial(recovery, tmp_path):
+    """An armed fault plan runs the NumPy driver on the Python transport
+    (the one fallback rule of ``backend='c'``): a mid-run kill still
+    recovers bit-identically."""
+    from repro.mpi import RankKilledError
+    case = CASES[0]
+    reference = _operator_job(None, case, 'basic')
+    configuration['backend'] = 'c'
+    configuration['faults'] = 'seed=11,kill=1@2'
+
+    def job(comm):
+        try:
+            return _operator_job(comm, case, 'diagonal', recovery=recovery,
+                                 checkpoint_every=2,
+                                 checkpoint_dir=str(tmp_path))
+        except RankKilledError:
+            return None  # shrink: the victim left the job
+
+    out = [f for f in run_parallel(job, case['ranks']) if f is not None]
+    assert len(out) >= case['ranks'] - 1
+    for field in out:
+        assert np.array_equal(field, reference), (case, recovery)
