@@ -28,6 +28,14 @@ The dataflow engine also produces the static
 message counts and byte volumes the ``reconcile`` sanitizer mode checks
 against the runtime commlog ledger after every ``apply``.
 
+Every pass but the in-bounds proof depends only on the *structure* (the
+equations, the comm mode and which dimensions are split), so a launch
+runs them once, with the one lowering (:data:`STRUCTURE_PASSES`).  The
+in-bounds proof and the certificate depend on a rank's geometry and
+run per binding, on every rank, over the rank-agnostic
+:func:`~.dataflow.access_table` and :func:`~.certificate.certificate_plan`
+(:func:`~.dataflow.prove_inbounds`, :func:`~.certificate.bind_certificate`).
+
 Entry points: :func:`analyze_schedule` collects every diagnostic into an
 :class:`AnalysisReport`; :func:`verify_schedule` is the compile-time gate
 (``opt='verify'`` / ``REPRO_OPT=verify``) raising :class:`AnalysisError`
@@ -41,10 +49,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .certificate import (CertificateEntry, CommCertificate,
-                          ReconcileError, build_certificate)
-from .dataflow import (AccessMap, access_maps, check_dataflow,
-                       check_inbounds, declared_widths,
-                       dependence_distances, infer_min_widths)
+                          ReconcileError, bind_certificate,
+                          build_certificate, certificate_plan)
+from .dataflow import (AccessMap, access_maps, access_table,
+                       check_dataflow, check_inbounds, declared_widths,
+                       dependence_distances, infer_min_widths,
+                       prove_inbounds)
 from .diagnostics import (CODES, ERROR, WARNING, AnalysisError,
                           AnalysisReport, Diagnostic)
 from .footprint import (Key, Widths, covers, cluster_reads, cluster_writes,
@@ -54,8 +64,7 @@ from .lint import check_bounds, check_dead_code
 from .races import check_races
 from .render import (describe_key, format_widths, merge_reports,
                      render_merged, render_report, render_schedule)
-from .sanitizer import (HaloPoisonError, HaloSanitizer, make_sanitizer,
-                        poison_boxes)
+from .sanitizer import HaloPoisonError, HaloSanitizer, poison_boxes
 
 __all__ = [
     'ANALYSIS_VERSION',
@@ -65,14 +74,14 @@ __all__ = [
     'read_footprints', 'union_widths', 'widths_max',
     'check_halo_coverage', 'check_races', 'check_bounds',
     'check_dead_code', 'check_dataflow', 'check_inbounds',
-    'AccessMap', 'access_maps', 'dependence_distances',
-    'infer_min_widths', 'declared_widths',
+    'AccessMap', 'access_maps', 'access_table', 'dependence_distances',
+    'infer_min_widths', 'declared_widths', 'prove_inbounds',
     'CertificateEntry', 'CommCertificate', 'ReconcileError',
-    'build_certificate',
+    'bind_certificate', 'build_certificate', 'certificate_plan',
     'describe_key', 'format_widths', 'merge_reports', 'render_merged',
     'render_report', 'render_schedule',
-    'HaloPoisonError', 'HaloSanitizer', 'make_sanitizer', 'poison_boxes',
-    'analyze_schedule', 'verify_schedule',
+    'HaloPoisonError', 'HaloSanitizer', 'poison_boxes',
+    'PASSES', 'STRUCTURE_PASSES', 'analyze_schedule', 'verify_schedule',
 ]
 
 #: Version of the verifier semantics, folded into the build-cache
@@ -80,16 +89,23 @@ __all__ = [
 #: communication certificates, so any change to what the passes compute
 #: must invalidate them (bump on every behavioral change to this
 #: package).  2: dataflow engine (W203/E122/E123) + certificates.
-ANALYSIS_VERSION = 2
+#: 3: cached reports hold the structure passes only (E123 and the
+#: certificate are bound per rank); W203 counts waste per grid cut.
+ANALYSIS_VERSION = 3
 
-#: the pass pipeline, in execution (and report) order
-PASSES = (check_halo_coverage, check_races, check_bounds, check_dead_code,
-          check_dataflow, check_inbounds)
+#: the passes that see only the structure, in execution (and report)
+#: order: run once per build, whichever rank lowers it
+STRUCTURE_PASSES = (check_halo_coverage, check_races, check_bounds,
+                    check_dead_code, check_dataflow)
+#: the whole pipeline on one rank: the structure passes, then the
+#: in-bounds proof of that rank's geometry
+PASSES = STRUCTURE_PASSES + (check_inbounds,)
 
 
 def analyze_schedule(schedule: Any, kernel: Any = None,
-                     profiler: Any = None) -> AnalysisReport:
-    """Run every static pass over ``schedule``.
+                     profiler: Any = None,
+                     passes: Any = PASSES) -> AnalysisReport:
+    """Run the static ``passes`` (default: all) over ``schedule``.
 
     ``kernel`` (optional, a compiled ``PyKernel``) enriches the report
     with generated-source excerpts; ``profiler`` (optional) records the
@@ -98,7 +114,7 @@ def analyze_schedule(schedule: Any, kernel: Any = None,
     from time import perf_counter
     tic = perf_counter()
     report = AnalysisReport(schedule=schedule, kernel=kernel)
-    for check in PASSES:
+    for check in passes:
         report.extend(check(schedule))
     if profiler is not None:
         try:
@@ -109,13 +125,15 @@ def analyze_schedule(schedule: Any, kernel: Any = None,
 
 
 def verify_schedule(schedule: Any, kernel: Any = None,
-                    profiler: Any = None) -> AnalysisReport:
+                    profiler: Any = None,
+                    passes: Any = PASSES) -> AnalysisReport:
     """The compile-time gate: analyze and raise on error diagnostics.
 
     Warnings do not fail the build — they are kept in the returned
     report (``Operator.analysis``) for inspection.
     """
-    report = analyze_schedule(schedule, kernel=kernel, profiler=profiler)
+    report = analyze_schedule(schedule, kernel=kernel, profiler=profiler,
+                              passes=passes)
     if report.errors:
         raise AnalysisError(report)
     return report

@@ -15,8 +15,11 @@ and each pattern's message geometry:
   neighbor; sends are posted by ``begin`` (``full``'s ``finish`` posts
   nothing), so both predict the identical per-call set.
 
-The certificate is attached to the ``Operator`` and persisted in the
-:class:`~repro.codegen.artifact.KernelArtifact`.  Its consumer is the
+The enumeration is the same on every rank (:func:`certificate_plan`,
+persisted in the rank-agnostic
+:class:`~repro.codegen.artifact.KernelArtifact`); the message geometry
+is bound per rank (:func:`bind_certificate`), and the certificate is
+attached to that rank's ``Operator``.  Its consumer is the
 **reconcile sanitizer mode** (``sanitizer='reconcile'``): after every
 successful ``apply``, the per-run delta of the commlog send ledger
 (:meth:`~repro.mpi.commlog.CommLog.sends_snapshot`) is compared against
@@ -32,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 __all__ = ['CertificateEntry', 'CommCertificate', 'ReconcileError',
-           'build_certificate']
+           'bind_certificate', 'build_certificate', 'certificate_plan']
 
 #: one predicted message: (destination rank, tag, payload bytes)
 Message = Tuple[int, int, int]
@@ -253,8 +256,10 @@ def _call_messages(dist: Any, mode: str, widths: Any, tag_base: int,
     return tuple(msgs)
 
 
-def build_certificate(schedule: Any) -> CommCertificate:
-    """Predict the per-apply communication of ``schedule`` on this rank.
+def certificate_plan(schedule: Any) -> Dict[str, Any]:
+    """The rank-agnostic half of :func:`build_certificate`, as JSON-able
+    data: the comm mode, the itemsize and one ``[key, where, widths,
+    tag_base]`` per exchanger.
 
     Replays the code generator's exchanger enumeration exactly: the
     hoisted preamble exchanges first (in ``preamble_halo`` order), then
@@ -263,29 +268,45 @@ def build_certificate(schedule: Any) -> CommCertificate:
     exchangers one-to-one (asserted by the test suite).
     """
     dist = schedule.grid.distributor
-    rank = int(getattr(dist, 'myrank', 0))
-    if not (dist.is_parallel and schedule.mpi_mode):
-        return CommCertificate(rank, None, ())
-    mode = str(schedule.mpi_mode)
     itemsize = int(schedule.grid.dtype.itemsize)
-    entries: List[CertificateEntry] = []
-    tag_base = 0
+    if not (dist.is_parallel and schedule.mpi_mode):
+        return {'mode': None, 'itemsize': itemsize, 'entries': []}
+    entries: List[List[Any]] = []
+
+    def add(key: str, where: str, widths: Any) -> None:
+        entries.append([key, where, [[int(l), int(r)] for l, r in widths],
+                        64 * len(entries)])
+
     for req in schedule.preamble_halo:
-        entries.append(CertificateEntry(
-            'pre_%s' % req.function.name, 'preamble',
-            _call_messages(dist, mode, req.widths, tag_base, itemsize)))
-        tag_base += 64
+        add('pre_%s' % req.function.name, 'preamble', req.widths)
     seen: Set[str] = set()
     for step in schedule.steps:
         if not (step.is_halo and step.kind in ('update', 'begin')):
             continue
         for req in step.exchanges:
             key = 'h%d_%s' % (step.uid, req.function.name)
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append(CertificateEntry(
-                key, 'loop',
-                _call_messages(dist, mode, req.widths, tag_base, itemsize)))
-            tag_base += 64
-    return CommCertificate(rank, mode, tuple(entries))
+            if key not in seen:
+                seen.add(key)
+                add(key, 'loop', req.widths)
+    return {'mode': str(schedule.mpi_mode), 'itemsize': itemsize,
+            'entries': entries}
+
+
+def bind_certificate(plan: Dict[str, Any], dist: Any) -> CommCertificate:
+    """One rank's certificate: the messages each exchanger of ``plan``
+    (:func:`certificate_plan`) sends from this rank of ``dist``."""
+    rank = int(getattr(dist, 'myrank', 0))
+    mode = plan['mode']
+    if mode is None:
+        return CommCertificate(rank, None, ())
+    return CommCertificate(rank, mode, tuple(
+        CertificateEntry(key, where, _call_messages(
+            dist, mode, widths, int(tag_base), int(plan['itemsize'])))
+        for key, where, widths, tag_base in plan['entries']))
+
+
+def build_certificate(schedule: Any) -> CommCertificate:
+    """Predict the per-apply communication of ``schedule`` on this rank
+    (:func:`certificate_plan`, bound to the schedule's own rank)."""
+    return bind_certificate(certificate_plan(schedule),
+                            schedule.grid.distributor)

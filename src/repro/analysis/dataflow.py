@@ -22,18 +22,21 @@ On top of the access maps:
   the classical dataflow summary downstream passes consume.
 * :func:`check_dataflow` — pass 4 of the verifier: ``REPRO-W203`` when
   a scheduled exchange is deeper than the inferred minimum (with the
-  wasted bytes/step quantified), and ``REPRO-E122`` when the lattice
-  verifier and the inference *disagree* (the inference derives a need
-  the declared exchanges do not cover, yet the lattice simulation
-  reports the schedule clean — an internal-consistency cross-check
-  between two independent oracles).
-* :func:`check_inbounds` — pass 5: interval analysis over the
-  compile-time iteration boxes (DOMAIN/CORE/REMAINDER) and affine
+  wasted bytes/step across a grid cut quantified), and ``REPRO-E122``
+  when the lattice verifier and the inference *disagree* (the
+  inference derives a need the declared exchanges do not cover, yet
+  the lattice simulation reports the schedule clean — an
+  internal-consistency cross-check between two independent oracles).
+* :func:`check_inbounds` — pass 5: interval analysis over one rank's
+  iteration boxes (DOMAIN/CORE/REMAINDER) and affine
   offsets proving every array access of the generated kernel — compute
   slices, sparse injection/interpolation fancy indices, and sanitizer
   poison writes — within the allocated (halo-padded) extents;
   ``REPRO-E123`` when a proof fails.  This is the gate a compiled C
-  backend will require before executing unchecked pointer arithmetic.
+  backend requires before executing unchecked pointer arithmetic.  It
+  is the one pass that depends on the decomposition, so it runs per
+  binding (:func:`prove_inbounds` over the rank-agnostic
+  :func:`access_table`); every other pass runs once per structure.
 
 Time indices are modular (``(time + s) % nb``) and therefore always
 in-bounds by construction; the interval analysis covers space
@@ -49,9 +52,10 @@ from .footprint import (Key, Widths, cluster_reads, cluster_writes, covers,
                         union_widths)
 from .render import describe_key, format_widths
 
-__all__ = ['AccessMap', 'Box', 'access_maps', 'dependence_distances',
-           'infer_min_widths', 'declared_widths', 'wasted_bytes_per_step',
-           'check_dataflow', 'check_inbounds']
+__all__ = ['AccessMap', 'Box', 'access_maps', 'access_table',
+           'dependence_distances', 'infer_min_widths', 'declared_widths',
+           'wasted_bytes_per_step', 'check_dataflow', 'check_inbounds',
+           'prove_inbounds']
 
 #: per-space-dimension closed offset interval [lo, hi]
 Box = Tuple[Tuple[int, int], ...]
@@ -191,14 +195,16 @@ def declared_widths(schedule: Any) -> Dict[Key, Widths]:
 
 def wasted_bytes_per_step(schedule: Any, declared: Widths,
                           needed: Widths) -> int:
-    """Bytes per timestep an over-deep exchange moves beyond the need.
+    """Bytes per timestep an over-deep exchange moves beyond the need,
+    across one cut of the grid per dimension.
 
     Counted as face slabs: for every dimension, the excess depth on each
-    side times the perpendicular local extent, times the grid itemsize —
-    the volume the basic-mode pattern would ship for nothing.
+    side times the perpendicular *global* extent, times the grid
+    itemsize — what the basic-mode pattern ships for nothing across a
+    whole cut plane, summed over every rank pair the cut separates.  A
+    property of the structure, not of one rank's share of it.
     """
-    dist = schedule.grid.distributor
-    shape = tuple(int(n) for n in dist.shape_local)
+    shape = tuple(int(n) for n in schedule.grid.shape)
     itemsize = int(schedule.grid.dtype.itemsize)
     waste = 0
     for d, ((dl, dr), (nl, nr)) in enumerate(zip(declared, needed)):
@@ -218,7 +224,7 @@ def check_dataflow(schedule: Any) -> List[Diagnostic]:
 
     * ``REPRO-W203`` — an exchange is deeper than the inferred minimal
       width in some dimension (correct but wasteful; the message
-      quantifies the wasted bytes per timestep).
+      quantifies the wasted bytes per timestep across a grid cut).
     * ``REPRO-E122`` — the inference derives a minimal width the union
       of declared exchanges does not cover, yet the lattice verifier
       reports the schedule clean: two independent oracles disagree,
@@ -241,8 +247,8 @@ def check_dataflow(schedule: Any) -> List[Diagnostic]:
         out.append(Diagnostic(
             'REPRO-W203',
             'exchange of %s at depth %s is wider than any read requires '
-            '(inferred minimal halo: %s) — %d wasted byte(s)/step on this '
-            'rank' % (describe_key(key), format_widths(widths, dims),
+            '(inferred minimal halo: %s) — %d wasted byte(s)/step per cut '
+            'of the grid' % (describe_key(key), format_widths(widths, dims),
                       format_widths(need, dims),
                       wasted_bytes_per_step(schedule, widths, need)),
             step_index=si, where=where))
@@ -289,20 +295,81 @@ def _allocated_extents(func: Any, shape: Tuple[int, ...]
             for (hl, hr), n in zip(func.halo, shape)]
 
 
+def _distinct(accesses: Any) -> List[List[Any]]:
+    out: List[List[Any]] = []
+    seen: Set[Tuple[str, Tuple[int, ...]]] = set()
+    for acc in accesses:
+        sig = (acc.function.name, tuple(int(o) for o in acc.offsets))
+        if sig not in seen:
+            seen.add(sig)
+            out.append([sig[0], list(sig[1])])
+    return out
+
+
+def access_table(schedule: Any) -> List[Dict[str, Any]]:
+    """The rank-agnostic per-step table the in-bounds proof binds.
+
+    One JSON-able record per schedule step: a compute step's region and
+    carving widths (its boxes on a rank are
+    :func:`~repro.ir.schedule.region_boxes` of them) and its distinct
+    read and write offsets per function; a sparse step's grid accesses
+    ``[name, offsets, is_write]``; a halo step's kind.  The table is
+    built once per structure; :func:`prove_inbounds` runs per binding,
+    against the binding rank's own allocations and boxes.
+    """
+    from ..ir.lowered import accesses_of
+    table: List[Dict[str, Any]] = []
+    for step in schedule.steps:
+        if step.is_compute:
+            widths = step.widths
+            table.append({
+                'kind': 'compute', 'region': step.region,
+                'widths': None if widths is None
+                else [[int(l), int(r)] for l, r in widths],
+                'reads': _distinct(cluster_reads(step.cluster)),
+                'writes': _distinct(cluster_writes(step.cluster))})
+        elif step.is_sparse:
+            accs = list(accesses_of(step.expr))
+            if step.field_access is not None:
+                accs.append(step.field_access)
+            table.append({'kind': 'sparse', 'accesses': [
+                [acc.function.name, [int(o) for o in acc.offsets],
+                 bool(getattr(acc, 'is_write', False))] for acc in accs]})
+        else:
+            table.append({'kind': 'halo'})
+    return table
+
+
 def check_inbounds(schedule: Any) -> List[Diagnostic]:
-    """Pass 5: prove every generated array access in-bounds (E123).
+    """Pass 5: prove every generated array access in-bounds (E123), on
+    the schedule's own rank (:func:`prove_inbounds` of
+    :func:`access_table`)."""
+    functions = {f.name: f for f in schedule.functions}
+    return prove_inbounds(access_table(schedule), functions,
+                          schedule.grid.distributor,
+                          schedule.grid.dimensions,
+                          bool(schedule.mpi_mode))
+
+
+def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
+                   dist: Any, dims: Any, exchanging: bool
+                   ) -> List[Diagnostic]:
+    """Prove one rank's generated array accesses in-bounds (E123).
 
     The generated kernel translates an access ``u[t+s, x+a, ...]`` over
     an iteration box ``[lo, hi)`` into the slice
     ``a + hl + lo : a + hl + hi`` of an array allocated ``hl + n + hr``
     wide; a sparse access adds its offset to routed index arrays valued
     in ``[0, n-1]`` shifted by ``hl``; a sanitizer poison write fills
-    precomputed ghost boxes.  For each, interval arithmetic over the
-    compile-time constants proves ``0 <= start`` and ``stop <= extent``
-    — or emits ``REPRO-E123``.
+    precomputed ghost boxes.  For each, interval arithmetic over this
+    rank's boxes, its local shape and its *own* ``functions``'
+    allocations proves
+    ``0 <= start`` and ``stop <= extent`` — or emits ``REPRO-E123``.
+    Nothing here is taken from another rank: the table only says which
+    offsets the kernel reads and writes.  ``exchanging`` says whether
+    the build exchanges halos at all (a distributed comm mode).
     """
-    dist = schedule.grid.distributor
-    dims = schedule.grid.dimensions
+    from ..ir.schedule import region_boxes
     shape = tuple(int(n) for n in dist.shape_local)
     out: List[Diagnostic] = []
 
@@ -329,31 +396,29 @@ def check_inbounds(schedule: Any) -> List[Diagnostic]:
                 step_index=si))
 
     # -- compute steps: slice accesses over DOMAIN/CORE/REMAINDER boxes -------------
-    for si, step in enumerate(schedule.steps):
-        if step.is_compute:
+    for si, rec in enumerate(table):
+        if rec['kind'] == 'compute':
             seen: Set[Tuple[str, Tuple[int, ...], int]] = set()
-            for box in step.boxes(dist):
-                for acc in cluster_reads(step.cluster):
-                    prove(acc.function, acc.offsets, box, si, 'read', seen)
-                for acc in cluster_writes(step.cluster):
-                    prove(acc.function, acc.offsets, box, si, 'write', seen)
-        elif step.is_sparse:
+            for box in region_boxes(rec['region'], rec['widths'], dist):
+                for name, offsets in rec['reads']:
+                    prove(functions[name], tuple(offsets), box, si, 'read',
+                          seen)
+                for name, offsets in rec['writes']:
+                    prove(functions[name], tuple(offsets), box, si,
+                          'write', seen)
+        elif rec['kind'] == 'sparse':
             # routed index arrays are valued in [0, n-1] (owned cells,
             # clamped at the physical boundary), shifted by hl in the
             # kernel preamble; an expression offset rides on top
-            from ..ir.lowered import accesses_of
             seen = set()
-            accs = list(accesses_of(step.expr))
-            if step.field_access is not None:
-                accs.append(step.field_access)
-            for acc in accs:
-                func = acc.function
-                what = 'write' if getattr(acc, 'is_write', False) else 'read'
+            for name, offsets, is_write in rec['accesses']:
+                func = functions[name]
+                what = 'write' if is_write else 'read'
                 for d, ((hl, n, hr), off) in enumerate(
-                        zip(_allocated_extents(func, shape), acc.offsets)):
+                        zip(_allocated_extents(func, shape), offsets)):
                     if -hl <= int(off) <= hr:
                         continue
-                    sig = (func.name, tuple(acc.offsets), d)
+                    sig = (func.name, tuple(offsets), d)
                     if sig in seen:
                         continue
                     seen.add(sig)
@@ -369,9 +434,9 @@ def check_inbounds(schedule: Any) -> List[Diagnostic]:
                         step_index=si))
 
     # -- sanitizer poison writes ----------------------------------------------------
-    if dist.is_parallel and schedule.mpi_mode:
+    if dist.is_parallel and exchanging:
         from .sanitizer import poison_boxes
-        for func in schedule.functions:
+        for func in functions.values():
             if getattr(func, 'is_SparseFunction', False):
                 continue
             extents = _allocated_extents(func, shape)

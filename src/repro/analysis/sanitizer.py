@@ -32,8 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ['HaloPoisonError', 'HaloSanitizer', 'poison_boxes',
-           'make_sanitizer']
+__all__ = ['HaloPoisonError', 'HaloSanitizer', 'poison_boxes']
 
 Box = Tuple[slice, ...]
 
@@ -176,8 +175,3 @@ class HaloSanitizer:
                                                view.shape))
                 raise HaloPoisonError(section, name, time,
                                       self.dist.myrank, index)
-
-
-def make_sanitizer(schedule: Any) -> HaloSanitizer:
-    """Factory used by the code generators."""
-    return HaloSanitizer(schedule)

@@ -9,10 +9,15 @@ that influences the generated artifact is identical.  Those inputs are:
   pipeline are deterministic functions of the raw form, and hashing the
   raw form is what makes a cache hit cheap (lowering + optimization are
   ~90% of a cold build).
-* the **grid and its decomposition** — shape, dtype, Cartesian topology
-  and this rank's coordinates.  Generated source embeds per-rank
-  compile-time iteration boxes, so the same equations on a different
-  rank layout are a different kernel.
+* the **grid and which of its dimensions are split** — global shape,
+  dtype, and one flag per dimension telling whether the decomposition
+  cuts it.  That is all the lowering sees of the decomposition: the
+  schedule's exchanges follow the split dimensions, and everything a
+  rank's geometry decides — iteration boxes, slice bounds, neighbours,
+  buffer sizes, the certificate — is bound per rank from the artifact.
+  The key is therefore *rank-agnostic*: every rank of a launch, every
+  weighting and every rank count that splits the same dimensions
+  shares one entry.
 * the **build configuration** — DMP mode, the optimization switch, the
   verify gate, the sanitizer, instrumentation, the progress thread and
   the backend.
@@ -32,7 +37,7 @@ from __future__ import annotations
 from ..analysis import ANALYSIS_VERSION
 from ..symbolics.hashing import TokenEmitter
 
-__all__ = ['fingerprint_build']
+__all__ = ['fingerprint_build', 'grid_of']
 
 
 def _flatten(expressions):
@@ -46,6 +51,21 @@ def _flatten(expressions):
         else:
             flat.append(e)
     return flat
+
+
+def grid_of(expressions):
+    """The grid of the first expression that names one (None if none
+    does) — what a build needs to know before fingerprinting: whether
+    the ranks of a world share it."""
+    for e in _flatten(expressions):
+        target = getattr(e, 'sparse', None)
+        if target is None:
+            lhs = getattr(e, 'lhs', None)
+            target = getattr(lhs, 'base', lhs)
+        grid = getattr(target, 'grid', None)
+        if grid is not None:
+            return grid
+    return None
 
 
 def _emit_toplevel(emitter, e):
@@ -75,7 +95,7 @@ def _emit_toplevel(emitter, e):
 
 def fingerprint_build(expressions, *, mpi_mode, opt, verify, sanitizer,
                       instrument, progress, backend='py'):
-    """Fingerprint one operator build.
+    """Fingerprint one operator build: its rank-agnostic structure key.
 
     Returns ``(hexdigest, emitter)``; the emitter doubles as the symbol
     table (live functions / sparse functions / constants / grids found
@@ -97,20 +117,11 @@ def fingerprint_build(expressions, *, mpi_mode, opt, verify, sanitizer,
     emitter.token('exprs', len(flat))
     for e in flat:
         _emit_toplevel(emitter, e)
-    # decomposition signature of every grid touched: the generated
-    # source hard-codes this rank's iteration boxes and the exchanger
-    # tags assume this topology
+    # which dimensions of every grid touched are split: the schedule's
+    # halo exchanges follow them; the rest of the decomposition (rank,
+    # coordinates, local shape, weights) is bound per rank
     emitter.token('dists', len(emitter.grids))
     for grid in emitter.grids:
-        dist = grid.distributor
-        emitter.token('dist')
-        emitter.emit(tuple(dist.topology))
-        emitter.emit(int(dist.myrank))
-        emitter.emit(tuple(dist.mycoords))
-        emitter.emit(tuple(dist.shape_local))
-        # weighted (elastic) splits: the full per-dimension size vectors
-        # distinguish decompositions that happen to give *this* rank the
-        # same local shape but shift the global offsets
-        for dec in dist.decompositions:
-            emitter.emit(tuple(dec.sizes))
+        emitter.token('split')
+        emitter.emit(tuple(int(p) > 1 for p in grid.distributor.topology))
     return emitter.hexdigest(), emitter

@@ -1,26 +1,32 @@
 """Serializable kernel artifacts: the *value* side of the build cache.
 
 A cold ``Operator`` build runs the whole pipeline (lowering, Cluster IR,
-rewrites, halo placement, codegen, optionally the static verifier).
-Everything the resulting :class:`~repro.codegen.pybackend.PyKernel`
-needs at run time is either
+rewrites, halo placement, codegen, optionally the static verifier)
+once per *structure* — the equations, the build configuration and which
+dimensions are split — whatever rank does it.  Its product is
+rank-agnostic:
 
-* **pure data** that is a deterministic function of the build inputs —
-  the generated source, the per-step source line map, the section
-  metadata, exchanger geometry (widths/tags), flop and traffic counts,
-  the verifier's diagnostics — or
-* a **live object** of the calling program — grids, functions, sparse
-  functions, constants — that must *not* be serialized (it owns runtime
-  state such as ``data`` buffers and the MPI communicator).
+* **pure data** that is a deterministic function of the structure —
+  the NumPy driver as a template (:func:`~.pybackend.render_driver`),
+  the per-step geometry and access table, the section metadata,
+  exchanger widths and tags, flop and traffic counts, the certificate's
+  exchanger enumeration, the structure passes' diagnostics, the
+  compiled object and the template of its op program;
+* and nothing per rank.  What one rank runs — its iteration boxes and
+  hence the literal slice bounds of its driver text, section point
+  counts, the sanitizer's write map, the compiled step's geometry rows
+  and program, exchangers, sparse plans, the certificate's messages and
+  the in-bounds proof — is *bound* from that data and the rank's live
+  objects in milliseconds, and never cached.
 
-:class:`KernelArtifact` captures the first kind as a JSON-able payload
-and rebuilds the second kind by *rebinding*: the build-cache fingerprint
-traversal (:mod:`repro.symbolics.hashing`) collects every function /
-sparse function / constant by name, and :meth:`rehydrate` resolves the
-recorded names against those live objects, reconstructs the exchangers
-through :func:`~repro.mpi.halo.make_exchanger`, re-validates the tag
-spaces, recompiles the cached source and returns a ready ``PyKernel`` —
-without re-running lowering, optimization, scheduling or verification.
+:class:`KernelArtifact` holds the payload; :meth:`rehydrate` binds it:
+the build-cache fingerprint traversal (:mod:`repro.symbolics.hashing`)
+collects every function / sparse function / constant by name, the
+recorded names are resolved against those live objects, the driver is
+rendered for the rank's boxes and compiled, the exchangers are made
+through :func:`~repro.mpi.halo.make_exchanger` and the tag spaces
+re-validated.  A cold build binds its own rank the same way, so a warm
+kernel and a cold one are the same text.
 
 Any inconsistency (missing name, torn payload, version drift) raises
 :class:`ArtifactError`; the cache treats that as a miss and falls back
@@ -45,15 +51,17 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #:    them once per block of steps (the driver text changed).
 #: 6: ``backend='c'`` runs one compiled step per timestep; ``c_steps``
 #:    became the step's binding (emitter metadata + the driver's plan).
-ARTIFACT_VERSION = 6
+#: 7: rank-agnostic: the driver is a template, ``steps`` the geometry
+#:    and access table, the certificate an exchanger enumeration and
+#:    ``c_steps`` a program template; every rank binds its own geometry.
+ARTIFACT_VERSION = 7
 
-_REQUIRED_KEYS = ('version', 'source', 'step_lines', 'sections',
-                  'exchangers', 'mpi_mode', 'sanitizer_writes',
-                  'functions', 'sparse_functions', 'sparse_steps',
-                  'constants', 'uses_dt', 'flops_per_point',
-                  'traffic_per_point', 'analysis', 'certificate',
-                  'build_seconds', 'backend', 'c_source', 'so_path',
-                  'so_checksum', 'c_steps')
+_REQUIRED_KEYS = ('version', 'driver', 'shape', 'steps', 'sections',
+                  'exchangers', 'mpi_mode', 'sanitizer', 'functions',
+                  'sparse_functions', 'sparse_steps', 'constants',
+                  'uses_dt', 'flops_per_point', 'traffic_per_point',
+                  'certificate', 'analysis', 'build_seconds', 'backend',
+                  'c_source', 'so_path', 'so_checksum', 'c_steps')
 
 
 class ArtifactError(RuntimeError):
@@ -74,12 +82,28 @@ class _SanitizerScheduleShim:
         self.functions = functions
 
 
-class KernelArtifact:
-    """All build products of one operator, as plain data.
+def _scalars(meta):
+    """The scalar table of a bound compiled step (sorted names)."""
+    return sorted({s for m in meta.values() for s in m['scalars']})
 
-    Construct via :meth:`extract` (from a cold-built operator) or
-    :meth:`from_payload` (from a cache entry); turn back into a live
-    kernel with :meth:`rehydrate`.
+
+class _Whole:
+    """The geometry of one rank owning the whole grid."""
+
+    def __init__(self, shape):
+        self.shape_local = tuple(shape)
+
+    def is_distributed(self, d):
+        return False
+
+
+class KernelArtifact:
+    """All build products of one operator structure, as plain data.
+
+    Construct from a cold build (:func:`~.pybackend.lower_kernel`; the
+    Operator adds the structure passes' report) or via
+    :meth:`from_payload` (from a cache entry); bind it to one rank with
+    :meth:`rehydrate`.
     """
 
     def __init__(self, payload):
@@ -92,18 +116,29 @@ class KernelArtifact:
                 "artifact version %r != expected %d"
                 % (payload['version'], ARTIFACT_VERSION))
         self.payload = payload
-        #: memoized compiled code object (in-process tier only; never
-        #: serialized — marshal output is interpreter-version-bound)
-        self._code = None
+        #: compiled code objects by bound driver text (never serialized —
+        #: marshal output is interpreter-version-bound); ranks whose
+        #: boxes print the same text share one
+        self._code = {}
         #: memoized dlopen handle of the compiled backend's .so (keeps
-        #: the mapping alive across rehydrations of one artifact)
+        #: the mapping alive across bindings of one artifact)
         self._lib = None
+        self._nbytes = None
 
     # -- convenience accessors ---------------------------------------------------
 
     @property
     def source(self):
-        return self.payload['source']
+        """The driver as a rank owning the whole grid would run it."""
+        from .cstep import bind_meta
+        from .pybackend import render_driver
+        whole = _Whole(self.payload['shape'])
+        boxes = self._boxes(whole)
+        scalars = ()
+        if self.payload['c_steps'] is not None:
+            scalars = _scalars(bind_meta(self.payload['c_steps']['meta'],
+                                         boxes, whole.shape_local))
+        return render_driver(self.payload['driver'], boxes, scalars)[0]
 
     @property
     def build_seconds(self):
@@ -112,83 +147,28 @@ class KernelArtifact:
     @property
     def nbytes(self):
         """Approximate in-memory payload weight (source dominates)."""
-        import json
-        return len(json.dumps(self.payload))
+        if self._nbytes is None:
+            import json
+            self._nbytes = len(json.dumps(self.payload))
+        return self._nbytes
 
     # -- extraction (cold build -> data) ------------------------------------------
 
     @classmethod
     def extract(cls, op, build_seconds=0.0):
-        """Capture a cold-built ``Operator``'s kernel as an artifact."""
-        kernel = op.kernel
-        schedule = op.schedule
-        sections = []
-        for meta in op.profiler.sections.values():
-            if meta.kind == 'resilience':
-                continue  # registered per apply by the controller
-            sections.append({
-                'name': meta.name,
-                'kind': meta.kind,
-                'points': meta.points,
-                'flops_per_point': meta.flops_per_point,
-                'traffic_per_point': meta.traffic_per_point,
-                'exchanger_keys': list(meta.exchanger_keys),
-            })
-        exchangers = []
-        for key, ex in kernel.exchangers.items():
-            exchangers.append({
-                'key': key,
-                'function': key.split('_', 1)[1],
-                'widths': [list(w) for w in ex.widths],
-                'tag_base': int(ex.tag_base),
-            })
-        san = kernel.sanitizer
-        sanitizer_writes = None
-        if san is not None:
-            sanitizer_writes = {
-                section: [[name, tshift] for name, tshift in keys]
-                for section, keys in san._writes.items()}
-        analysis = None
-        if op.analysis is not None:
-            analysis = [[d.code, d.message, d.step_index, d.where]
-                        for d in op.analysis]
-        certificate = None
-        if getattr(op, 'certificate', None) is not None:
-            certificate = op.certificate.to_payload()
-        payload = {
-            'version': ARTIFACT_VERSION,
-            'source': kernel.source,
-            'step_lines': [[int(sid), int(a), int(b)]
-                           for sid, (a, b) in kernel.step_lines.items()],
-            'sections': sections,
-            'exchangers': exchangers,
-            'mpi_mode': schedule.mpi_mode,
-            'sanitizer_writes': sanitizer_writes,
-            'functions': [f.name for f in schedule.functions],
-            'sparse_functions': [s.name for s in schedule.sparse_functions],
-            'sparse_steps': [[int(sid), step.op.sparse.name]
-                             for sid, step in enumerate(schedule.steps)
-                             if step.is_sparse],
-            'constants': sorted(c.name for c in op._constants()),
-            'uses_dt': bool(op._uses_dt()),
-            'flops_per_point': op._flops_per_point,
-            'traffic_per_point': op._traffic_per_point,
-            'analysis': analysis,
-            'certificate': certificate,
-            'build_seconds': float(build_seconds),
-            # compiled-backend products ('numpy' builds carry Nones).
-            # The object is shared by every build of the same equations
-            # (its file name is its content key); c_steps is what this
-            # rank binds to its step (cstep.StepProgram's input).
-            # so_path is rewritten by the disk cache tier when it
-            # publishes the object into its own store.
-            'backend': kernel.backend,
-            'c_source': kernel.c_source,
-            'so_path': kernel.so_path,
-            'so_checksum': kernel.so_checksum,
-            'c_steps': kernel.c_steps,
-        }
-        return cls(payload)
+        """The artifact of a built ``Operator``'s structure, with the
+        structure passes' report (when it was verified) and
+        ``build_seconds`` recorded.  Shares the bound kernel's compiled
+        code."""
+        source = op.kernel.artifact
+        analysis = op.structure_report
+        artifact = cls(dict(
+            source.payload, build_seconds=float(build_seconds),
+            analysis=None if analysis is None else [
+                [d.code, d.message, d.step_index, d.where]
+                for d in analysis]))
+        artifact._code = source._code
+        return artifact
 
     # -- (de)serialization ----------------------------------------------------------
 
@@ -202,19 +182,28 @@ class KernelArtifact:
             raise ArtifactError("artifact payload is not a mapping")
         return cls(payload)
 
-    # -- rehydration (data -> live kernel) --------------------------------------------
+    # -- binding (data -> one rank's live kernel) -------------------------------------
+
+    def _boxes(self, dist):
+        """Every compute step's iteration boxes on ``dist``'s rank."""
+        from ..ir.schedule import region_boxes
+        return {sid: region_boxes(st['region'], st['widths'], dist)
+                for sid, st in enumerate(self.payload['steps'])
+                if st['kind'] == 'compute'}
 
     def rehydrate(self, symtab, progress=False, profiler=None):
-        """Rebuild a ready ``PyKernel`` against the live objects.
+        """Bind a ready ``PyKernel`` to one rank's live objects.
 
         ``symtab`` is the :class:`~repro.symbolics.hashing.TokenEmitter`
-        of the fingerprint traversal — it carries the live functions,
-        sparse functions and constants by name.  Raises
+        of the fingerprint traversal (or
+        :func:`~.pybackend.symbols_of` a schedule) — it carries the live
+        functions, sparse functions and constants by name; their grid's
+        distributor is the rank's geometry.  Raises
         :class:`ArtifactError` when the recorded names cannot be
         resolved; the caller falls back to a cold build.
         """
         from ..dsl.sparse import PrecomputedSparseData
-        from .pybackend import PyKernel
+        from .pybackend import PyKernel, box_volume, render_driver
 
         p = self.payload
         try:
@@ -229,9 +218,10 @@ class KernelArtifact:
         dist = grid.distributor
         mode = p['mpi_mode']
         by_name = {f.name: f for f in functions}
+        boxes = self._boxes(dist)
 
         # exchangers: geometry from the artifact, topology from the live
-        # distributor (same by construction: it is part of the cache key)
+        # distributor
         exchangers = {}
         for spec in p['exchangers']:
             func = by_name.get(spec['function'])
@@ -257,38 +247,43 @@ class KernelArtifact:
             sparse_plans[int(sid)] = PrecomputedSparseData(s).binding()
             sparse_npoints[int(sid)] = len(s.routing.local_points)
 
-        # section registry: replayed in emission order; sparse point
-        # counts are recomputed from the live routing (runtime data)
-        if profiler is None:
-            profiler = Profiler('off')
-        sparse_sids = iter(sorted(sparse_npoints))
-        for meta in p['sections']:
-            npoints = 0
-            if meta['kind'] == 'sparse':
-                try:
-                    npoints = sparse_npoints[next(sparse_sids)]
-                except StopIteration:
-                    raise ArtifactError(
-                        "more sparse sections than sparse steps") from None
-            profiler.register(SectionMeta(
-                meta['name'], meta['kind'], points=meta['points'],
-                flops_per_point=meta['flops_per_point'],
-                traffic_per_point=meta['traffic_per_point'],
-                exchanger_keys=tuple(meta['exchanger_keys']),
-                sparse_npoints=npoints))
-
-        # sanitizer: rebuilt from the live grid/functions, write map replayed
+        # sanitizer: built from the live grid/functions; a compute
+        # section's writes are scanned only where it has points
         san = None
-        if p['sanitizer_writes'] is not None:
+        if p['sanitizer']:
             from ..analysis.sanitizer import HaloSanitizer
             san = HaloSanitizer(_SanitizerScheduleShim(grid, mode,
                                                        functions))
             if not san.enabled:
                 raise ArtifactError("sanitizer recorded but not "
                                     "rebuildable on this grid")
-            for section, keys in p['sanitizer_writes'].items():
-                san.register_writes(section,
-                                    [(name, tshift) for name, tshift in keys])
+
+        # section registry, in emission order: compute point counts are
+        # this rank's boxes, sparse ones its live routing
+        if profiler is None:
+            profiler = Profiler('off')
+        sparse_sids = iter(sorted(sparse_npoints))
+        for meta in p['sections']:
+            npoints = points = 0
+            step = meta['step']
+            if meta['kind'] == 'sparse':
+                try:
+                    npoints = sparse_npoints[next(sparse_sids)]
+                except StopIteration:
+                    raise ArtifactError(
+                        "more sparse sections than sparse steps") from None
+            elif step is not None:
+                points = sum(box_volume(box) for box in boxes[step])
+            profiler.register(SectionMeta(
+                meta['name'], meta['kind'], points=points,
+                flops_per_point=meta['flops_per_point'],
+                traffic_per_point=meta['traffic_per_point'],
+                exchanger_keys=tuple(meta['exchanger_keys']),
+                sparse_npoints=npoints))
+            if san is not None and meta['writes'] and \
+                    (step is None or boxes[step]):
+                san.register_writes(meta['name'],
+                                    [tuple(w) for w in meta['writes']])
 
         # compiled backend: re-attach the shared object.  The checksum
         # is the tamper seal — a deleted, truncated or modified .so
@@ -297,7 +292,8 @@ class KernelArtifact:
         # the content name says who may run it: an object this host's
         # toolchain and CPU would not have produced is foreign too.
         backend = p.get('backend') or 'numpy'
-        c_funcs = program = None
+        c_funcs = program = c_steps = None
+        scalars = ()
         if backend == 'c':
             import os
             from ..ioutil import file_digest
@@ -314,63 +310,63 @@ class KernelArtifact:
             if file_digest(so_path) != p['so_checksum']:
                 raise ArtifactError("compiled artifact's shared object "
                                     "fails its checksum: %r" % (so_path,))
-            from .cstep import StepProgram
+            from .cstep import StepProgram, bind_meta
+            from .pybackend import bind_plan
             try:
                 self._lib, c_funcs = jit.load_steps(so_path)
-                program = StepProgram(
-                    self._lib, p['c_steps']['plan'], p['c_steps']['meta'],
-                    exchangers, dist, san, grid.dtype)
+                meta = bind_meta(p['c_steps']['meta'], boxes,
+                                 dist.shape_local)
+                plan = bind_plan(p['c_steps']['plan'], meta,
+                                 san._writes if san is not None else {})
+                program = StepProgram(self._lib, plan, meta, exchangers,
+                                      dist, san, grid.dtype)
             except (jit.JITError, KeyError, TypeError, ValueError) as e:
                 raise ArtifactError(str(e)) from None
+            scalars = _scalars(meta)
+            c_steps = {'meta': {str(sid): m for sid, m in meta.items()},
+                       'plan': plan}
 
-        # compile + exec the cached source (memoized per artifact object)
-        source = p['source']
-        if self._code is None:
-            self._code = compile(source, '<repro-jit-kernel>', 'exec')
+        # render this rank's driver, compile it (memoized by text)
+        source, step_lines = render_driver(p['driver'], boxes, scalars)
+        code = self._code.get(source)
+        if code is None:
+            code = self._code[source] = compile(
+                source, '<repro-jit-kernel>', 'exec')
         namespace = {}
         if san is not None:
             namespace['__SAN'] = san
         if c_funcs is not None:
             namespace.update(__C=c_funcs, __CS=program)
-        exec(self._code, namespace)  # noqa: S102 - the cached JIT artifact
+        exec(code, namespace)  # noqa: S102 - the JIT kernel
         func = namespace.get('__kernel')
         if func is None:
             raise ArtifactError("cached source defines no __kernel")
 
-        step_lines = {int(sid): (int(a), int(b))
-                      for sid, a, b in p['step_lines']}
         return PyKernel(source, func, exchangers, sparse_plans,
-                        schedule=None, profiler=profiler,
+                        profiler=profiler,
                         step_lines=step_lines, sanitizer=san,
                         backend=backend, c_source=p['c_source'],
                         so_path=p['so_path'],
                         so_checksum=p['so_checksum'],
-                        c_steps=p['c_steps'],
-                        lib=getattr(self, '_lib', None))
+                        c_steps=c_steps, lib=self._lib, artifact=self)
 
-    def rehydrate_analysis(self, kernel=None):
-        """Rebuild the cached verify-gate report (or None)."""
+    def rehydrate_analysis(self):
+        """The cached structure passes' diagnostics (or None when the
+        build was not verified)."""
         if self.payload['analysis'] is None:
             return None
-        from ..analysis.diagnostics import AnalysisReport, Diagnostic
-        diagnostics = [Diagnostic(code, message, step_index=step_index,
-                                  where=where)
-                       for code, message, step_index, where
-                       in self.payload['analysis']]
-        return AnalysisReport(diagnostics=diagnostics, schedule=None,
-                              kernel=kernel)
+        from ..analysis.diagnostics import Diagnostic
+        return [Diagnostic(code, message, step_index=step_index,
+                           where=where)
+                for code, message, step_index, where
+                in self.payload['analysis']]
 
-    def rehydrate_certificate(self):
-        """Rebuild the cached static communication certificate (or
-        None).  Certificates are per-rank and per-decomposition — both
-        part of the cache key, so the cached prediction is exact for
-        the rehydrated kernel."""
-        payload = self.payload.get('certificate')
-        if payload is None:
-            return None
-        from ..analysis.certificate import CommCertificate
+    def rehydrate_certificate(self, dist):
+        """The static communication certificate of ``dist``'s rank,
+        bound from the cached exchanger enumeration."""
+        from ..analysis.certificate import bind_certificate
         try:
-            return CommCertificate.from_payload(payload)
+            return bind_certificate(self.payload['certificate'], dist)
         except (KeyError, TypeError, ValueError) as e:
             raise ArtifactError("malformed certificate payload: %s"
                                 % (e,)) from None

@@ -29,7 +29,7 @@ from ..ir.schedule import plan_blocking
 from ..profiling import assign_section_names
 from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
                          unique_nodes)
-from .common import class_geometry, function_nb
+from .common import function_nb
 from .cruntime import STEP_MARK, prelude_source, runtime_source
 
 __all__ = ['generate_c', 'generate_c_steps']
@@ -576,23 +576,23 @@ def generate_c_steps(schedule, dtype=None):
     program and everything it points at are run-time data
     (:mod:`.cstep`).
 
-    ``meta`` is this rank's description of what the source offers, by
-    schedule step index::
+    ``meta`` describes what the source offers, by schedule step index,
+    for every rank alike::
 
         {sid: {'name': 'k<n>' | '__sp<n>',   # the C function
                'fn': <its entry in the step's function table>,
                'fields': [...], 'scalars': [...],   # operands, in order
-               'geom': [nboxes, strides..., lo, hi, ...]   # compute
-               'halos': [layout-class halos]}}              # sparse
+               'halos': [layout-class halos]}}
 
+    A rank binds it (:func:`~repro.codegen.cstep.bind_meta`): a compute
+    step's geometry row is its layout classes and iteration boxes on
+    that rank, and a step without iteration points there is skipped.
     Dense fields are raw float/double pointers, every scalar a
     ``double`` (weak-scalar semantics keep pure-scalar math in double —
     see :class:`~repro.symbolics.CExecPrinter`), time-buffer indices
-    Python's floor modulo of ``time``.  Compute steps without iteration
-    points on this rank get no entry (the program skips them).
+    Python's floor modulo of ``time``.
     """
     grid = schedule.grid
-    dist = grid.distributor
     if dtype is None:
         dtype = grid.dtype
     import numpy as np
@@ -635,15 +635,9 @@ def generate_c_steps(schedule, dtype=None):
                 em, glue, 'k%d' % len(kernels), len(fns), step.cluster,
                 key[1], ctype, dtype, tvars, scalar_kinds)
             fns.append('__call_k%d' % (len(kernels) - 1))
-        boxes = step.boxes(dist)
-        if boxes:
-            fn, halos, fields, scalars = kernels[key]
-            geom = [len(boxes)]
-            for halo in halos:
-                geom += class_geometry(halo, dist.shape_local)
-            geom += [bound for box in boxes for lohi in box for bound in lohi]
-            meta[sid] = {'name': fns[fn][len('__call_'):], 'fn': fn,
-                         'fields': fields, 'scalars': scalars, 'geom': geom}
+        fn, halos, fields, scalars = kernels[key]
+        meta[sid] = {'name': fns[fn][len('__call_'):], 'fn': fn,
+                     'fields': fields, 'scalars': scalars, 'halos': halos}
     libm = False
     for sid, step in enumerate(schedule.steps):
         if step.is_sparse:

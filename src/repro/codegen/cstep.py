@@ -35,7 +35,7 @@ from ..mpi.sim import PROC_NULL, RemoteRankError
 from .common import class_geometry
 from .cruntime import ERRORS, EXCHANGER_COUNTERS, OPS
 
-__all__ = ['Binding', 'StepProgram']
+__all__ = ['Binding', 'StepProgram', 'bind_meta']
 
 
 class _Struct(ctypes.Structure):
@@ -55,6 +55,27 @@ _NEVER = ctypes.c_int(0)
 
 def _long(values):
     return np.ascontiguousarray(values, dtype=np.int64)
+
+
+def bind_meta(meta, boxes, shape_local):
+    """One rank's view of :func:`~repro.codegen.cgen.generate_c_steps`
+    metadata, by step index: a compute step with iteration points here
+    gains its geometry row ``[nboxes, <class_geometry per layout
+    class>, <lo, hi per dimension per box>]``, one without is dropped
+    (the program skips it), sparse steps pass through.  ``boxes`` maps
+    every compute step to this rank's boxes."""
+    out = {}
+    for sid, m in meta.items():
+        sid = int(sid)
+        if sid not in boxes:
+            out[sid] = m
+        elif boxes[sid]:
+            geom = [len(boxes[sid])]
+            for halo in m['halos']:
+                geom += class_geometry(halo, shape_local)
+            geom += [b for box in boxes[sid] for lohi in box for b in lohi]
+            out[sid] = dict(m, geom=geom)
+    return out
 
 
 class StepProgram:

@@ -10,8 +10,13 @@ Key translation rule: an access ``u[t+s, x+a, y+b]`` over an iteration box
 ``[xb, xe) x [yb, ye)`` becomes the slice
 ``u[(time+s) % nb, a+H+xb : a+H+xe, b+H+yb : b+H+ye]`` where ``H`` is the
 function's allocated halo ("access alignment", paper Section III-d).
-Boxes and halo offsets are compile-time constants, so generated index
-arithmetic is fully folded.
+
+Lowering is rank-agnostic (:func:`lower_kernel`): ``a+H`` is known once
+per set of equations, the box only on a rank, so the driver is kept as
+a template with one placeholder per slice.  Each rank binds it
+(:func:`render_driver`) to its own boxes, printing literal bounds —
+the text, and therefore the generated index arithmetic, is exactly
+what a per-rank generator would print, fully folded.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioutil import file_digest
-from ..mpi import check_tag_spaces, make_exchanger
-from ..profiling import Profiler, SectionMeta, assign_section_names
+from ..profiling import Profiler, assign_section_names
 from ..symbolics import PyPrinter
+from .artifact import ARTIFACT_VERSION, KernelArtifact
 from .common import function_nb, validate_names
 
-__all__ = ['PyKernel', 'generate_kernel']
+__all__ = ['PyKernel', 'bind_plan', 'box_volume', 'generate_kernel',
+           'lower_kernel', 'render_driver', 'symbols_of']
 
 _INDENT = '    '
 
@@ -32,15 +38,14 @@ _INDENT = '    '
 class PyKernel:
     """A compiled kernel plus everything needed to invoke it."""
 
-    def __init__(self, source, func, exchangers, sparse_plans, schedule,
+    def __init__(self, source, func, exchangers, sparse_plans,
                  profiler=None, step_lines=None, sanitizer=None,
                  backend='numpy', c_source=None, so_path=None,
-                 so_checksum=None, c_steps=None, lib=None):
+                 so_checksum=None, c_steps=None, lib=None, artifact=None):
         self.source = source
         self.func = func
         self.exchangers = exchangers
         self.sparse_plans = sparse_plans
-        self.schedule = schedule
         self.profiler = profiler
         #: schedule step index -> (first, one-past-last) 0-based line
         #: numbers in ``source`` (consumed by the diagnostics renderer)
@@ -55,11 +60,13 @@ class PyKernel:
         #: every kernel built from the same equations
         self.so_path = so_path
         self.so_checksum = so_checksum
-        #: what this rank binds to its step ('c' only): ``{'meta':
-        #: generate_c_steps metadata, 'plan': the op program}``
+        #: what this rank binds to its step ('c' only): ``{'meta': the
+        #: bound generate_c_steps metadata, 'plan': the op program}``
         self.c_steps = c_steps
         #: the loaded ctypes library (keeps the dlopen handle alive)
         self.lib = lib
+        #: the rank-agnostic KernelArtifact this kernel is a binding of
+        self.artifact = artifact
 
     def __call__(self, time_m, time_M, arrays, params, comm, timer=None,
                  resilience=None):
@@ -67,23 +74,14 @@ class PyKernel:
                          self.sparse_plans, comm, np, timer, resilience)
 
 
-class _Emitter:
-    def __init__(self):
-        self.lines = []
-        self.level = 0
+def _slice_index_printer():
+    """PyPrinter index callback of a rank-agnostic iteration box.
 
-    def emit(self, text=''):
-        self.lines.append(_INDENT * self.level + text if text else '')
-
-    def source(self):
-        return '\n'.join(self.lines) + '\n'
-
-
-def _slice_index_printer(box_bounds, time_var='time'):
-    """Build a PyPrinter index callback for a given iteration box.
-
-    ``box_bounds`` is a per-space-dim list of (begin, end) ints in
-    domain-local coordinates.
+    The slice of an access at offset ``off`` along dimension ``d`` over
+    the box ``[lo, hi)`` is ``off + H + lo : off + H + hi``; what the
+    build knows is ``off + H``, so it prints the placeholder
+    ```d,off+H``` (no generated Python contains a backtick) and every
+    rank fills in its own box (:func:`render_driver`).
     """
     from ..ir.lowered import parse_index
 
@@ -97,12 +95,10 @@ def _slice_index_printer(box_bounds, time_var='time'):
             off = parse_index(idx, dim)
             if dim.is_Time:
                 nb = function_nb(func)
-                parts.append('(%s + %d) %% %d' % (time_var, off, nb))
+                parts.append('(time + %d) %% %d' % (off, nb))
             else:
-                d = sdims.index(dim)
-                lo, hi = box_bounds[d]
-                hl = halo[dim][0]
-                parts.append('%d:%d' % (off + hl + lo, off + hl + hi))
+                parts.append('`%d,%d`'
+                             % (sdims.index(dim), off + halo[dim][0]))
         return '%s[%s]' % (func.name, ', '.join(parts))
 
     return index_printer
@@ -159,7 +155,13 @@ class _SparsePrinter(PyPrinter):
 
 def generate_kernel(schedule, progress=False, profiler=None,
                     sanitizer=False, backend='numpy'):
-    """Generate, compile and wrap the Python kernel for ``schedule``.
+    """Lower ``schedule`` to its rank-agnostic kernel and bind it here.
+
+    Returns this rank's ready :class:`PyKernel`; ``kernel.artifact`` is
+    the rank-agnostic :class:`~repro.codegen.artifact.KernelArtifact`
+    (:func:`lower_kernel`) every other rank of the launch binds with
+    :meth:`~repro.codegen.artifact.KernelArtifact.rehydrate` — the same
+    call a build-cache hit makes.
 
     When ``profiler`` is enabled (profiling level ``basic``/``advanced``),
     every schedule step is wrapped in a named, timed section; at level
@@ -185,76 +187,95 @@ def generate_kernel(schedule, progress=False, profiler=None,
     interpolation another sparse step reads in the same timestep)
     degrade to NumPy with a visible warning.
     """
-    grid = schedule.grid
-    dist = grid.distributor
-    validate_names(schedule)
     if profiler is None:
         profiler = Profiler('off')
-    instrument = profiler.enabled
-    san = None
-    if sanitizer:
-        from ..analysis.sanitizer import make_sanitizer
-        san = make_sanitizer(schedule)
-        if not san.enabled:
-            san = None
+    artifact = KernelArtifact(lower_kernel(
+        schedule, instrument=profiler.enabled, sanitizer=sanitizer,
+        backend=backend))
+    return artifact.rehydrate(symbols_of(schedule), progress=progress,
+                              profiler=profiler)
+
+
+def symbols_of(schedule):
+    """The live objects of ``schedule`` by name, shaped like the
+    fingerprint's symbol table (what a binding resolves names against)."""
+    from types import SimpleNamespace
+    constants, _ = _free_symbols(schedule)
+    return SimpleNamespace(
+        functions={f.name: f for f in schedule.functions},
+        sparse={s.name: s for s in schedule.sparse_functions},
+        constants=constants)
+
+
+def lower_kernel(schedule, instrument=False, sanitizer=False,
+                 backend='numpy'):
+    """Everything a kernel is that no rank's geometry decides.
+
+    Returns the JSON-able rank-agnostic artifact payload (see
+    :mod:`repro.codegen.artifact`).  The NumPy driver is a template
+    (:func:`render_driver`): the slice bounds of every compute step and
+    whether it runs at all on a rank are left to that rank's boxes, and
+    so are the section point counts, the sanitizer's write map and the
+    compiled step's geometry rows and op program.
+    """
+    from ..analysis.certificate import certificate_plan
+    from ..analysis.dataflow import access_table
+    grid = schedule.grid
+    validate_names(schedule)
+    parallel = grid.distributor.is_parallel
+    san = sanitizer and bool(parallel and schedule.mpi_mode)
     preamble_names, step_names = assign_section_names(schedule)
     sparse_steps = [(i, s) for i, s in enumerate(schedule.steps)
                     if s.is_sparse]
-    deferred = _deferred_interpolations(sparse_steps) \
-        if dist.is_parallel else {}
+    deferred = _deferred_interpolations(sparse_steps) if parallel else {}
+    constants, uses_dt = _free_symbols(schedule)
 
-    c_source = c_meta = c_funcs = None
-    so_path = so_checksum = lib = None
+    c_source = c_meta = so_path = so_checksum = None
     if backend == 'c':
         from . import jit
         from .cgen import generate_c_steps
         try:
             if any(step.kind == 'interpolate' and sid not in deferred
-                   for sid, step in sparse_steps) and dist.is_parallel:
+                   for sid, step in sparse_steps) and parallel:
                 raise ValueError("a distributed interpolation is read by "
                                  "another sparse step of its timestep")
             c_source, c_meta = generate_c_steps(schedule)
             so_path = jit.compile_shared(c_source)
             so_checksum = file_digest(so_path)
-            lib, c_funcs = jit.load_steps(so_path)
+            jit.load_steps(so_path)
         except (ValueError, jit.JITError) as e:
             import warnings
             warnings.warn("compiled backend unavailable for this build "
                           "(%s); falling back to the NumPy backend"
-                          % (e,), jit.ToolchainWarning, stacklevel=2)
+                          % (e,), jit.ToolchainWarning, stacklevel=3)
             backend = 'numpy'
-            c_source = c_meta = so_path = so_checksum = lib = None
+            c_source = c_meta = so_path = so_checksum = None
     compiled = backend == 'c'
     #: the compiled step's program, recorded alongside the NumPy driver
-    plan = _Plan(schedule)
+    plan = _Plan(schedule, instrument)
+    sections = []
 
-    em = _Emitter()
+    em = _Template()
     em.emit('def __kernel%s(time_m, time_M, __A, __P, __EX, __SP, __comm, '
             'np, __T, __RES=None):' % ('_py' if compiled else ''))
     em.level += 1
 
     def sec_begin():
-        if instrument:
-            em.emit('__t = __T.now()')
+        return ['__t = __T.now()'] if instrument else []
 
     def sec_end(name, in_loop=True):
-        if instrument:
-            em.emit("__T.add('%s', __t%s)"
-                    % (name, ', time' if in_loop else ''))
+        return ["__T.add('%s', __t%s)" % (name, ', time' if in_loop
+                                           else '')] if instrument else []
 
     # -- unpack arrays and scalars ------------------------------------------------
     functions = {f.name: f for f in schedule.functions}
     for name in sorted(functions):
         em.emit("%s = __A['%s']" % (name, name))
     scalar_names = sorted({d.spacing.name for d in grid.dimensions}
-                          | {'dt'} | set(_constant_names(schedule)))
+                          | {'dt'} | set(constants))
     for name in scalar_names:
         em.emit("%s = __P['%s']" % (name, name))
     em.emit()
-
-    # -- exchanger construction (done by the caller; named here) -------------------
-    exchangers = {}
-    sparse_plans = {}
 
     # -- preamble: loop-invariant scalars (Listing 11's r0, r1, ...) ---------------
     scalar_printer = PyPrinter()
@@ -280,19 +301,15 @@ def generate_kernel(schedule, progress=False, profiler=None,
         _emit_pending_rows(em, deferred)
 
     # -- preamble: hoisted halo exchanges of time-invariant functions ---------------
-    tag_base = [0]
+    # exchangers are made per rank from these specs (each owns 64 tags)
+    exchangers = []
 
     def new_exchanger(key, func, widths):
-        mode = schedule.mpi_mode or 'basic'
-        ex = make_exchanger(mode, dist, func.halo, widths,
-                            tag_base=tag_base[0], name=key,
-                            **({'progress': progress}
-                               if mode == 'full' else {}))
-        tag_base[0] += 64
-        exchangers[key] = ex
-        return key
+        exchangers.append({'key': key, 'function': func.name,
+                           'widths': [list(w) for w in widths],
+                           'tag_base': 64 * len(exchangers)})
 
-    if san is not None:
+    if san:
         em.emit('# sanitizer: poison every neighbor-owned ghost cell')
         em.emit('__SAN.poison_invariants(__A)')
         em.emit()
@@ -303,12 +320,11 @@ def generate_kernel(schedule, progress=False, profiler=None,
         for req, sname in zip(schedule.preamble_halo, preamble_names):
             key = 'pre_%s' % req.function.name
             new_exchanger(key, req.function, req.widths)
-            profiler.register(SectionMeta(sname, 'halo',
-                                          exchanger_keys=(key,)))
-            sec_begin()
+            sections.append(_section(sname, 'halo', exchanger_keys=[key]))
+            em.emit_all(sec_begin())
             em.emit("__EX['%s'].exchange(%s)" % (key, req.function.name))
-            sec_end(sname, in_loop=False)
-            plan.section('pre', sname, instrument, [
+            em.emit_all(sec_end(sname, in_loop=False))
+            plan.section('pre', sname, [
                 ('update', key, req.function.name, None)])
         em.emit()
 
@@ -322,38 +338,30 @@ def generate_kernel(schedule, progress=False, profiler=None,
     em.emit('__RES is None or __RES.tick(time%s)'
             % (', __flush' if deferred else ''))
     em.emit('__comm is None or __comm.fault_tick(time)')
-    if san is not None:
+    if san:
         em.emit('# sanitizer: buffer rotation invalidated every halo')
         em.emit('__SAN.poison(__A)')
         plan.add('loop', 'poison', 'time')
-    body_emitted = False
-    step_lines = {}
-
-    def scans(sname):
-        return [('scan', sname, name, tshift)
-                for name, tshift in san._writes.get(sname, ())] \
-            if san is not None else []
 
     for sid, step in enumerate(schedule.steps):
         sname = step_names[sid]
-        first_line = len(em.lines)
         if step.is_halo:
-            body_emitted = True
+            em.open_step()
             keys = ['h%d_%s' % (step.uid, req.function.name)
                     for req in step.exchanges]
-            profiler.register(SectionMeta(
+            sections.append(_section(
                 sname, 'halo' if step.kind != 'wait' else 'wait',
-                exchanger_keys=keys if step.kind != 'wait' else ()))
-            sec_begin()
+                exchanger_keys=keys if step.kind != 'wait' else []))
+            em.emit_all(sec_begin())
             ops = []
             for req, key in zip(step.exchanges, keys):
                 view = _view_expr(req.function, req.time_shift)
                 if step.kind == 'update':
-                    if key not in exchangers:
+                    if all(ex['key'] != key for ex in exchangers):
                         new_exchanger(key, req.function, req.widths)
                     em.emit("__EX['%s'].exchange(%s)" % (key, view))
                 elif step.kind == 'begin':
-                    if key not in exchangers:
+                    if all(ex['key'] != key for ex in exchangers):
                         new_exchanger(key, req.function, req.widths)
                     em.emit("__pend_%s = __EX['%s'].begin(%s)"
                             % (key, key, view))
@@ -363,109 +371,212 @@ def generate_kernel(schedule, progress=False, profiler=None,
                 ops.append(({'update': 'update', 'begin': 'send',
                              'wait': 'recv'}[step.kind], key,
                             req.function.name, req.time_shift))
-            sec_end(sname)
-            plan.section('loop', sname, instrument, ops)
+            em.emit_all(sec_end(sname))
+            em.close_step(sid)
+            plan.section('loop', sname, ops)
         elif step.is_compute:
-            body_emitted = True
-            boxes = step.boxes(dist)
-            npoints = sum(_box_volume(box) for box in boxes)
-            profiler.register(SectionMeta(
-                sname, 'compute', points=npoints,
+            sections.append(_section(
+                sname, 'compute', step=sid,
                 flops_per_point=step.cluster.flops_per_point(),
                 traffic_per_point=step.cluster.traffic_per_point(
-                    grid.dtype.itemsize)))
-            if boxes:
-                sec_begin()
-                for box in boxes:
-                    _emit_cluster(em, step.cluster, box)
-                sec_end(sname)
-                if san is not None:
-                    san.register_writes(sname,
-                                        sorted(step.cluster.write_keys))
-                    em.emit("__SAN.check('%s', __A, time)" % sname)
-                plan.section('loop', sname, instrument,
-                                      [('call', sid)], scans(sname))
+                    grid.dtype.itemsize),
+                writes=sorted(step.cluster.write_keys) if san else []))
+            tail = sec_end(sname)
+            if san:
+                tail.append("__SAN.check('%s', __A, time)" % sname)
+            em.compute(sid, sec_begin(), _cluster_template(em, step.cluster),
+                       tail)
+            plan.section('loop', sname, [('call', sid)], step=sid)
         else:
-            body_emitted = True
-            profiler.register(SectionMeta(
-                sname, 'sparse',
-                sparse_npoints=len(step.op.sparse.routing.local_points)))
-            sec_begin()
-            _emit_sparse(em, sid, step, dist, deferred=sid in deferred)
+            em.open_step()
+            writes = [list(step.field_access.key)] \
+                if san and step.field_access is not None else []
+            sections.append(_section(sname, 'sparse', writes=writes))
+            em.emit_all(sec_begin())
+            _emit_sparse(em, sid, step, parallel, deferred=sid in deferred)
             if deferred and sid == max(deferred):
                 _emit_block_end(em, deferred)
-            sec_end(sname)
-            if san is not None and step.field_access is not None:
-                san.register_writes(sname, [step.field_access.key])
+            em.emit_all(sec_end(sname))
+            if writes:
                 em.emit("__SAN.check('%s', __A, time)" % sname)
+            em.close_step(sid)
             plan.sparse(sid, step, sid in deferred)
-            plan.section('loop', sname, instrument, [('call', sid)],
-                         scans(sname))
-        step_lines[sid] = (first_line, len(em.lines))
+            plan.section('loop', sname, [('call', sid)])
 
-    if not body_emitted:
+    if not schedule.steps:
         em.emit('pass')
     em.level -= 1
     em.emit('return')
 
-    # static communication hygiene: concurrently live exchangers must
-    # own disjoint tag spaces (a collision would cross-deliver halos)
-    check_tag_spaces(exchangers)
-
     c_steps = None
     if compiled:
         c_steps = {'meta': {str(sid): m for sid, m in c_meta.items()},
-                   'plan': plan.finish(exchangers, c_meta)}
+                   'plan': plan.template(exchangers)}
         em.level = 0
         em.emit()
-        _emit_compiled_driver(em, schedule, c_steps['plan'], deferred,
-                              scalar_names, instrument)
-    source = em.source()
-    namespace = {}
-    if san is not None:
-        namespace['__SAN'] = san
-    if compiled:
-        from .cstep import StepProgram
-        namespace.update(__C=c_funcs, __CS=StepProgram(
-            lib, c_steps['plan'], c_meta, exchangers, dist, san,
-            grid.dtype))
-    code = compile(source, '<repro-jit-kernel>', 'exec')
-    exec(code, namespace)  # noqa: S102 - this is the JIT compiler
-    return PyKernel(source, namespace['__kernel'], exchangers, sparse_plans,
-                    schedule, profiler=profiler, step_lines=step_lines,
-                    sanitizer=san, backend=backend, c_source=c_source,
-                    so_path=so_path, so_checksum=so_checksum,
-                    c_steps=c_steps, lib=lib)
+        _emit_compiled_driver(em, schedule, bool(plan.ops['pre']),
+                              deferred, scalar_names, instrument)
+    payload = {
+        'version': ARTIFACT_VERSION,
+        'driver': em.finish(),
+        'shape': [int(n) for n in grid.shape],
+        'steps': access_table(schedule),
+        'sections': sections,
+        'exchangers': exchangers,
+        'mpi_mode': schedule.mpi_mode,
+        'sanitizer': san,
+        'functions': [f.name for f in schedule.functions],
+        'sparse_functions': [s.name for s in schedule.sparse_functions],
+        'sparse_steps': [[int(sid), step.op.sparse.name]
+                         for sid, step in sparse_steps],
+        'constants': sorted(constants),
+        'uses_dt': uses_dt,
+        'flops_per_point': schedule.flops_per_point(),
+        'traffic_per_point': schedule.traffic_per_point(
+            grid.dtype.itemsize),
+        'certificate': certificate_plan(schedule),
+        'analysis': None,
+        'build_seconds': 0.0,
+        # compiled-backend products ('numpy' builds carry Nones).  The
+        # object is shared by every build of the same equations (its
+        # file name is its content key); so_path is rewritten by the
+        # disk cache tier when it publishes the object into its store.
+        'backend': backend,
+        'c_source': c_source,
+        'so_path': so_path,
+        'so_checksum': so_checksum,
+        'c_steps': c_steps,
+    }
+    return payload
+
+
+def _section(name, kind, step=None, flops_per_point=0, traffic_per_point=0,
+             exchanger_keys=(), writes=()):
+    """One profiler section of the build, as data: a compute section
+    names its ``step`` (its point count is that step's boxes on the
+    binding rank); ``writes`` are the (function, time shift) buffers the
+    sanitizer scans after it."""
+    return {'name': name, 'kind': kind, 'step': step,
+            'flops_per_point': flops_per_point,
+            'traffic_per_point': traffic_per_point,
+            'exchanger_keys': list(exchanger_keys),
+            'writes': [list(w) for w in writes]}
+
+
+class _Template:
+    """Line emitter of the driver template: literal lines, the steps'
+    own lines (so a binding knows each step's line range) and compute
+    steps, whose text depends on the binding rank's boxes."""
+
+    def __init__(self):
+        self.parts = []
+        self.lines = []
+        self.level = 0
+
+    def emit(self, text=''):
+        self.lines.append(_INDENT * self.level + text if text else '')
+
+    def emit_all(self, texts):
+        for text in texts:
+            self.emit(text)
+
+    def _flush(self):
+        if self.lines:
+            self.parts.append(['text', self.lines])
+            self.lines = []
+
+    def open_step(self):
+        self._flush()
+
+    def close_step(self, sid):
+        self.parts.append(['step', sid, self.lines])
+        self.lines = []
+
+    def compute(self, sid, head, body, tail):
+        """Compute step ``sid``: on a rank with boxes, ``head``, then
+        per box a label comment and ``body`` with its slice placeholders
+        filled in, then ``tail``; nothing on a rank without."""
+        indent = _INDENT * self.level
+        self._flush()
+        self.parts.append(['compute', sid, indent,
+                           [indent + t for t in head], body,
+                           [indent + t for t in tail]])
+
+    def bind_call(self, rows):
+        """The compiled driver's ``__CS.bind`` call: its scalar tuple
+        lists what the rank's bound steps read."""
+        self._flush()
+        self.parts.append(['bind', _INDENT * self.level, rows])
+
+    def finish(self):
+        self._flush()
+        return self.parts
+
+
+def render_driver(parts, boxes, scalars=()):
+    """Bind a driver template to one rank: ``boxes`` maps every compute
+    step to the rank's iteration boxes, ``scalars`` are the bound
+    compiled step's scalar names.  Returns ``(source, step_lines)``,
+    byte for byte the text a per-rank generator would print."""
+    lines, step_lines = [], {}
+    for part in parts:
+        kind = part[0]
+        if kind == 'text':
+            lines += part[1]
+        elif kind == 'step':
+            step_lines[part[1]] = (len(lines), len(lines) + len(part[2]))
+            lines += part[2]
+        elif kind == 'compute':
+            _, sid, indent, head, body, tail = part
+            first = len(lines)
+            if boxes[sid]:
+                lines += head
+                for box in boxes[sid]:
+                    lines.append('%s# cluster over %s' % (
+                        indent, ' x '.join('[%d:%d)' % b for b in box)))
+                    lines += _fill(body, box)
+                lines += tail
+            step_lines[sid] = (first, len(lines))
+        else:  # 'bind'
+            _, indent, rows = part
+            lines.append('%s__B = __CS.bind(__A, __SP, __comm, (%s), (%s))'
+                         % (indent, ''.join('%s, ' % s for s in scalars),
+                            rows))
+    return '\n'.join(lines) + '\n', step_lines
+
+
+def _fill(body, box):
+    """``body`` lines with every ```d,c``` slice placeholder
+    replaced by ``c + lo : c + hi`` of ``box``'s dimension ``d``."""
+    pieces = '\n'.join(body).split('`')
+    for i in range(1, len(pieces), 2):
+        d, c = pieces[i].split(',')
+        lo, hi = box[int(d)]
+        pieces[i] = '%d:%d' % (int(c) + lo, int(c) + hi)
+    return ''.join(pieces).split('\n')
 
 
 class _Plan:
     """The compiled step's program, recorded while the NumPy driver is
-    emitted (see :mod:`.cstep` for the op vocabulary)."""
+    emitted (see :mod:`.cstep` for the op vocabulary).  A compute
+    section is kept only by ranks with iteration points in its step, so
+    the program is a template each rank replays (:func:`bind_plan`)."""
 
-    def __init__(self, schedule):
+    def __init__(self, schedule, timed):
         self.ops = {'pre': [], 'loop': []}
-        self.sections = []
+        self.timed = timed
         self.modes = {}
         self.nbuffers = {f.name: function_nb(f) for f in schedule.functions}
 
     def add(self, where, *op):
-        self.ops[where].append(list(op))
+        self.ops[where].append(['op', list(op)])
 
-    def section(self, where, name, timed, ops, after=()):
+    def section(self, where, name, ops, step=None):
         """``ops`` bracketed by the section's timer (when profiling is
-        compiled in), then ``after`` (the sanitizer scans)."""
-        if timed:
-            if name not in self.sections:
-                self.sections.append(name)
-            self.add(where, 'begin', self.sections.index(name))
-        for op in ops:
-            self.add(where, *op)
-        if timed:
-            self.add(where, 'stop', self.sections.index(name))
-        for op in after:
-            if op[1] not in self.sections:
-                self.sections.append(op[1])
-            self.add(where, 'scan', self.sections.index(op[1]), *op[2:])
+        compiled in), then the sanitizer's scans of what it wrote;
+        dropped on ranks where compute ``step`` has no points."""
+        self.ops[where].append(['section', name, [list(op) for op in ops],
+                                step])
 
     def sparse(self, sid, step, deferred):
         """Mode of a sparse function: 0 inject, 1 interpolate into the
@@ -473,17 +584,53 @@ class _Plan:
         self.modes[str(sid)] = 0 if step.kind == 'inject' else \
             2 if deferred else 1
 
-    def finish(self, exchangers, meta):
-        scalars = set()
-        for m in meta.values():
-            scalars.update(m['scalars'])
+    def template(self, exchangers):
         return {'pre': self.ops['pre'], 'loop': self.ops['loop'],
-                'sections': self.sections, 'sparse': self.modes,
+                'timed': self.timed, 'sparse': self.modes,
                 'fields': sorted(self.nbuffers), 'nbuffers': self.nbuffers,
-                'scalars': sorted(scalars), 'exchangers': list(exchangers)}
+                'exchangers': [ex['key'] for ex in exchangers]}
 
 
-def _emit_compiled_driver(em, schedule, plan, deferred, scalar_names,
+def bind_plan(template, meta, writes):
+    """One rank's op program from a :class:`_Plan` template: ``meta``
+    is the rank's bound step metadata (:func:`~.cstep.bind_meta`: no
+    entry for a compute step without points here), ``writes`` the
+    sanitizer's write map by section name."""
+    sections = []
+    timed = template['timed']
+
+    def replay(records):
+        ops = []
+        for kind, *rec in records:
+            if kind == 'op':
+                ops.append(rec[0])
+                continue
+            name, body, step = rec
+            if step is not None and step not in meta:
+                continue
+            if timed:
+                if name not in sections:
+                    sections.append(name)
+                ops.append(['begin', sections.index(name)])
+            ops += body
+            if timed:
+                ops.append(['stop', sections.index(name)])
+            for fname, tshift in writes.get(name, ()):
+                if name not in sections:
+                    sections.append(name)
+                ops.append(['scan', sections.index(name), fname, tshift])
+        return ops
+
+    pre, loop = replay(template['pre']), replay(template['loop'])
+    return {'pre': pre, 'loop': loop, 'sections': sections,
+            'sparse': template['sparse'], 'fields': template['fields'],
+            'nbuffers': template['nbuffers'],
+            'scalars': sorted({s for m in meta.values()
+                               for s in m['scalars']}),
+            'exchangers': template['exchangers']}
+
+
+def _emit_compiled_driver(em, schedule, has_pre, deferred, scalar_names,
                           instrument):
     """The ``backend='c'`` driver: one call of the compiled ``step`` per
     timestep, between the resilience / fault hooks and the block flush
@@ -506,15 +653,13 @@ def _emit_compiled_driver(em, schedule, plan, deferred, scalar_names,
         for sid in deferred:
             em.emit("__sd%d = __SP[%d]['data']" % (sid, sid))
         _emit_pending_rows(em, deferred)
-    em.emit('__B = __CS.bind(__A, __SP, __comm, (%s), (%s))' % (
-        ''.join('%s, ' % s for s in plan['scalars']),
-        ''.join('__rows%d, ' % sid for sid in sorted(deferred))))
+    em.bind_call(''.join('__rows%d, ' % sid for sid in sorted(deferred)))
     em.emit("__step, __ref = __C['step'], __B.ref")
     if instrument:
         em.emit('__adv = __T.advanced')
     em.emit('try:')
     em.level += 1
-    if plan['pre']:
+    if has_pre:
         em.emit('__B.check(__step(time_m, 0, __B.pre), time_m, __A, '
                 'pre=True)')
         em.emit('__B.fold(__T)')
@@ -537,7 +682,7 @@ def _emit_compiled_driver(em, schedule, plan, deferred, scalar_names,
     em.level -= 1
 
 
-def _box_volume(box):
+def box_volume(box):
     return int(np.prod([max(e - b, 0) for b, e in box])) if box else 0
 
 
@@ -548,15 +693,17 @@ def _view_expr(func, time_shift):
     return '%s[(time + %d) %% %d]' % (func.name, time_shift, nb)
 
 
-def _emit_cluster(em, cluster, box):
-    printer = PyPrinter(index_printer=_slice_index_printer(box))
-    label = ' x '.join('[%d:%d)' % b for b in box)
-    em.emit('# cluster over %s' % label)
-    for temp, rhs in cluster.temps:
-        em.emit('%s = %s' % (temp.name, printer.doprint(rhs)))
-    for eq in cluster.eqs:
-        em.emit('%s = %s' % (printer.doprint(eq.lhs),
-                             printer.doprint(eq.rhs)))
+def _cluster_template(em, cluster):
+    """The lines of one box of ``cluster`` (its label comment aside),
+    with slice placeholders (:func:`_slice_index_printer`)."""
+    printer = PyPrinter(index_printer=_slice_index_printer())
+    indent = _INDENT * em.level
+    lines = ['%s%s = %s' % (indent, temp.name, printer.doprint(rhs))
+             for temp, rhs in cluster.temps]
+    lines += ['%s%s = %s' % (indent, printer.doprint(eq.lhs),
+                             printer.doprint(eq.rhs))
+              for eq in cluster.eqs]
+    return lines
 
 
 def _sparse_grid_functions(step):
@@ -637,7 +784,7 @@ def _emit_block_end(em, deferred):
     em.emit(_INDENT + '__flush()')
 
 
-def _emit_sparse(em, sid, step, dist, deferred):
+def _emit_sparse(em, sid, step, parallel, deferred):
     sparse = step.op.sparse
     printer = _SparsePrinter(sid, sparse,
                              _sparse_index_printer(sid, sparse.name))
@@ -662,7 +809,7 @@ def _emit_sparse(em, sid, step, dist, deferred):
         em.emit('__rows%d[%s] = %s'
                 % (sid, '__nrows' if sparse.is_SparseTimeFunction else '0',
                    total))
-    elif dist.is_parallel:
+    elif parallel:
         # with no local point bincount returns int64 zeros: sum float64
         em.emit('__sd%d%s = __comm.allreduce(np.asarray(%s, '
                 'dtype=np.float64))' % (sid, row, total))
@@ -670,21 +817,21 @@ def _emit_sparse(em, sid, step, dist, deferred):
         em.emit('__sd%d%s = %s' % (sid, row, total))
 
 
-def _constant_names(schedule):
+def _free_symbols(schedule):
+    """``({name: Constant}, uses dt)`` over every expression the kernel
+    evaluates (the apply-time scalars it reads)."""
     from ..dsl.function import Constant
     from ..symbolics import unique_nodes
-    names = set()
-    exprs = []
-    for _, rhs in schedule.scalar_assignments:
-        exprs.append(rhs)
+    exprs = [rhs for _, rhs in schedule.scalar_assignments]
     for cluster in schedule.clusters:
         exprs.extend(rhs for _, rhs in cluster.temps)
         exprs.extend(eq.rhs for eq in cluster.eqs)
-    for step in schedule.steps:
-        if step.is_sparse:
-            exprs.append(step.expr)
+    exprs.extend(step.expr for step in schedule.steps if step.is_sparse)
+    constants, uses_dt = {}, False
     for e in exprs:
         for node in unique_nodes(e):
             if isinstance(node, Constant):
-                names.add(node.name)
-    return names
+                constants[node.name] = node
+            if node.is_Symbol and node.name == 'dt':
+                uses_dt = True
+    return constants, uses_dt

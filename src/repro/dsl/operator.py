@@ -18,12 +18,9 @@ import numpy as np
 from .. import configuration
 from ..codegen.pybackend import generate_kernel
 from ..ir.schedule import build_schedule
-from ..dsl.function import Constant
-from ..dsl.sparse import PrecomputedSparseData
 from ..mpi.faults import RankKilledError
 from ..mpi.sim import RemoteRankError
 from ..profiling import PerformanceSummary, Profiler
-from ..symbolics import unique_nodes
 
 __all__ = ['Operator', 'PerformanceSummary', 'RESILIENCE_KWARGS',
            'SERVICE_KWARGS']
@@ -92,9 +89,12 @@ class Operator:
         selects a tier combination; a
         :class:`~repro.buildcache.BuildCache` instance is used as-is.
         On a hit the whole pipeline (lowering, Cluster IR, rewrites,
-        scheduling, codegen and — when gated — verification) is skipped
-        and the kernel is rehydrated from the cached artifact; the
-        result is bitwise-identical to a cold build.
+        scheduling, codegen and — when gated — the structure passes of
+        the verifier) is skipped and the kernel is bound from the cached
+        artifact; the result is bitwise-identical to a cold build.  The
+        key is rank-agnostic, and the ranks of one world share one
+        build in every mode (the first lowers or looks up, the others
+        bind; all report its status).
     backend : str or None
         Execution backend: ``'numpy'`` (default, vectorized whole-array
         expressions) or ``'c'`` (generate C, compile it with the system
@@ -137,6 +137,13 @@ class Operator:
         #: off and no repartition has run; call :meth:`analyze` for an
         #: on-demand run)
         self.analysis = None
+        #: the structure passes' diagnostics (None when unverified): the
+        #: decomposition-independent part of :attr:`analysis`
+        self.structure_report = None
+        #: the rank-agnostic artifact this rank's kernel is bound from,
+        #: and its structure key (a repartition that keeps the key binds
+        #: the same artifact again)
+        self._artifact = self._artifact_key = None
         self._cache = cache
         #: the *effective* execution backend ('numpy' or 'c') — resolved
         #: before fingerprinting so a toolchain-less host never keys
@@ -154,16 +161,20 @@ class Operator:
 
         Used by the constructor and, after the distributor was swapped,
         by every repartition (:mod:`repro.resilience.elastic`).  The
-        build is fingerprinted; a build-cache hit rehydrates the cached
-        artifact, a miss generates the kernel from :attr:`schedule` and
-        stores it once its certificate and (when ``verify``) the
-        verifier's report exist — so an entry always carries the
-        analysis of the decomposition it is keyed on.  ``verify`` is the
-        ``opt='verify'`` gate at construction and always on for a
-        repartition; a hit whose entry carries no report is verified
-        here too.
+        build is fingerprinted into its rank-agnostic structure key.
+        The structure — one :class:`~repro.codegen.artifact.KernelArtifact`
+        — comes from this operator's own current artifact when the key
+        is unchanged (a repartition that splits the same dimensions), a
+        build-cache hit, or a cold build; on a distributed grid the
+        ranks of the world share that step (:meth:`_shared_structure`).
+        Then this rank binds it: its boxes, driver text, exchangers,
+        certificate and — when ``verify`` — the in-bounds proof of its
+        own geometry.  ``verify`` is the ``opt='verify'`` gate at
+        construction and always on for a repartition, which runs the
+        structure passes only for a structure new to this operator.
         """
         from ..buildcache import fingerprint_build, get_cache
+        from ..buildcache.fingerprint import grid_of
         # the replaced kernel's sections go; the resilience controller's
         # stay registered for the apply that is repartitioning
         self.profiler.sections = {
@@ -172,8 +183,13 @@ class Operator:
         bcache = get_cache(self._cache)
         self._cache_info = {'status': 'off', 'key': None, 'tier': None,
                             'saved_seconds': 0.0, 'nbytes': 0}
+        grid = grid_of(self._expressions)
+        comm = grid.distributor.comm if grid is not None else None
+        world = getattr(comm, 'world', None)
+        builds = world.builds if world is not None and world.size > 1 \
+            else None
         key = symtab = None
-        if bcache is not None:
+        if bcache is not None or builds is not None:
             try:
                 key, symtab = fingerprint_build(
                     self._expressions, mpi_mode=self._mpi_requested,
@@ -184,112 +200,188 @@ class Operator:
                     backend='py' if self.backend == 'numpy' else
                     self.backend)
             except TypeError:
-                # inputs outside the token grammar: build cold, always
-                self._cache_info['status'] = 'uncacheable'
-        if key is not None:
-            self._cache_info['key'] = key
-            if self._warm_build(bcache, key, symtab):
-                if verify and self.analysis is None:
-                    self._run_verifier()
-                return
-
+                # inputs outside the token grammar: build cold, alone
+                if bcache is not None:
+                    self._cache_info['status'] = 'uncacheable'
         tic = _time.perf_counter()
-        self._cold_build(verify)
+        if key is None:
+            artifact, info = self._structure(bcache, None, None, verify)
+        else:
+            if bcache is not None:
+                self._cache_info['key'] = key
+            if builds is None:
+                artifact, info = self._structure(bcache, key, symtab,
+                                                 verify)
+            else:
+                artifact, info = self._shared_structure(
+                    builds, comm.rank, bcache, key, symtab, verify)
+        kernel = info.get('kernel')
+        if kernel is None:
+            try:
+                kernel = artifact.rehydrate(symtab, progress=self._progress,
+                                            profiler=self.profiler)
+            except Exception:  # noqa: BLE001 - any defect means cold build
+                # built by another rank, unbindable here: build alone
+                if bcache is not None:
+                    bcache.note_miss(nerrors=1)
+                artifact, info = self._structure(bcache, None, None, verify)
+                kernel = info['kernel']
+        self._artifact_key = key
+        self._bind(artifact, kernel, symtab, verify)
+        elapsed = _time.perf_counter() - tic
+        if not info.get('cold'):
+            self.profiler.record_build_time('build', elapsed)
+        if key is None or bcache is None:
+            return
+        if info['status'] == 'hit':
+            saved = max(artifact.build_seconds - elapsed, 0.0)
+            if info['tier'] is not None:  # not a reuse of this op's own
+                bcache.note_hit(artifact, info['tier'], saved_seconds=saved)
+            self._cache_info.update(status='hit', tier=info['tier'],
+                                    saved_seconds=saved,
+                                    nbytes=info['nbytes'])
+        else:
+            if not info.get('cold'):
+                bcache.note_miss()
+            self._cache_info['status'] = 'miss'
+
+    def _shared_structure(self, builds, rank, bcache, key, symtab, verify):
+        """The structure as one build shared by the world's ranks.
+
+        This rank's n-th operator with ``key`` joins the n-th shared
+        build of it (:class:`~repro.mpi.sim.SharedBuilds`): the first
+        rank to arrive runs :meth:`_structure` — lookup, or the one cold
+        build — and publishes the artifact and its status; the others
+        wait for it without holding the GIL and bind.  A failure is
+        raised on every rank.  Nobody waits for a rank that is not
+        already building, so this adds no barrier to the constructor.
+        """
+        entry, leader = builds.join(rank, key)
+        if not leader:
+            return entry.take()
+        try:
+            artifact, info = self._structure(bcache, key, symtab, verify)
+        except BaseException as exc:
+            entry.publish(error=exc)
+            raise
+        entry.publish((artifact, {k: info.get(k)
+                                  for k in ('status', 'tier', 'nbytes')}))
+        return artifact, info
+
+    def _structure(self, bcache, key, symtab, verify):
+        """``(artifact, info)`` of this build's structure, bound on this
+        rank (``info['kernel']``) to vet it: this operator's current
+        artifact when its key is ``key``, else a ``bcache`` hit, else a
+        cold build (stored under ``key``).  ``info`` carries the cache
+        status every rank sharing the build reports (``'hit'`` for a
+        reused artifact: a cached structure)."""
+        reuse = self._artifact if key is not None and \
+            key == self._artifact_key else None
+        if reuse is not None:
+            # the structure this operator already runs: its passes'
+            # verdict cannot change, only the binding is new
+            try:
+                return self._vetted(reuse, symtab, False,
+                                    {'status': 'hit', 'tier': None,
+                                     'nbytes': reuse.nbytes})
+            except Exception:  # noqa: BLE001 - any defect: look further
+                pass
+        if bcache is not None and key is not None:
+            artifact, tier = bcache.lookup(key)
+            if artifact is not None:
+                try:
+                    return self._vetted(artifact, symtab, verify,
+                                        {'status': 'hit', 'tier': tier,
+                                         'nbytes': artifact.nbytes})
+                except Exception:  # noqa: BLE001 - any defect: cold build
+                    bcache.note_miss(nerrors=1)
+        tic = _time.perf_counter()
+        schedule = self.schedule
+        kernel = generate_kernel(schedule, progress=self._progress,
+                                 profiler=self.profiler,
+                                 sanitizer=self._sanitize is True,
+                                 backend=self.backend)
+        self.structure_report = None
+        if verify:
+            from ..analysis import STRUCTURE_PASSES, verify_schedule
+            self.structure_report = verify_schedule(
+                schedule, kernel=kernel, profiler=self.profiler,
+                passes=STRUCTURE_PASSES).diagnostics
+        self.kernel = kernel
         build_seconds = _time.perf_counter() - tic
         self.profiler.record_build_time('build', build_seconds)
-        if key is not None:
-            self._cache_info['status'] = 'miss'
+        from ..codegen.artifact import KernelArtifact
+        artifact = KernelArtifact.extract(self, build_seconds=build_seconds)
+        if bcache is not None and key is not None:
             bcache.note_miss()
             try:
-                from ..codegen.artifact import KernelArtifact
-                bcache.store(key, KernelArtifact.extract(
-                    self, build_seconds=build_seconds))
+                bcache.store(key, artifact)
             except Exception:  # noqa: BLE001 - caching is best-effort
                 pass
+        return artifact, {'status': 'miss', 'tier': None, 'nbytes': 0,
+                          'kernel': kernel, 'cold': True}
 
-    def _cold_build(self, verify):
-        """The full pipeline: lower (unless a schedule is kept across a
-        repartition), codegen, certify, (verify), bind."""
-        schedule = self.schedule
-        self.grid = schedule.grid
-        self.mpi_mode = schedule.mpi_mode
-        self.kernel = generate_kernel(schedule,
-                                      progress=self._progress,
-                                      profiler=self.profiler,
-                                      sanitizer=self._sanitize is True,
-                                      backend=self.backend)
-        # generate_kernel may itself degrade (e.g. unsupported dtype);
-        # reflect what actually runs.  dtype is in the fingerprint, so
-        # the demotion is deterministic per cache key.
-        self.backend = self.kernel.backend
-        from ..analysis.certificate import build_certificate
-        self.certificate = build_certificate(schedule)
-        self.analysis = None
-        if verify:
-            self._run_verifier()
-        self._bind_sparse_plans()
-        self._flops_per_point = schedule.flops_per_point()
-        self._traffic_per_point = schedule.traffic_per_point(
-            self.grid.dtype.itemsize)
+    def _vetted(self, artifact, symtab, verify, info):
+        """``(artifact, info)`` once this rank has bound ``artifact``;
+        a verified build whose artifact carries no structure report
+        runs the structure passes here (on :attr:`schedule`) and keeps
+        them on a copy."""
+        kernel = artifact.rehydrate(symtab, progress=self._progress,
+                                    profiler=self.profiler)
+        if verify and artifact.payload['analysis'] is None:
+            from ..analysis import STRUCTURE_PASSES, verify_schedule
+            from ..codegen.artifact import KernelArtifact
+            self.kernel = kernel
+            self.structure_report = verify_schedule(
+                self.schedule, kernel=kernel, profiler=self.profiler,
+                passes=STRUCTURE_PASSES).diagnostics
+            artifact = KernelArtifact.extract(
+                self, build_seconds=artifact.build_seconds)
+            kernel.artifact = artifact
+        return artifact, dict(info, kernel=kernel)
 
-    def _run_verifier(self):
-        """The static verifier as a gate: raises
-        :class:`~repro.analysis.AnalysisError` on any error."""
-        from ..analysis import verify_schedule
-        self.analysis = verify_schedule(self.schedule, kernel=self.kernel,
-                                        profiler=self.profiler)
-
-    def _warm_build(self, bcache, key, symtab):
-        """Rehydrate a cached artifact; False (-> cold build) on any
-        problem.  A warm kernel is bitwise-identical to a cold one: the
-        cached source was generated from identical inputs (that is what
-        the fingerprint asserts) and everything runtime-dependent —
-        sparse routing, exchanger transports, constants — is rebuilt
-        against the live objects."""
-        artifact, tier = bcache.lookup(key)
-        if artifact is None:
-            return False
-        tic = _time.perf_counter()
-        try:
-            kernel = artifact.rehydrate(symtab, progress=self._progress,
-                                        profiler=self.profiler)
-            p = artifact.payload
-            functions = [symtab.functions[n] for n in p['functions']]
-            sparse = [symtab.sparse[n] for n in p['sparse_functions']]
-            constants = [symtab.constants[n] for n in p['constants']]
-        except Exception:  # noqa: BLE001 - any defect means cold build
-            bcache.note_miss(nerrors=1)
-            return False
+    def _bind(self, artifact, kernel, symtab, verify):
+        """Adopt this rank's binding of ``artifact``: the kernel, the
+        bound objects, the certificate of this rank's geometry and —
+        when ``verify``, or when the structure was verified — the
+        analysis report: the structure passes' diagnostics plus the
+        in-bounds proof of this rank's boxes against its own arrays
+        (raising :class:`~repro.analysis.AnalysisError` on an error
+        under ``verify``)."""
+        p = artifact.payload
+        if symtab is None:
+            from ..codegen.pybackend import symbols_of
+            symtab = symbols_of(self.schedule)
         self.kernel = kernel
-        self.backend = getattr(kernel, 'backend', 'numpy')
-        self.grid = functions[0].grid
+        self.backend = kernel.backend
+        self._artifact = artifact
+        self._functions = [symtab.functions[n] for n in p['functions']]
+        self._sparse = [symtab.sparse[n] for n in p['sparse_functions']]
+        self._constants = [symtab.constants[n] for n in p['constants']]
+        self._uses_dt = bool(p['uses_dt'])
+        self.grid = self._functions[0].grid
         self.mpi_mode = p['mpi_mode']
-        self._warm_functions = functions
-        self._warm_sparse = sparse
-        self._warm_constants = constants
-        self._warm_uses_dt = bool(p['uses_dt'])
         self._flops_per_point = p['flops_per_point']
         self._traffic_per_point = p['traffic_per_point']
-        self.analysis = artifact.rehydrate_analysis(kernel=kernel)
-        self.certificate = artifact.rehydrate_certificate()
-        if self.analysis is not None:
-            # the verify gate was satisfied by the cached cold build;
-            # this build paid (essentially) nothing for it
-            self.profiler.record_build_time('analysis', 0.0)
-        elapsed = _time.perf_counter() - tic
-        self.profiler.record_build_time('build', elapsed)
-        saved = max(artifact.build_seconds - elapsed, 0.0)
-        bcache.note_hit(artifact, tier, saved_seconds=saved)
-        self._cache_info.update(status='hit', tier=tier,
-                                saved_seconds=saved,
-                                nbytes=artifact.nbytes)
-        return True
-
-    def _bind_sparse_plans(self):
-        for sid, step in enumerate(self.schedule.steps):
-            if step.is_sparse:
-                self.kernel.sparse_plans[sid] = PrecomputedSparseData(
-                    step.op.sparse).binding()
+        dist = self.grid.distributor
+        self.certificate = artifact.rehydrate_certificate(dist)
+        self.structure_report = artifact.rehydrate_analysis()
+        self.analysis = None
+        if not verify and self.structure_report is None:
+            return
+        from ..analysis import AnalysisError, prove_inbounds
+        from ..analysis.diagnostics import AnalysisReport
+        tic = _time.perf_counter()
+        diagnostics = list(self.structure_report or ()) + prove_inbounds(
+            p['steps'], {f.name: f for f in self._functions}, dist,
+            self.grid.dimensions, bool(self.mpi_mode))
+        self.profiler.record_build_time('analysis',
+                                        _time.perf_counter() - tic)
+        self.analysis = AnalysisReport(diagnostics=diagnostics,
+                                       schedule=self._schedule,
+                                       kernel=kernel)
+        if verify and self.analysis.errors:
+            raise AnalysisError(self.analysis)
 
     # -- introspection -------------------------------------------------------------
 
@@ -297,11 +389,12 @@ class Operator:
     def schedule(self):
         """The operator's :class:`~repro.ir.schedule.Schedule`.
 
-        After a cache hit no schedule exists (that is the point of the
-        cache); the rare consumers that genuinely need one — ``ccode``,
-        :meth:`analyze`, schedule-mutating tests, a repartition that
-        misses the cache — trigger a lazy rebuild here.  The pipeline is
-        deterministic, so the rebuilt schedule matches the cached kernel.
+        After a cache hit, and on a rank that bound a build another
+        rank lowered, no schedule exists (that is the point); the rare
+        consumers that genuinely need one — ``ccode``, :meth:`analyze`,
+        schedule-mutating tests, a repartition onto new split
+        dimensions — trigger a lazy rebuild here.  The pipeline is
+        deterministic, so the rebuilt schedule matches the bound kernel.
         """
         if self._schedule is None:
             self._schedule = build_schedule(self._expressions,
@@ -317,17 +410,13 @@ class Operator:
     def functions(self):
         """The discrete functions this operator reads/writes (without
         forcing a schedule rebuild after a cache hit)."""
-        if self._schedule is None:
-            return list(self._warm_functions)
-        return self._schedule.functions
+        return list(self._functions)
 
     @property
     def sparse_functions(self):
         """The sparse functions of this operator (schedule-rebuild-free,
         like :attr:`functions`)."""
-        if self._schedule is None:
-            return list(self._warm_sparse)
-        return self._schedule.sparse_functions
+        return list(self._sparse)
 
     def cache_info(self):
         """How this operator was built.
@@ -411,7 +500,7 @@ class Operator:
         params = {}
         for sym, val in self.grid.spacing_map.items():
             params[sym.name] = float(val)
-        for const in self._constants():
+        for const in self._constants:
             params[const.name] = float(const.value)
         if 'dt' not in params:
             params['dt'] = None
@@ -428,7 +517,7 @@ class Operator:
             if key in ('time_m', 'time_M'):
                 continue
             params[key] = float(val)
-        if params.get('dt') is None and self._uses_dt():
+        if params.get('dt') is None and self._uses_dt:
             raise ValueError("this Operator needs a 'dt' argument")
 
         arrays = {}
@@ -630,53 +719,6 @@ class Operator:
                        reason='%s: %s' % (type(exc).__name__, exc))
 
     # -- helpers ----------------------------------------------------------------------
-
-    def _constants(self):
-        if self._schedule is None:
-            return list(self._warm_constants)
-        out = {}
-        for cluster in self.schedule.clusters:
-            for _, rhs in cluster.temps:
-                for node in unique_nodes(rhs):
-                    if isinstance(node, Constant):
-                        out[node.name] = node
-            for eq in cluster.eqs:
-                for node in unique_nodes(eq.rhs):
-                    if isinstance(node, Constant):
-                        out[node.name] = node
-        for _, rhs in self.schedule.scalar_assignments:
-            for node in unique_nodes(rhs):
-                if isinstance(node, Constant):
-                    out[node.name] = node
-        for step in self.schedule.steps:
-            if step.is_sparse:
-                for node in unique_nodes(step.expr):
-                    if isinstance(node, Constant):
-                        out[node.name] = node
-        return list(out.values())
-
-    def _uses_dt(self):
-        if self._schedule is None:
-            return self._warm_uses_dt
-        for _, rhs in self.schedule.scalar_assignments:
-            for node in unique_nodes(rhs):
-                if node.is_Symbol and node.name == 'dt':
-                    return True
-        for cluster in self.schedule.clusters:
-            for _, rhs in cluster.temps:
-                for node in unique_nodes(rhs):
-                    if node.is_Symbol and node.name == 'dt':
-                        return True
-            for eq in cluster.eqs:
-                for node in unique_nodes(eq.rhs):
-                    if node.is_Symbol and node.name == 'dt':
-                        return True
-        for step in self.schedule.steps:
-            if step.is_sparse:
-                for node in unique_nodes(step.expr):
-                    if node.is_Symbol and node.name == 'dt':
-                        return True
-        return False
 
     def __repr__(self):
         if self._schedule is None:

@@ -21,7 +21,8 @@ from .clusters import HaloRequirement, clusterize, optimize_clusters
 from .lowered import LoweredEq, accesses_of, parse_access
 
 __all__ = ['HaloStep', 'ComputeStep', 'SparseStep', 'Schedule',
-           'build_schedule', 'plan_blocking', 'cluster_union_widths']
+           'build_schedule', 'plan_blocking', 'cluster_union_widths',
+           'region_boxes']
 
 #: default cache-block edge (points) of the compiled backend's tiles
 BLOCK_DEFAULT = 32
@@ -68,23 +69,38 @@ class ComputeStep:
         self.region = region
         self.parallel = parallel
 
-    def boxes(self, dist):
-        """This rank's non-empty iteration boxes of the step's region,
-        each ``((lo, hi), ...)`` per dimension in domain-local
-        coordinates — the one geometry the NumPy driver, the compiled
-        steps, the C listing and the in-bounds proof all iterate."""
+    @property
+    def widths(self):
+        """The halo widths the region is carved by (None for DOMAIN)."""
         if self.region == 'domain':
-            boxes = [tuple((0, n) for n in dist.shape_local)]
-        else:
-            widths = cluster_union_widths(self.cluster)
-            boxes = [core_region(dist, widths)] if self.region == 'core' \
-                else remainder_regions(dist, widths)
-        return [tuple((int(lo), int(hi)) for lo, hi in box)
-                for box in boxes if all(hi > lo for lo, hi in box)]
+            return None
+        return cluster_union_widths(self.cluster)
+
+    def boxes(self, dist):
+        """This rank's non-empty iteration boxes of the step's region
+        (:func:`region_boxes`)."""
+        return region_boxes(self.region, self.widths, dist)
 
     def __repr__(self):
         return 'ComputeStep(%s, %d eqs)' % (self.region,
                                             len(self.cluster.eqs))
+
+
+def region_boxes(region, widths, dist):
+    """A rank's non-empty iteration boxes of a compute region ('domain',
+    'core' or 'remainder', the last two carved by halo ``widths``), each
+    ``((lo, hi), ...)`` per dimension in domain-local coordinates — the
+    one geometry the NumPy driver, the compiled steps, the C listing
+    and the in-bounds proof all iterate.  Only ``dist`` is per rank, so
+    a rank-agnostic build stores ``(region, widths)`` and every rank
+    binds its own boxes."""
+    if region == 'domain':
+        boxes = [tuple((0, n) for n in dist.shape_local)]
+    else:
+        boxes = [core_region(dist, widths)] if region == 'core' \
+            else remainder_regions(dist, widths)
+    return [tuple((int(lo), int(hi)) for lo, hi in box)
+            for box in boxes if all(hi > lo for lo, hi in box)]
 
 
 def cluster_union_widths(cluster: Any) -> Any:

@@ -255,9 +255,17 @@ class Data:
 
     # -- numpy conveniences -----------------------------------------------------------
 
-    def __array__(self, dtype=None):
+    def __array__(self, dtype=None, copy=None):
+        """This rank's DOMAIN block for NumPy (the NumPy 2 protocol):
+        a view unless ``dtype`` differs or ``copy=True`` asks for a
+        copy; ``copy=False`` raises when a copy cannot be avoided."""
         arr = self.local
-        return arr.astype(dtype) if dtype is not None else arr
+        if dtype is not None and np.dtype(dtype) != arr.dtype:
+            if copy is False:
+                raise ValueError("a %s view of %s data needs a copy"
+                                 % (np.dtype(dtype), arr.dtype))
+            return arr.astype(dtype)
+        return arr.copy() if copy else arr
 
     @property
     def shape(self):

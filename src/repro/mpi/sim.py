@@ -46,9 +46,9 @@ import time as _time
 import numpy as np
 
 __all__ = ['ANY_SOURCE', 'ANY_TAG', 'PROC_NULL', 'RESERVED_TAG_SPACES',
-           'SimWorld', 'SimComm', 'Request', 'CompletedRequest',
-           'RecvRequest', 'RemoteRankError', 'new_lineage', 'parallel',
-           'run_parallel', 'serial_comm']
+           'SimWorld', 'SimComm', 'SharedBuilds', 'Request',
+           'CompletedRequest', 'RecvRequest', 'RemoteRankError',
+           'new_lineage', 'parallel', 'run_parallel', 'serial_comm']
 
 ANY_SOURCE = -101
 ANY_TAG = -102
@@ -150,6 +150,64 @@ def new_lineage():
             'epoch': 0, 'topology0': None}
 
 
+class SharedBuilds:
+    """Collective construction: the rank threads of one world share one
+    build per operator structure.
+
+    Rank ``r``'s n-th :meth:`join` with a structure key meets every
+    other rank's n-th join with that key in one entry.  The first rank
+    to arrive is its leader: it builds (or looks up) the structure and
+    publishes the result — or the error, which every waiting rank then
+    raises.  The others take it, blocking without the GIL only while
+    the leader is building (a build never communicates).  An entry is
+    dropped once every rank of the world has taken it, or by
+    :meth:`SimWorld.reset`.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self._lock = threading.Lock()
+        self._joined = {}   # (rank, key) -> builds joined so far
+        self._entries = {}  # (key, n) -> _Build
+
+    def join(self, rank, key):
+        """``(entry, leader)`` of this rank's next build of ``key``."""
+        with self._lock:
+            n = self._joined.get((rank, key), 0)
+            self._joined[rank, key] = n + 1
+            entry = self._entries.get((key, n))
+            leader = entry is None
+            if leader:
+                entry = self._entries[key, n] = _Build()
+            entry.takers += 1
+            if entry.takers == self.size:
+                del self._entries[key, n]
+        return entry, leader
+
+    def reset(self):
+        with self._lock:
+            self._entries.clear()
+
+
+class _Build:
+    """One shared build: the leader's result or error."""
+
+    def __init__(self):
+        self.takers = 0
+        self._done = threading.Event()
+        self._result = self._error = None
+
+    def publish(self, result=None, error=None):
+        self._result, self._error = result, error
+        self._done.set()
+
+    def take(self):
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
 class SimWorld:
     """The shared state of a simulated MPI job: one mailbox per rank.
 
@@ -208,6 +266,8 @@ class SimWorld:
         self.commlog = CommLog(size, enabled=configuration['commlog'])
         #: the compiled step's transport (:mod:`.channel`)
         self.channels = ChannelTable()
+        #: operator builds shared by the rank threads (Operator._build)
+        self.builds = SharedBuilds(size)
         #: transport-level instrumentation: messages/bytes delivered per
         #: destination rank (monotonic; profiling reads, never resets)
         self.ndelivered = [0] * size
@@ -436,9 +496,9 @@ class SimWorld:
     def reset(self):
         """Recover a failed world: clear the failure flag, all mailboxes,
         fault-injection drop-limbo, wait registrations, the commlog
-        send/recv ledgers, *and* every live communicator's point-to-point
-        and collective sequence counters (monotonic instrumentation
-        counters are preserved).  Without the ledger/sequence clearing a
+        send/recv ledgers, the shared builds, *and* every live
+        communicator's point-to-point and collective sequence counters
+        (monotonic instrumentation counters are preserved).  Without the ledger/sequence clearing a
         reused world could replay stale in-flight messages or desync
         collective tag streams across ranks.  All ranks must be quiescent
         when one rank calls this (recovery synchronizes through
@@ -451,6 +511,7 @@ class SimWorld:
                 box.clear()
                 dropped.clear()
         self.channels.reset()
+        self.builds.reset()
         self.commlog.clear_all_waits()
         self.commlog.clear_ledgers()
         for comm in list(self._comms):

@@ -13,6 +13,7 @@ arbitrarily spaced grids", Math. Comp. 51 (1988).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = ['fornberg_weights', 'fd_weights', 'sample_offsets']
 
@@ -132,6 +133,15 @@ def fd_weights(deriv_order, fd_order, stagger=Fraction(0), x0=Fraction(0)):
         for the derivative evaluated at ``x0``.  The approximation is
         ``sum(w*f(off)) / h**deriv_order``.
     """
+    offsets, weights = _fd_weights(int(deriv_order), int(fd_order),
+                                   Fraction(stagger), Fraction(x0))
+    return list(offsets), list(weights)
+
+
+@lru_cache(maxsize=None)
+def _fd_weights(deriv_order, fd_order, stagger, x0):
+    """:func:`fd_weights`, memoized: the weights are a pure function of
+    the stencil, and every rank re-derives the same few."""
     offsets = sample_offsets(deriv_order, fd_order, stagger=stagger, x0=x0)
     weights = fornberg_weights(deriv_order, offsets, x0=x0)
-    return offsets, weights
+    return tuple(offsets), tuple(weights)

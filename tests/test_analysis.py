@@ -205,7 +205,6 @@ def _sanitized_stale_run(comm, sanitize):
     op.schedule.steps = [s for s in op.schedule.steps if not s.is_halo]
     op.kernel = generate_kernel(op.schedule, profiler=op.profiler,
                                 sanitizer=sanitize)
-    op._bind_sparse_plans()
     op.apply(time_M=3, dt=0.02)
     return u.data.gather()
 
@@ -553,7 +552,7 @@ class TestCertificates:
             art = KernelArtifact.extract(op)
             payload = json.loads(json.dumps(art.to_payload()))
             rehydrated = KernelArtifact.from_payload(payload) \
-                .rehydrate_certificate()
+                .rehydrate_certificate(op.grid.distributor)
             assert rehydrated == op.certificate
             return True
         assert all(run_parallel(build, 2))

@@ -86,15 +86,24 @@ class TestFingerprint:
         b = [Eq(u.forward, solve(Eq(u.dt, 0.25 * u.laplace), u.forward))]
         assert _fp(a) != _fp(b)
 
-    def test_rank_count_sensitivity(self):
-        """The decomposition is part of the key: per-rank source differs
-        (local shapes, neighbour sets), so ranks must not collide."""
-        def job(comm):
-            return _fp(_exprs(comm=comm, mpi='basic')[0],
+    def test_structure_key_is_rank_agnostic(self):
+        """Only *which* dimensions are split enters the key: every rank,
+        rank count and weighting that splits x alone shares one key (each
+        rank binds its own geometry), splitting y too is another
+        structure, and so is the undecomposed grid."""
+        def job(comm, topology=None, weights=None):
+            grid = Grid(shape=(12, 12), comm=comm, topology=topology,
+                        weights=weights)
+            u = TimeFunction(name='u', grid=grid, space_order=4)
+            eq = Eq(u.dt, 0.5 * u.laplace)
+            return _fp([Eq(u.forward, solve(eq, u.forward))],
                        mpi_mode='basic')
-        keys = run_parallel(job, 2)
-        assert keys[0] != keys[1]
-        assert keys[0] != _fp(_exprs()[0], mpi_mode='basic')
+        x_split = run_parallel(job, 2) + run_parallel(job, 3) + \
+            run_parallel(job, 2, weights=((3.0, 1.0), None))
+        assert len(set(x_split)) == 1
+        both = run_parallel(job, 4, topology=(2, 2))
+        assert len(set(both)) == 1 and both[0] != x_split[0]
+        assert x_split[0] != _fp(_exprs()[0], mpi_mode='basic')
 
 
 # -- tiers ----------------------------------------------------------------------

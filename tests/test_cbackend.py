@@ -737,11 +737,20 @@ class TestShapeGeneric:
         assert all(source == ref for source in out)
 
     def test_core_and_remainder_share_one_function(self):
+        from repro.codegen.cstep import bind_meta
+
         def job(comm):
             grid = Grid(shape=(24, 20), comm=comm)
             u = TimeFunction(name='u', grid=grid, space_order=2)
             eq = Eq(u.forward, solve(Eq(u.dt, u.laplace), u.forward))
-            return generate_c_steps(build_schedule([eq], mpi_mode='full'))
+            schedule = build_schedule([eq], mpi_mode='full')
+            source, meta = generate_c_steps(schedule)
+            # each rank binds its own geometry rows
+            dist = grid.distributor
+            boxes = {sid: step.boxes(dist)
+                     for sid, step in enumerate(schedule.steps)
+                     if step.is_compute}
+            return source, bind_meta(meta, boxes, dist.shape_local)
         for source, steps in run_parallel(job, 2):
             assert source.count('\nvoid k') == 1
             assert len(steps) == 2  # CORE + REMAINDER, own geometry rows

@@ -3,6 +3,7 @@ plain NumPy array under global indexing, for arbitrary slices and rank
 counts — the 'logically centralized' contract of Section III-b."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +104,24 @@ def test_getitem_pieces_reassemble(key):
     combined = np.sort(np.concatenate(pieces))
     expected = np.sort(glob[key].ravel())
     assert np.array_equal(combined, expected)
+
+
+@pytest.mark.filterwarnings('error::DeprecationWarning')
+def test_array_protocol_copy_keyword():
+    """NumPy 2's ``__array__(dtype, copy)``: a view by default, a copy
+    on ``copy=True`` or a dtype change, ``ValueError`` when
+    ``copy=False`` cannot be honoured — and no DeprecationWarning."""
+    dist = Distributor(SHAPE)
+    d = Data([DimSpec(n, dist_index=i, halo=(1, 1))
+              for i, n in enumerate(SHAPE)], dist)
+    d[...] = np.arange(np.prod(SHAPE), dtype=np.float32).reshape(SHAPE)
+    view = np.asarray(d)
+    assert np.shares_memory(view, d.local)
+    copied = np.array(d)
+    assert not np.shares_memory(copied, d.local)
+    assert np.array_equal(copied, d.local)
+    assert np.shares_memory(np.array(d, copy=False), d.local)
+    wide = np.asarray(d, dtype=np.float64)
+    assert wide.dtype == np.float64 and np.array_equal(wide, d.local)
+    with pytest.raises(ValueError):
+        np.array(d, dtype=np.float64, copy=False)
