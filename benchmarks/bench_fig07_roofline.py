@@ -40,7 +40,8 @@ def test_fig07_gpu_roofline(benchmark):
 
 
 def test_fig07_compile_time_oi(benchmark):
-    """This implementation's own AST-derived OI (pre-CIRE flop counts)."""
+    """This implementation's own AST-derived OI of the optimized kernels
+    (``opt=True``: after cross-iteration redundancy elimination)."""
     pts = benchmark.pedantic(measured_roofline_points,
                              kwargs={'so': 8, 'shape': (16, 16, 16)},
                              iterations=1, rounds=1)

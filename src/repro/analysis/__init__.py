@@ -21,7 +21,9 @@ Passes (each a pure function ``Schedule -> [Diagnostic]``):
 * :mod:`.dataflow`      — affine access maps: minimal-halo inference
   vs the scheduled exchanges (``REPRO-W203``), the inference/lattice
   cross-check (``REPRO-E122``), and the interval-analysis in-bounds
-  proof over every generated access (``REPRO-E123``).
+  proof over every generated access (``REPRO-E123``), which also proves
+  every scratch-array read inside the region its writer computed
+  earlier in the timestep (``REPRO-E105``).
 
 The dataflow engine also produces the static
 :class:`~.certificate.CommCertificate` — the predicted per-neighbor
@@ -58,7 +60,8 @@ from .dataflow import (AccessMap, access_maps, access_table,
 from .diagnostics import (CODES, ERROR, WARNING, AnalysisError,
                           AnalysisReport, Diagnostic)
 from .footprint import (Key, Widths, covers, cluster_reads, cluster_writes,
-                        read_footprints, union_widths, widths_max)
+                        read_footprints, step_footprints, union_widths,
+                        widths_max)
 from .halo_coverage import check_halo_coverage
 from .lint import check_bounds, check_dead_code
 from .races import check_races
@@ -71,7 +74,7 @@ __all__ = [
     'AnalysisError', 'AnalysisReport', 'Diagnostic', 'CODES', 'ERROR',
     'WARNING',
     'Key', 'Widths', 'covers', 'cluster_reads', 'cluster_writes',
-    'read_footprints', 'union_widths', 'widths_max',
+    'read_footprints', 'step_footprints', 'union_widths', 'widths_max',
     'check_halo_coverage', 'check_races', 'check_bounds',
     'check_dead_code', 'check_dataflow', 'check_inbounds',
     'AccessMap', 'access_maps', 'access_table', 'dependence_distances',
@@ -91,7 +94,10 @@ __all__ = [
 #: package).  2: dataflow engine (W203/E122/E123) + certificates.
 #: 3: cached reports hold the structure passes only (E123 and the
 #: certificate are bound per rank); W203 counts waste per grid cut.
-ANALYSIS_VERSION = 3
+#: 4: scratch arrays and grown regions: footprints reach from a grown
+#: region's edge, scratch reads need no exchange but a computed region
+#: (E105); a function the loop writes is exchanged in the loop.
+ANALYSIS_VERSION = 4
 
 #: the passes that see only the structure, in execution (and report)
 #: order: run once per build, whichever rank lowers it

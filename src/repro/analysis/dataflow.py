@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .diagnostics import Diagnostic
 from .footprint import (Key, Widths, cluster_reads, cluster_writes, covers,
-                        union_widths)
+                        step_reach, union_widths)
 from .render import describe_key, format_widths
 
 __all__ = ['AccessMap', 'Box', 'access_maps', 'access_table',
@@ -156,19 +156,25 @@ def infer_min_widths(schedule: Any) -> Dict[Key, Widths]:
 
     For every read hull, the left depth is how far the stencil reaches
     below the iteration point and the right depth how far above — along
-    decomposed dimensions only (serial-dimension offsets stay on-rank).
-    The union over every compute step is the smallest exchange that can
-    possibly be sufficient; narrower loses data some read needs, deeper
-    moves bytes no read ever touches.  All-zero keys are omitted.
+    decomposed dimensions only (serial-dimension offsets stay on-rank),
+    and from the edge of a grown region where a step's region reaches
+    beyond DOMAIN.  The union over every compute step is the smallest
+    exchange that can possibly be sufficient; narrower loses data some
+    read needs, deeper moves bytes no read ever touches.  Scratch
+    arrays (never exchanged) and all-zero keys are omitted.
     """
     dist = schedule.grid.distributor
+    scratch = {f.name for f in schedule.functions if f.is_Scratch}
     out: Dict[Key, Widths] = {}
     for amap in access_maps(schedule):
-        if amap.reads is None:
+        if amap.reads is None or amap.key[0] in scratch:
             continue
+        grow = step_reach(schedule.steps[amap.step_index]) \
+            or _zero(len(amap.reads))
         need = tuple(
-            (max(0, -lo), max(0, hi)) if dist.is_distributed(d) else (0, 0)
-            for d, (lo, hi) in enumerate(amap.reads))
+            (max(0, gl - lo), max(0, gr + hi)) if dist.is_distributed(d)
+            else (0, 0)
+            for d, ((lo, hi), (gl, gr)) in enumerate(zip(amap.reads, grow)))
         if not any(l or r for l, r in need):
             continue
         out[amap.key] = union_widths(out.get(amap.key), need)
@@ -322,10 +328,13 @@ def access_table(schedule: Any) -> List[Dict[str, Any]]:
     for step in schedule.steps:
         if step.is_compute:
             widths = step.widths
+            grow = step.grow
             table.append({
                 'kind': 'compute', 'region': step.region,
                 'widths': None if widths is None
                 else [[int(l), int(r)] for l, r in widths],
+                'grow': None if grow is None
+                else [[int(l), int(r)] for l, r in grow],
                 'reads': _distinct(cluster_reads(step.cluster)),
                 'writes': _distinct(cluster_writes(step.cluster))})
         elif step.is_sparse:
@@ -368,8 +377,13 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
     Nothing here is taken from another rank: the table only says which
     offsets the kernel reads and writes.  ``exchanging`` says whether
     the build exchanges halos at all (a distributed comm mode).
+
+    A scratch array is computed afresh every timestep, so a read of one
+    must also fall inside the boxes its writers covered earlier in the
+    same timestep; ``REPRO-E105`` names the first cell that does not.
     """
     from ..ir.schedule import region_boxes
+    from ..mpi import box_difference
     shape = tuple(int(n) for n in dist.shape_local)
     out: List[Diagnostic] = []
 
@@ -395,17 +409,52 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
                    int(hi), start, stop, hl + n + hr, hl, hr, n),
                 step_index=si))
 
+    def shift(box: Any, offsets: Any) -> Any:
+        return tuple((lo + int(o), hi + int(o))
+                     for (lo, hi), o in zip(box, offsets))
+
+    #: scratch array -> boxes written so far this timestep
+    computed: Dict[str, List[Any]] = {}
+
+    def prove_computed(name: str, offsets: Any, boxes: Any,
+                       si: int) -> None:
+        for box in boxes:
+            missing = [shift(box, offsets)]
+            for have in computed.get(name, ()):
+                missing = [rest for m in missing
+                           for rest in box_difference(m, have)]
+            if missing:
+                cell = tuple(lo for lo, _ in missing[0])
+                out.append(Diagnostic(
+                    'REPRO-E105',
+                    'the read of scratch array %s at offset %s over the '
+                    'box %s reaches cell %s, which no earlier step of '
+                    'the timestep computed'
+                    % (name, tuple(int(o) for o in offsets),
+                       ' x '.join('[%d, %d)' % b for b in box), cell),
+                    step_index=si))
+                return
+
     # -- compute steps: slice accesses over DOMAIN/CORE/REMAINDER boxes -------------
     for si, rec in enumerate(table):
         if rec['kind'] == 'compute':
             seen: Set[Tuple[str, Tuple[int, ...], int]] = set()
-            for box in region_boxes(rec['region'], rec['widths'], dist):
+            boxes = region_boxes(rec['region'], rec['widths'], dist,
+                                 rec['grow'])
+            for box in boxes:
                 for name, offsets in rec['reads']:
                     prove(functions[name], tuple(offsets), box, si, 'read',
                           seen)
                 for name, offsets in rec['writes']:
                     prove(functions[name], tuple(offsets), box, si,
                           'write', seen)
+            for name, offsets in rec['reads']:
+                if functions[name].is_Scratch:
+                    prove_computed(name, offsets, boxes, si)
+            for name, offsets in rec['writes']:
+                if functions[name].is_Scratch:
+                    computed.setdefault(name, []).extend(
+                        shift(box, offsets) for box in boxes)
         elif rec['kind'] == 'sparse':
             # routed index arrays are valued in [0, n-1] (owned cells,
             # clamped at the physical boundary), shifted by hl in the
@@ -437,7 +486,7 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
     if dist.is_parallel and exchanging:
         from .sanitizer import poison_boxes
         for func in functions.values():
-            if getattr(func, 'is_SparseFunction', False):
+            if getattr(func, 'is_SparseFunction', False) or func.is_Scratch:
                 continue
             extents = _allocated_extents(func, shape)
             for pbox in poison_boxes(func, dist):

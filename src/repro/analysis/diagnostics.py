@@ -30,6 +30,10 @@ code                    severity  meaning
                                   has no matching ``begin``, or the
                                   CORE region is not shrunk enough to
                                   avoid the halo being exchanged
+``REPRO-E105``          error     scratch array read outside the
+                                  region its writer computed earlier
+                                  in the timestep (a cell of a
+                                  compiler temporary nobody wrote)
 ``REPRO-E111``          error     loop-carried read/write race in a
                                   compute step marked parallel
 ``REPRO-E112``          error     loop-carried write/write race in a
@@ -85,6 +89,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     'REPRO-E102': (ERROR, 'undersized halo exchange'),
     'REPRO-E103': (ERROR, 'stale halo (exchange dropped while dirty)'),
     'REPRO-E104': (ERROR, 'communication/computation overlap violation'),
+    'REPRO-E105': (ERROR, 'scratch array read outside its computed region'),
     'REPRO-E111': (ERROR, 'loop-carried read/write race'),
     'REPRO-E112': (ERROR, 'loop-carried write/write race'),
     'REPRO-E121': (ERROR, 'out-of-bounds access'),

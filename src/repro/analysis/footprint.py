@@ -15,7 +15,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..ir.lowered import Access, accesses_of
 
 __all__ = ['Key', 'Widths', 'cluster_reads', 'cluster_writes',
-           'read_footprints', 'union_widths', 'covers', 'widths_max']
+           'read_footprints', 'step_footprints', 'step_reach',
+           'union_widths', 'covers', 'widths_max']
 
 #: (function name, time shift) — which buffer of which function
 Key = Tuple[str, Optional[int]]
@@ -43,27 +44,47 @@ def _zero_widths(ndim: int) -> List[List[int]]:
     return [[0, 0] for _ in range(ndim)]
 
 
-def read_footprints(cluster: Any, dist: Any) -> Dict[Key, Widths]:
+def read_footprints(cluster: Any, dist: Any,
+                    grow: Optional[Widths] = None) -> Dict[Key, Widths]:
     """Per-(function, time buffer) halo depths the cluster's reads need.
 
     Only dimensions ``dist`` actually decomposes contribute: a nonzero
-    offset along a serial dimension stays on-rank.  Keys whose footprint
-    is all-zero (purely on-rank reads) are omitted.
+    offset along a serial dimension stays on-rank.  ``grow`` is how far
+    the iteration region reaches beyond DOMAIN on each side (a scratch
+    cluster's grown region): every read reaches that much further.
+    Scratch arrays are never exchanged — whether the region their
+    writer computed covers a read is the in-bounds proof's question —
+    so their reads are left out.  Keys whose footprint is all-zero
+    (purely on-rank reads) are omitted.
     """
     needs: Dict[Key, List[List[int]]] = {}
     for acc in cluster_reads(cluster):
+        if acc.function.is_Scratch:
+            continue
         key: Key = (acc.function.name, acc.time_shift)
         widths = needs.setdefault(key, _zero_widths(len(acc.offsets)))
         for d, off in enumerate(acc.offsets):
             if not dist.is_distributed(d):
                 continue
-            if off < 0:
-                widths[d][0] = max(widths[d][0], -off)
-            elif off > 0:
-                widths[d][1] = max(widths[d][1], off)
+            gl, gr = grow[d] if grow is not None else (0, 0)
+            widths[d][0] = max(widths[d][0], gl - off)
+            widths[d][1] = max(widths[d][1], gr + off)
     return {key: tuple((l, r) for l, r in widths)
             for key, widths in needs.items()
             if any(l or r for l, r in widths)}
+
+
+def step_reach(step: Any) -> Optional[Widths]:
+    """How far a compute step's region reaches beyond DOMAIN toward a
+    neighbor: a scratch cluster's growth, except in its CORE."""
+    grow = None if step.region == 'core' else step.cluster.grow
+    return None if grow is None else tuple(grow)
+
+
+def step_footprints(step: Any, dist: Any) -> Dict[Key, Widths]:
+    """:func:`read_footprints` of a compute step's region
+    (:func:`step_reach`)."""
+    return read_footprints(step.cluster, dist, step_reach(step))
 
 
 def union_widths(a: Optional[Widths], b: Widths) -> Widths:

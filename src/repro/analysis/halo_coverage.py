@@ -14,7 +14,12 @@ generated code exactly:
 * a write to a buffer — by a compute step or a sparse injection —
   dirties its halo;
 * time-invariant functions (``time_shift is None``) are refreshed once,
-  by the hoisted preamble exchanges, and stay clean unless written.
+  by the hoisted preamble exchanges, and stay clean unless written; one
+  the loop writes is exchanged in the loop, like a time buffer;
+* a scratch cluster's grown region reaches beyond DOMAIN, so its reads
+  need that much more halo; scratch arrays themselves are never
+  exchanged (the in-bounds proof checks their readers against the
+  region their writer computed).
 
 Because the per-iteration state is identical every iteration (the top-
 of-loop invalidation resets it), a single simulated iteration proves the
@@ -35,7 +40,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set
 
 from .diagnostics import Diagnostic
-from .footprint import (Key, Widths, covers, read_footprints, union_widths)
+from .footprint import (Key, Widths, covers, read_footprints,
+                        step_footprints, union_widths)
 from .render import describe_key, format_widths
 
 __all__ = ['check_halo_coverage']
@@ -72,6 +78,18 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
     exchanged: Set[Key] = set()         # ever exchanged this iteration
     dirty_pre: Set[Key] = set()         # hoisted halos invalidated by writes
     events: List[_Event] = []
+    #: time-invariant functions the loop writes (exchanged in the loop
+    #: unless the schedule hoisted them anyway)
+    written: Set[str] = set()
+    for step in schedule.steps:
+        if step.is_compute:
+            written.update(name for name, _ in step.cluster.write_keys)
+        elif step.is_sparse and step.field_access is not None:
+            written.add(step.field_access.function.name)
+
+    def hoisted(key: Key) -> bool:
+        return key[1] is None and (key in pre or key in dirty_pre
+                                   or key[0] not in written)
 
     for req in schedule.preamble_halo:
         key: Key = (req.function.name, req.time_shift)
@@ -94,11 +112,11 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
                 ev.dirtied = True
 
     def check_reads(si: int, step: Any) -> None:
-        fp = read_footprints(step.cluster, dist)
+        fp = step_footprints(step, dist)
         for key, need in sorted(fp.items()):
             desc = describe_key(key)
             depth = format_widths(need, dims)
-            if key[1] is None:
+            if hoisted(key):
                 have = pre.get(key)
                 if covers(have, need):
                     consume(key, need)
@@ -163,7 +181,7 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
         need: Optional[Widths] = None
         fp = read_footprints(step.cluster, dist)
         for key, w in fp.items():
-            if key[1] is None and covers(pre.get(key), w):
+            if hoisted(key) and covers(pre.get(key), w):
                 consume(key, w)
                 continue
             if covers(clean.get(key), w):

@@ -94,10 +94,13 @@ def render_schedule(schedule: Any) -> str:
             writes = ', '.join(describe_key(k)
                                for k in sorted(step.cluster.write_keys))
             par = getattr(step, 'parallel', True)
-            lines.append('%s compute(%s%s)  %d eq(s), writes %s'
+            grow = step.cluster.grow
+            lines.append('%s compute(%s%s)  %d eq(s), writes %s%s'
                          % (prefix, step.region,
                             '' if par else ', sequential',
-                            len(step.cluster.eqs), writes))
+                            len(step.cluster.eqs), writes,
+                            '' if grow is None else '  [grown by %s]'
+                            % format_widths(tuple(grow), dims)))
         else:
             target = (describe_key(step.field_access.key)
                       if step.field_access is not None

@@ -35,6 +35,8 @@ to a cold build, so a bad cache entry can never produce a wrong kernel.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..mpi import HaloWidths, check_tag_spaces, make_exchanger
 from ..profiling import Profiler, SectionMeta
 
@@ -54,10 +56,13 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #: 7: rank-agnostic: the driver is a template, ``steps`` the geometry
 #:    and access table, the certificate an exchanger enumeration and
 #:    ``c_steps`` a program template; every rank binds its own geometry.
-ARTIFACT_VERSION = 7
+#: 8: scratch arrays (``scratch``: name and allocated halo, storage per
+#:    binding) and grown compute regions (``steps[i]['grow']``).
+ARTIFACT_VERSION = 8
 
 _REQUIRED_KEYS = ('version', 'driver', 'shape', 'steps', 'sections',
                   'exchangers', 'mpi_mode', 'sanitizer', 'functions',
+                  'scratch',
                   'sparse_functions', 'sparse_steps', 'constants',
                   'uses_dt', 'flops_per_point', 'traffic_per_point',
                   'certificate', 'analysis', 'build_seconds', 'backend',
@@ -95,6 +100,9 @@ class _Whole:
 
     def is_distributed(self, d):
         return False
+
+    def is_boundary_rank(self, d, side):
+        return True
 
 
 class KernelArtifact:
@@ -187,7 +195,8 @@ class KernelArtifact:
     def _boxes(self, dist):
         """Every compute step's iteration boxes on ``dist``'s rank."""
         from ..ir.schedule import region_boxes
-        return {sid: region_boxes(st['region'], st['widths'], dist)
+        return {sid: region_boxes(st['region'], st['widths'], dist,
+                                  st['grow'])
                 for sid, st in enumerate(self.payload['steps'])
                 if st['kind'] == 'compute'}
 
@@ -219,6 +228,17 @@ class KernelArtifact:
         mode = p['mpi_mode']
         by_name = {f.name: f for f in functions}
         boxes = self._boxes(dist)
+
+        # scratch arrays: this binding's own storage, NaN-filled under
+        # the sanitizer so a read of a cell no step computed shows up
+        from ..dsl.function import ScratchArray
+        scratch = {}
+        for name, halo in p['scratch']:
+            array = ScratchArray(name, grid, halo)
+            shape = tuple(n + hl + hr for n, (hl, hr)
+                          in zip(dist.shape_local, array.halo))
+            scratch[name] = (array, np.full(
+                shape, np.nan if p['sanitizer'] else 0, dtype=grid.dtype))
 
         # exchangers: geometry from the artifact, topology from the live
         # distributor
@@ -348,7 +368,8 @@ class KernelArtifact:
                         backend=backend, c_source=p['c_source'],
                         so_path=p['so_path'],
                         so_checksum=p['so_checksum'],
-                        c_steps=c_steps, lib=self._lib, artifact=self)
+                        c_steps=c_steps, lib=self._lib, artifact=self,
+                        scratch=scratch)
 
     def rehydrate_analysis(self):
         """The cached structure passes' diagnostics (or None when the

@@ -105,7 +105,7 @@ def _align_expr(expr, tvars):
 
 
 def _params(schedule):
-    names = sorted(f.name for f in schedule.functions)
+    names = sorted(f.name for f in schedule.functions if not f.is_Scratch)
     scalars = sorted({d.spacing.name for d in schedule.grid.dimensions})
     return names, scalars
 
@@ -220,6 +220,17 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     if schedule.scalar_assignments:
         em.emit()
 
+    scratch = [f for f in schedule.functions if f.is_Scratch]
+    if scratch:
+        em.emit('/* scratch arrays: per-call storage over the grown '
+                'domain, never exchanged */')
+    for f in sorted(scratch, key=lambda f: f.name):
+        em.emit('float *%s_vec = malloc(sizeof(float)%s);' % (f.name, ''.join(
+            '*(%s_M - %s_m + %d)' % (d.name, d.name, 1 + hl + hr)
+            for d, (hl, hr) in zip(grid.dimensions, f.halo))))
+    if scratch:
+        em.emit()
+
     if sanitize:
         for n in fnames:
             em.emit('__san_poison(%s_vec, comm, -1);' % n)
@@ -252,7 +263,8 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
 
     def _san_check_writes(keys):
         for fname, tshift in sorted(keys, key=lambda k: (k[0], k[1] or 0)):
-            em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
+            if fname in fnames:  # scratch arrays are not scanned
+                em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
 
     for step, sname in zip(schedule.steps, step_names):
         em.emit('/* begin %s */' % sname)
@@ -289,6 +301,8 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.emit('/* end %s */' % sname)
 
     em.close_block()  # time loop
+    for f in sorted(scratch, key=lambda f: f.name):
+        em.emit('free(%s_vec);' % f.name)
     em.emit('return 0;')
     em.close_block()  # kernel
     return em.source()
@@ -299,6 +313,10 @@ def _emit_compute(em, schedule, step, printer, tvars):
     dims = step.cluster.grid.dimensions
     if step.region == 'domain':
         boxes = [[('%s_m' % d.name, '%s_M' % d.name) for d in dims]]
+    elif step.region == 'grown':
+        em.emit('/* GROWN region: DOMAIN plus the readers\' reach */')
+        boxes = [[('%s_m - %d' % (d.name, gl), '%s_M + %d' % (d.name, gr))
+                  for d, (gl, gr) in zip(dims, step.grow)]]
     else:
         em.emit('/* %s region */' % step.region.upper())
         boxes = [[('%d' % lo, '%d' % (hi - 1)) for lo, hi in box]

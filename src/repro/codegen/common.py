@@ -14,7 +14,7 @@ RESERVED_NAMES = frozenset({
 
 def validate_names(schedule):
     """Reject user names that would collide with generated identifiers."""
-    names = {f.name for f in schedule.functions}
+    names = {f.name for f in schedule.functions if not f.is_Scratch}
     names |= {s.name for s in schedule.sparse_functions}
     bad = names & RESERVED_NAMES
     if bad:

@@ -41,7 +41,8 @@ class PyKernel:
     def __init__(self, source, func, exchangers, sparse_plans,
                  profiler=None, step_lines=None, sanitizer=None,
                  backend='numpy', c_source=None, so_path=None,
-                 so_checksum=None, c_steps=None, lib=None, artifact=None):
+                 so_checksum=None, c_steps=None, lib=None, artifact=None,
+                 scratch=None):
         self.source = source
         self.func = func
         self.exchangers = exchangers
@@ -67,9 +68,15 @@ class PyKernel:
         self.lib = lib
         #: the rank-agnostic KernelArtifact this kernel is a binding of
         self.artifact = artifact
+        #: this binding's scratch arrays: name -> (ScratchArray, storage)
+        self.scratch = dict(scratch or {})
 
     def __call__(self, time_m, time_M, arrays, params, comm, timer=None,
                  resilience=None):
+        if self.scratch:
+            arrays = dict(arrays)
+            arrays.update((name, data) for name, (_, data)
+                          in self.scratch.items())
         return self.func(time_m, time_M, arrays, params, self.exchangers,
                          self.sparse_plans, comm, np, timer, resilience)
 
@@ -425,7 +432,10 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
         'exchangers': exchangers,
         'mpi_mode': schedule.mpi_mode,
         'sanitizer': san,
-        'functions': [f.name for f in schedule.functions],
+        'functions': [f.name for f in schedule.functions
+                      if not f.is_Scratch],
+        'scratch': [[f.name, [list(h) for h in f.halo]]
+                    for f in schedule.functions if f.is_Scratch],
         'sparse_functions': [s.name for s in schedule.sparse_functions],
         'sparse_steps': [[int(sid), step.op.sparse.name]
                          for sid, step in sparse_steps],

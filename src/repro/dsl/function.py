@@ -18,7 +18,8 @@ from ..mpi import Data, DimSpec
 from ..symbolics import Add, Atom, Derivative, Indexed, S, Symbol
 from .dimensions import Dimension
 
-__all__ = ['Constant', 'DiscreteFunction', 'Function', 'TimeFunction']
+__all__ = ['Constant', 'DiscreteFunction', 'Function', 'ScratchArray',
+           'TimeFunction']
 
 
 class Constant(Symbol):
@@ -41,6 +42,7 @@ class DiscreteFunction(Atom):
     is_DiscreteFunction = True
     is_TimeFunction = False
     is_SparseFunction = False
+    is_Scratch = False
 
     def __init__(self, name, grid, space_order=1, dtype=None, staggered=None,
                  padding=0):
@@ -179,6 +181,39 @@ class Function(DiscreteFunction):
     """A time-independent field (material parameters, damping masks...)."""
 
     __slots__ = ()
+
+
+class ScratchArray(DiscreteFunction):
+    """A compiler-owned, per-rank temporary array (never a user field).
+
+    Cross-iteration redundancy elimination (:mod:`repro.ir.clusters`)
+    stores a subexpression the stencils read at several translations
+    in one: a cluster of its own writes it once per timestep over the
+    DOMAIN grown by ``halo`` (the readers' offsets, set by the rewrite
+    once it has seen them all), and each reader loads it at an offset.
+    It has no ``Data``: every binding of a kernel allocates its storage
+    (local shape plus ``halo``); it is never exchanged, checkpointed or
+    moved, and it is absent from ``Operator.functions``.
+    """
+
+    __slots__ = ('_halo',)
+    is_Scratch = True
+
+    def __init__(self, name, grid, halo=None, dtype=None):
+        super().__init__(name, grid, space_order=0, dtype=dtype)
+        self.halo = halo or [(0, 0)] * len(grid.dimensions)
+
+    @property
+    def halo(self):
+        return self._halo
+
+    @halo.setter
+    def halo(self, value):
+        self._halo = tuple((int(l), int(r)) for l, r in value)
+
+    def _allocate(self):
+        raise TypeError("scratch array %s has no user data: its storage "
+                        "belongs to each kernel binding" % self.name)
 
 
 class TimeFunction(DiscreteFunction):

@@ -50,7 +50,11 @@ class Operator:
     name : str
         Kernel name (cosmetic).
     opt : bool or 'verify'
-        Enable the flop-reducing pipeline (CSE, factorization, hoisting).
+        Enable the flop-reducing pipeline: scratch arrays for
+        subexpressions the equations read at several translations
+        (cross-iteration redundancy elimination; compiler-owned, absent
+        from :attr:`functions`, allocated per binding), CSE,
+        factorization, invariant hoisting.
         The special value ``'verify'`` keeps the pipeline enabled and
         additionally gates the build behind the static verifier
         (:mod:`repro.analysis`): any error-severity diagnostic —
@@ -372,9 +376,12 @@ class Operator:
         from ..analysis import AnalysisError, prove_inbounds
         from ..analysis.diagnostics import AnalysisReport
         tic = _time.perf_counter()
+        by_name = {f.name: f for f in self._functions}
+        by_name.update((name, array) for name, (array, _)
+                       in kernel.scratch.items())
         diagnostics = list(self.structure_report or ()) + prove_inbounds(
-            p['steps'], {f.name: f for f in self._functions}, dist,
-            self.grid.dimensions, bool(self.mpi_mode))
+            p['steps'], by_name, dist, self.grid.dimensions,
+            bool(self.mpi_mode))
         self.profiler.record_build_time('analysis',
                                         _time.perf_counter() - tic)
         self.analysis = AnalysisReport(diagnostics=diagnostics,

@@ -6,16 +6,17 @@ clusters that need them, redundant exchanges are dropped (data not yet
 "dirty"), exchanges of time-invariant functions are hoisted out of the
 time loop, and — in *full* mode — [update; compute] pairs are rewritten
 into [begin; compute-CORE; wait; compute-REMAINDER] for
-communication/computation overlap.
+communication/computation overlap.  A scratch cluster and its reader
+share one halo spot and split around the same wait.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict
 
 from ..dsl.equation import Eq
 from ..dsl.sparse import Injection, Interpolation
-from ..mpi import HaloWidths, core_region, remainder_regions
+from ..mpi import HaloWidths, box_difference, core_region
 from ..symbolics import indexify, expand_derivatives
 from .clusters import HaloRequirement, clusterize, optimize_clusters
 from .lowered import LoweredEq, accesses_of, parse_access
@@ -52,7 +53,8 @@ class HaloStep:
 
 
 class ComputeStep:
-    """Execution of one cluster over a region (domain/core/remainder).
+    """Execution of one cluster over a region (domain/core/remainder,
+    or 'grown': a scratch cluster's DOMAIN grown by its ``grow``).
 
     ``parallel`` records how the backends execute the space sweep: both
     treat it as embarrassingly parallel (whole-array NumPy expressions /
@@ -72,50 +74,94 @@ class ComputeStep:
     @property
     def widths(self):
         """The halo widths the region is carved by (None for DOMAIN)."""
-        if self.region == 'domain':
+        if self.region in ('domain', 'grown'):
             return None
         return cluster_union_widths(self.cluster)
+
+    @property
+    def grow(self):
+        """How far the region reaches beyond DOMAIN (None: it does not)."""
+        return self.cluster.grow
 
     def boxes(self, dist):
         """This rank's non-empty iteration boxes of the step's region
         (:func:`region_boxes`)."""
-        return region_boxes(self.region, self.widths, dist)
+        return region_boxes(self.region, self.widths, dist, self.grow)
 
     def __repr__(self):
         return 'ComputeStep(%s, %d eqs)' % (self.region,
                                             len(self.cluster.eqs))
 
 
-def region_boxes(region, widths, dist):
-    """A rank's non-empty iteration boxes of a compute region ('domain',
-    'core' or 'remainder', the last two carved by halo ``widths``), each
+def region_boxes(region, widths, dist, grow=None):
+    """A rank's non-empty iteration boxes of a compute region, each
     ``((lo, hi), ...)`` per dimension in domain-local coordinates — the
     one geometry the NumPy driver, the compiled steps, the C listing
     and the in-bounds proof all iterate.  Only ``dist`` is per rank, so
-    a rank-agnostic build stores ``(region, widths)`` and every rank
-    binds its own boxes."""
+    a rank-agnostic build stores ``(region, widths, grow)`` and every
+    rank binds its own boxes.
+
+    ``region`` is 'domain', 'core' or 'remainder' (the last two carved
+    by halo ``widths``), or 'grown': DOMAIN extended by ``grow``, per
+    dimension ``(left, right)``, on every side — the points a scratch
+    cluster computes for its readers' offsets.  With ``grow``, 'core'
+    also spans the extension on sides without a neighbor (nothing to
+    wait for there) and 'remainder' is the rest of the grown box.
+    """
+    shape = dist.shape_local
+    grown = tuple((-gl, n + gr) for n, (gl, gr)
+                  in zip(shape, grow or [(0, 0)] * len(shape)))
     if region == 'domain':
-        boxes = [tuple((0, n) for n in dist.shape_local)]
+        boxes = [tuple((0, n) for n in shape)]
+    elif region == 'grown':
+        boxes = [grown]
     else:
-        boxes = [core_region(dist, widths)] if region == 'core' \
-            else remainder_regions(dist, widths)
+        core = tuple(
+            (glo if lo == 0 and dist.is_boundary_rank(d, -1) else lo,
+             ghi if hi == n and dist.is_boundary_rank(d, +1) else hi)
+            for d, ((lo, hi), n, (glo, ghi))
+            in enumerate(zip(core_region(dist, widths), shape, grown)))
+        boxes = [core] if region == 'core' else box_difference(grown, core)
     return [tuple((int(lo), int(hi)) for lo, hi in box)
             for box in boxes if all(hi > lo for lo, hi in box)]
 
 
 def cluster_union_widths(cluster: Any) -> Any:
-    """Union of halo widths over all of a cluster's requirements.
+    """Union of halo widths over all of a cluster's reads.
 
     This defines the CORE region for the overlap (*full*) mode: points
-    whose stencil never touches any of the halos being exchanged.
+    whose stencil never touches any of the halos being exchanged.  A
+    scratch cluster's own extension does not count (its CORE does not
+    reach beyond DOMAIN where a neighbor is); a read of a scratch array
+    at offset ``o`` counts as ``o`` plus the scratch cluster's widths —
+    the CORE of a reader stays what it was before the rewrite.
     """
+    dist = cluster.grid.distributor
     ndim = len(cluster.grid.shape)
     widths = [[0, 0] for _ in range(ndim)]
-    for req in cluster.halo_requirements():
-        for d, (wl, wr) in enumerate(req.widths):
-            widths[d][0] = max(widths[d][0], wl)
-            widths[d][1] = max(widths[d][1], wr)
+    scratch: Dict[str, Any] = {}
+    for acc in cluster.reads:
+        func = acc.function
+        reach = [(0, 0)] * ndim
+        if func.is_Scratch:
+            if func.name not in scratch:
+                scratch[func.name] = cluster_union_widths(
+                    _writer_of(cluster, func))
+            reach = scratch[func.name]
+        for d, off in enumerate(acc.offsets):
+            if dist.is_distributed(d):
+                widths[d][0] = max(widths[d][0], reach[d][0] - off)
+                widths[d][1] = max(widths[d][1], reach[d][1] + off)
     return HaloWidths(widths)
+
+
+def _writer_of(cluster, scratch):
+    """The scratch cluster writing ``scratch``, read by ``cluster``."""
+    writer = cluster.producer
+    if writer is None or (scratch.name, None) not in writer.write_keys:
+        raise ValueError("%s reads scratch array %s it does not own"
+                         % (cluster, scratch.name))
+    return writer
 
 
 class SparseStep:
@@ -287,6 +333,13 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
 
     clusters = [item for kind, item in ordered if kind == 'cluster']
     scalar_assignments, clusters = optimize_clusters(clusters, opt=opt)
+    # a scratch cluster runs right before the cluster reading it
+    rewritten = []
+    for kind, item in ordered:
+        if kind == 'cluster' and item.producer is not None:
+            rewritten.append(('cluster', item.producer))
+        rewritten.append((kind, item))
+    ordered = rewritten
 
     # -- halo placement with redundancy dropping and hoisting ----------------------
     # The "data not dirty" drop and the preamble hoist are *width-aware*:
@@ -307,6 +360,27 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
         return tuple((max(hl, nl), max(hr, nr))
                      for (hl, hr), (nl, nr) in zip(have, need))
 
+    def _requirements(cluster):
+        # a scratch cluster's halo spot serves its reader too (nothing
+        # runs between them), so computing scratch arrays adds no spot
+        reqs = {}
+        for c in (cluster.reader, cluster):
+            for req in c.halo_requirements() if c is not None else ():
+                prev = reqs.get(req.key)
+                reqs[req.key] = req if prev is None else HaloRequirement(
+                    req.function, req.time_shift,
+                    _widened(prev.widths, req.widths))
+        return list(reqs.values())
+
+    # a function written inside the loop is exchanged in the loop, after
+    # its writes, like a time buffer: only never-written ones hoist
+    written = set()
+    for kind, item in ordered:
+        if kind == 'cluster':
+            written.update(name for name, _ in item.write_keys)
+        elif item.field_access is not None:
+            written.add(item.field_access.function.name)
+
     distributed = grid.distributor.is_parallel and mpi_mode
     preamble_halo = []
     steps = []
@@ -317,8 +391,9 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
         if kind == 'cluster':
             needed = []
             if distributed:
-                for req in item.halo_requirements():
-                    if req.time_shift is None:
+                for req in _requirements(item):
+                    if req.time_shift is None and \
+                            req.function.name not in written:
                         # time-invariant function: hoist out of the loop
                         prev = hoisted.get(req.key)
                         if prev is None:
@@ -340,7 +415,8 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
             if needed:
                 steps.append(HaloStep(needed, kind='update', uid=uid))
                 uid += 1
-            steps.append(ComputeStep(item))
+            steps.append(ComputeStep(item, region='domain' if item.grow
+                                     is None else 'grown'))
             # writes dirty the written buffers
             for key in item.write_keys:
                 clean.pop(key, None)
@@ -362,7 +438,9 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
 
 
 def _apply_overlap(steps):
-    """Rewrite [update; compute] pairs into begin/CORE/wait/REMAINDER."""
+    """Rewrite [update; compute] pairs into begin/CORE/wait/REMAINDER;
+    [update; scratch; reader] into begin, both CORE parts, wait, both
+    REMAINDER parts."""
     out = []
     i = 0
     while i < len(steps):
@@ -370,13 +448,14 @@ def _apply_overlap(steps):
         nxt = steps[i + 1] if i + 1 < len(steps) else None
         if (step.is_halo and step.kind == 'update'
                 and nxt is not None and nxt.is_compute):
-            begin = HaloStep(step.exchanges, kind='begin', uid=step.uid)
-            wait = HaloStep(step.exchanges, kind='wait', uid=step.uid)
-            out.append(begin)
-            out.append(ComputeStep(nxt.cluster, region='core'))
-            out.append(wait)
-            out.append(ComputeStep(nxt.cluster, region='remainder'))
-            i += 2
+            group = [nxt.cluster]
+            if nxt.cluster.reader is not None:
+                group.append(nxt.cluster.reader)
+            out.append(HaloStep(step.exchanges, kind='begin', uid=step.uid))
+            out.extend(ComputeStep(c, region='core') for c in group)
+            out.append(HaloStep(step.exchanges, kind='wait', uid=step.uid))
+            out.extend(ComputeStep(c, region='remainder') for c in group)
+            i += 1 + len(group)
         else:
             out.append(step)
             i += 1

@@ -20,7 +20,7 @@ from .decomposition import Decomposition
 from .distributor import Distributor
 from .data import Data, DimSpec
 from .halo import (BasicExchanger, DiagonalExchanger, FullExchanger,
-                   HaloWidths, core_region, make_exchanger,
+                   HaloWidths, box_difference, core_region, make_exchanger,
                    remainder_regions)
 from .routing import (PointRouting, bilinear_coefficients,
                       block_intersections, support_points)
@@ -34,6 +34,6 @@ __all__ = [
     'neighborhood_offsets', 'shrink_dims', 'Decomposition', 'Distributor',
     'Data', 'DimSpec', 'BasicExchanger', 'DiagonalExchanger',
     'FullExchanger', 'HaloWidths', 'core_region', 'make_exchanger',
-    'remainder_regions', 'PointRouting', 'bilinear_coefficients',
-    'block_intersections', 'support_points',
+    'remainder_regions', 'box_difference', 'PointRouting',
+    'bilinear_coefficients', 'block_intersections', 'support_points',
 ]

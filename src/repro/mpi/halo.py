@@ -38,7 +38,7 @@ from .sim import PROC_NULL, Request
 
 __all__ = ['HaloWidths', 'HaloMessage', 'BasicExchanger',
            'DiagonalExchanger', 'FullExchanger', 'make_exchanger',
-           'core_region', 'remainder_regions']
+           'core_region', 'remainder_regions', 'box_difference']
 
 
 class HaloWidths:
@@ -496,30 +496,31 @@ def core_region(distributor, widths):
 
 
 def remainder_regions(distributor, widths):
-    """The REMAINDER (OWNED) areas: domain minus CORE, as disjoint boxes.
+    """The REMAINDER (OWNED) areas: domain minus CORE, as disjoint boxes
+    (:func:`box_difference`) — the faces and vector-like areas of the
+    paper's Figure 5c."""
+    domain = tuple((0, n) for n in distributor.shape_local)
+    return box_difference(domain, core_region(distributor, widths))
 
-    Boxes are produced dimension-major: for dimension ``d``, the left and
-    right slabs span the full domain in dimensions < d and are clamped to
-    the core range in dimensions already peeled — yielding the faces and
-    vector-like areas of the paper's Figure 5c.
+
+def box_difference(outer, inner):
+    """``outer`` minus ``inner`` as disjoint non-empty boxes (half-open
+    ``(lo, hi)`` per dimension).
+
+    Boxes are produced dimension-major: for dimension ``d``, the slabs of
+    ``outer`` below and above ``inner`` span ``outer`` in the dimensions
+    after ``d`` and are clamped to ``inner``'s range in the dimensions
+    already peeled.
     """
-    core = core_region(distributor, widths)
-    shape = distributor.shape_local
     boxes = []
-    prefix = []  # (start, stop) ranges already restricted to core
-    for d in range(len(shape)):
-        lo, hi = core[d]
-        full = [(0, shape[i]) for i in range(len(shape))]
-        for i, rng in enumerate(prefix):
-            full[i] = rng
-        if lo > 0:
-            box = list(full)
-            box[d] = (0, lo)
+    span = list(outer)
+    for d, ((olo, ohi), (ilo, ihi)) in enumerate(zip(outer, inner)):
+        ilo = min(max(ilo, olo), ohi)
+        ihi = max(min(ihi, ohi), ilo)
+        for lo, hi in ((olo, ilo), (ihi, ohi)):
+            box = list(span)
+            box[d] = (lo, hi)
             boxes.append(tuple(box))
-        if hi < shape[d]:
-            box = list(full)
-            box[d] = (hi, shape[d])
-            boxes.append(tuple(box))
-        prefix.append((lo, hi))
+        span[d] = (ilo, ihi)
     return [b for b in boxes
             if all(stop > start for start, stop in b)]

@@ -263,8 +263,10 @@ class Configuration(MutableMapping):
 
     @staticmethod
     def _convert_opt(value):
-        """a boolean, or 'verify' (optimize and gate every build behind
-        the static verifier)"""
+        """a boolean (the flop-reducing rewrites: scratch arrays for
+        subexpressions met at several translations, CSE, factorization,
+        invariant hoisting), or 'verify' (optimize and gate every build
+        behind the static verifier)"""
         if isinstance(value, str) and value.strip().lower() == 'verify':
             return 'verify'
         return _as_bool(value)

@@ -73,9 +73,11 @@ def roofline_points(gpu=False, so=8):
 def measured_roofline_points(so=8, shape=(24, 24, 24)):
     """This implementation's compile-time OI/flop counts (3D operators).
 
-    Pre-CIRE flop counts (we CSE pointwise but do not build cross-point
-    array temporaries), so TTI's flops/pt is higher than the production
-    Devito kernel — documented in EXPERIMENTS.md.
+    Counts the optimized kernels: TTI's inner directional derivative is
+    computed once per point into a scratch array (cross-iteration
+    redundancy elimination, as in the production Devito kernel).  The
+    plain expansion (``opt=False`` setups) re-evaluates it at every
+    outer-stencil offset — documented in EXPERIMENTS.md.
     """
     from ..models import (acoustic_setup, elastic_setup, tti_setup,
                           viscoelastic_setup)

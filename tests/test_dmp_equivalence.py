@@ -9,7 +9,9 @@ equal for pure stencil updates).
 import numpy as np
 import pytest
 
-from repro import Eq, Grid, Operator, TimeFunction, solve
+from repro import (Derivative, Eq, Function, Grid, Operator, TimeFunction,
+                   configuration, solve)
+from repro.codegen import jit
 from repro.mpi import run_parallel
 from repro.models import (acoustic_setup, elastic_setup, tti_setup,
                           viscoelastic_setup)
@@ -167,6 +169,42 @@ class TestPropagatorEquivalence:
 
         out = run_parallel(job, 4)
         assert all(np.array_equal(o, expected) for o in out)
+
+
+def _loop_written(comm=None, mpi=None, backend='numpy'):
+    """A time-invariant Function written inside the time loop and read
+    at an offset right after: its halo must be exchanged in the loop,
+    after the write, not hoisted into the preamble."""
+    shape = (24, 20)
+    grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
+                comm=comm)
+    x = grid.dimensions[0]
+    u = TimeFunction(name='u', grid=grid, space_order=2)
+    g = Function(name='g', grid=grid, space_order=2)
+    u.data[0] = np.add.outer(np.sin(np.arange(shape[0])),
+                             np.cos(np.arange(shape[1]))).astype(np.float32)
+    op = Operator([Eq(g, 2 * u),
+                   Eq(u.forward, u + 0.1 * Derivative(g, (x, 2),
+                                                      fd_order=2))],
+                  mpi=mpi, backend=backend, opt='verify')
+    op.apply(time_M=5)
+    assert op.analysis is None or not op.analysis.errors
+    return u.data.gather()
+
+
+class TestLoopWrittenFunction:
+    """A Function the loop writes is no time-invariant: exchanging it
+    once in the preamble left every offset read a stale halo."""
+
+    @pytest.mark.parametrize('backend', ['numpy', 'c'])
+    @pytest.mark.parametrize('mode', MODES)
+    def test_exchanged_after_its_write(self, mode, backend):
+        if backend == 'c' and jit.find_compiler() is None:
+            pytest.skip('no C toolchain on this host')
+        serial = _loop_written()
+        configuration['sanitizer'] = 'poison'
+        out = run_parallel(lambda c: _loop_written(c, mode, backend), 2)
+        assert all(np.array_equal(o, serial) for o in out)
 
 
 class TestMessageCounts:

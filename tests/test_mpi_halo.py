@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.mpi import (Data, DimSpec, Distributor, HaloWidths,
-                       PointRouting, bilinear_coefficients, core_region,
-                       make_exchanger, remainder_regions, run_parallel,
-                       support_points)
+                       PointRouting, bilinear_coefficients, box_difference,
+                       core_region, make_exchanger, remainder_regions,
+                       run_parallel, support_points)
 
 
 def _distributed_field(comm, shape, halo, fill=None):
@@ -220,6 +220,23 @@ class TestCoreRemainder:
             return bool((covered == 1).all())
 
         assert all(run_parallel(job, 8))
+
+    def test_box_difference_partitions_the_outer_box(self):
+        """outer minus inner, plus their overlap, covers outer once —
+        also for an empty, disjoint or enclosing inner box."""
+        outer = ((-2, 9), (-1, 7))
+
+        def mark(covered, box):
+            covered[tuple(slice(max(lo, olo) - olo, max(min(hi, ohi), lo)
+                                - olo) for (lo, hi), (olo, ohi)
+                          in zip(box, outer))] += 1
+
+        for inner in (((1, 5), (2, 4)), ((3, 3), (0, 6)),
+                      ((12, 15), (2, 5)), ((-4, 20), (-3, 9))):
+            covered = np.zeros((11, 8), dtype=int)
+            for box in box_difference(outer, inner) + [inner]:
+                mark(covered, box)
+            assert (covered == 1).all(), inner
 
     def test_serial_core_is_whole_domain(self):
         dist = Distributor((8, 8))
