@@ -5,10 +5,11 @@ then optimizes them aggressively (merges, "data not dirty" drops,
 preamble hoisting, begin/wait splitting) — and the same analysis that
 builds the :class:`~repro.ir.clusters.HaloRequirement`\\ s also emits the
 :class:`~repro.ir.schedule.HaloStep`\\ s, so a dependence or scheduling
-bug would silently produce wrong answers at scale.  This package is the
-independent check: it re-derives every communication requirement from
-first principles (:mod:`.footprint`, straight from the raw access
-offsets) and *proves* the emitted schedule covers them.
+bug would silently produce wrong answers at scale.  This package checks
+the emitted schedule against the clusters' access maps
+(:class:`~repro.ir.access.AccessMap`, the one table of offsets the
+compiler also reads) with algorithms of its own: a simulation of one
+loop iteration, a dependence check, and an interval proof.
 
 Passes (each a pure function ``Schedule -> [Diagnostic]``):
 
@@ -16,16 +17,14 @@ Passes (each a pure function ``Schedule -> [Diagnostic]``):
   and full-mode overlap violations (``REPRO-E101..E104``, ``W201/W202``);
 * :mod:`.races`         — loop-carried read/write and write/write races
   in parallel compute steps (``REPRO-E111/E112``);
-* :mod:`.lint`          — out-of-bounds accesses, unused temporaries,
-  dead writes (``REPRO-E121``, ``W211/W212``);
-* :mod:`.dataflow`      — affine access maps: minimal-halo inference
-  vs the scheduled exchanges (``REPRO-W203``), the inference/lattice
-  cross-check (``REPRO-E122``), and the interval-analysis in-bounds
-  proof over every generated access (``REPRO-E123``), which also proves
-  every scratch-array read inside the region its writer computed
-  earlier in the timestep (``REPRO-E105``).
+* :mod:`.lint`          — unused temporaries and dead writes
+  (``W211/W212``);
+* :mod:`.dataflow`      — the interval-analysis in-bounds proof over
+  every generated access (``REPRO-E123``), which also proves every
+  scratch-array read inside the region its writer computed earlier in
+  the timestep (``REPRO-E105``); and the minimal-halo inference.
 
-The dataflow engine also produces the static
+The package also produces the static
 :class:`~.certificate.CommCertificate` — the predicted per-neighbor
 message counts and byte volumes the ``reconcile`` sanitizer mode checks
 against the runtime commlog ledger after every ``apply``.
@@ -53,17 +52,12 @@ from typing import Any, Optional
 from .certificate import (CertificateEntry, CommCertificate,
                           ReconcileError, bind_certificate,
                           build_certificate, certificate_plan)
-from .dataflow import (AccessMap, access_maps, access_table,
-                       check_dataflow, check_inbounds, declared_widths,
-                       dependence_distances, infer_min_widths,
+from .dataflow import (access_table, check_inbounds, infer_min_widths,
                        prove_inbounds)
 from .diagnostics import (CODES, ERROR, WARNING, AnalysisError,
                           AnalysisReport, Diagnostic)
-from .footprint import (Key, Widths, covers, cluster_reads, cluster_writes,
-                        read_footprints, step_footprints, union_widths,
-                        widths_max)
 from .halo_coverage import check_halo_coverage
-from .lint import check_bounds, check_dead_code
+from .lint import check_dead_code
 from .races import check_races
 from .render import (describe_key, format_widths, merge_reports,
                      render_merged, render_report, render_schedule)
@@ -73,12 +67,8 @@ __all__ = [
     'ANALYSIS_VERSION',
     'AnalysisError', 'AnalysisReport', 'Diagnostic', 'CODES', 'ERROR',
     'WARNING',
-    'Key', 'Widths', 'covers', 'cluster_reads', 'cluster_writes',
-    'read_footprints', 'step_footprints', 'union_widths', 'widths_max',
-    'check_halo_coverage', 'check_races', 'check_bounds',
-    'check_dead_code', 'check_dataflow', 'check_inbounds',
-    'AccessMap', 'access_maps', 'access_table', 'dependence_distances',
-    'infer_min_widths', 'declared_widths', 'prove_inbounds',
+    'check_halo_coverage', 'check_races', 'check_dead_code',
+    'check_inbounds', 'access_table', 'infer_min_widths', 'prove_inbounds',
     'CertificateEntry', 'CommCertificate', 'ReconcileError',
     'bind_certificate', 'build_certificate', 'certificate_plan',
     'describe_key', 'format_widths', 'merge_reports', 'render_merged',
@@ -97,12 +87,12 @@ __all__ = [
 #: 4: scratch arrays and grown regions: footprints reach from a grown
 #: region's edge, scratch reads need no exchange but a computed region
 #: (E105); a function the loop writes is exchanged in the loop.
-ANALYSIS_VERSION = 4
+#: 5: one access map; E121, E122 and W203 retired.
+ANALYSIS_VERSION = 5
 
 #: the passes that see only the structure, in execution (and report)
 #: order: run once per build, whichever rank lowers it
-STRUCTURE_PASSES = (check_halo_coverage, check_races, check_bounds,
-                    check_dead_code, check_dataflow)
+STRUCTURE_PASSES = (check_halo_coverage, check_races, check_dead_code)
 #: the whole pipeline on one rank: the structure passes, then the
 #: in-bounds proof of that rank's geometry
 PASSES = STRUCTURE_PASSES + (check_inbounds,)

@@ -38,17 +38,6 @@ code                    severity  meaning
                                   compute step marked parallel
 ``REPRO-E112``          error     loop-carried write/write race in a
                                   compute step marked parallel
-``REPRO-E121``          error     out-of-bounds access: an offset
-                                  exceeds the function's allocated
-                                  (padded) halo extent
-``REPRO-E122``          error     dataflow/lattice disagreement: the
-                                  affine inference derives a minimal
-                                  halo the scheduled exchanges do not
-                                  cover, yet the lattice verifier
-                                  reports the schedule clean — the two
-                                  independent oracles contradict each
-                                  other (an analyzer bug, not a user
-                                  error)
 ``REPRO-E123``          error     cannot prove access in-bounds: the
                                   interval analysis over loop bounds
                                   and affine offsets fails to prove an
@@ -60,17 +49,24 @@ code                    severity  meaning
                                   it is dirtied again
 ``REPRO-W202``          warning   over-wide halo exchange: exchanged
                                   depth exceeds every subsequent read
-``REPRO-W203``          warning   halo wider than any read requires:
-                                  a scheduled exchange is deeper than
-                                  the schedule-independent minimal
-                                  width the dataflow engine infers
-                                  (message includes the wasted
-                                  bytes/step)
 ``REPRO-W211``          warning   unused temporary (CSE/hoisted scalar
                                   never referenced)
 ``REPRO-W212``          warning   dead write: overwritten by a later
                                   equation before any read
 ======================  ========  =====================================
+
+Retired codes, never to be reused for another finding:
+
+======================  =============================================
+code                    why it went
+======================  =============================================
+``REPRO-E121``          out-of-bounds offset; ``REPRO-E123`` proves
+                        the same bound over every region's boxes
+``REPRO-E122``          compared two copies of one footprint loop;
+                        the access map is the only copy
+``REPRO-W203``          exchange wider than any read; an exchange
+                        that wide is ``REPRO-W201``/``W202`` too
+======================  =============================================
 """
 
 from __future__ import annotations
@@ -92,12 +88,9 @@ CODES: Dict[str, Tuple[str, str]] = {
     'REPRO-E105': (ERROR, 'scratch array read outside its computed region'),
     'REPRO-E111': (ERROR, 'loop-carried read/write race'),
     'REPRO-E112': (ERROR, 'loop-carried write/write race'),
-    'REPRO-E121': (ERROR, 'out-of-bounds access'),
-    'REPRO-E122': (ERROR, 'dataflow/lattice verifier disagreement'),
     'REPRO-E123': (ERROR, 'cannot prove access in-bounds'),
     'REPRO-W201': (WARNING, 'redundant halo exchange'),
     'REPRO-W202': (WARNING, 'over-wide halo exchange'),
-    'REPRO-W203': (WARNING, 'halo wider than any read requires'),
     'REPRO-W211': (WARNING, 'unused temporary'),
     'REPRO-W212': (WARNING, 'dead write'),
 }

@@ -1,10 +1,10 @@
 """The halo-coverage checker (pass 1 of the static verifier).
 
-Re-derives every cluster's off-rank read footprint from first principles
-(:mod:`.footprint`) and *simulates* the :class:`~repro.ir.schedule.Schedule`
-through one loop iteration, tracking which (function, time buffer) halos
-are up to date at each step.  The model mirrors the semantics of the
-generated code exactly:
+Reads every cluster's off-rank read reach from its access map
+(:class:`~repro.ir.access.AccessMap`) and *simulates* the
+:class:`~repro.ir.schedule.Schedule` through one loop iteration,
+tracking which (function, time buffer) halos are up to date at each
+step.  The model mirrors the semantics of the generated code exactly:
 
 * at the top of every iteration the rotating time buffers invalidate all
   time-shifted halos (the buffer read as ``u[t]`` now is the one written
@@ -31,7 +31,7 @@ steady state.  Cross-check diagnostics:
   dirty" drop fired while the data *was* dirty);
 * ``REPRO-E104`` — full-mode violations: read of in-flight data before
   the ``wait``, ``wait`` without ``begin``, or a CORE region that is
-  not shrunk enough for the independently recomputed footprint;
+  not shrunk enough for the reach of the halos still in flight;
 * ``REPRO-W201``/``REPRO-W202`` — redundant / over-wide exchanges.
 """
 
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
+from ..ir.access import Key, Widths, covers, union_widths
 from .diagnostics import Diagnostic
-from .footprint import (Key, Widths, covers, read_footprints,
-                        step_footprints, union_widths)
 from .render import describe_key, format_widths
 
 __all__ = ['check_halo_coverage']
@@ -112,7 +111,7 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
                 ev.dirtied = True
 
     def check_reads(si: int, step: Any) -> None:
-        fp = step_footprints(step, dist)
+        fp = step.cluster.access_map.reach(dist, step.grow)
         for key, need in sorted(fp.items()):
             desc = describe_key(key)
             depth = format_widths(need, dims)
@@ -171,16 +170,12 @@ def check_halo_coverage(schedule: Any) -> List[Diagnostic]:
                     % (desc, depth), step_index=si))
 
     def check_core(si: int, step: Any) -> None:
-        # The emitted CORE box shrinks by the compiler's own union widths
-        # (ir.schedule.cluster_union_widths); prove that shrink covers
-        # the independently recomputed footprint of every halo the step
-        # cannot already rely on.
-        from ..ir.schedule import cluster_union_widths
-        shrink: Widths = tuple(
-            (l, r) for l, r in cluster_union_widths(step.cluster))
+        # The emitted CORE box shrinks by the step's widths; prove that
+        # shrink covers the reach of every halo the step cannot already
+        # rely on.
+        shrink: Widths = tuple((l, r) for l, r in step.widths)
         need: Optional[Widths] = None
-        fp = read_footprints(step.cluster, dist)
-        for key, w in fp.items():
+        for key, w in step.cluster.access_map.reach(dist).items():
             if hoisted(key) and covers(pre.get(key), w):
                 consume(key, w)
                 continue

@@ -1,12 +1,5 @@
-"""Bounds and dead-code lint (pass 3 of the static verifier).
+"""Dead-code lint (pass 3 of the static verifier).
 
-* ``REPRO-E121`` — an access offset exceeds the function's *allocated*
-  ghost extent (:attr:`DiscreteFunction.halo`, i.e. space order plus
-  padding).  The exchanged halo widths are derived from the stencil, so
-  the compiler can never under-allocate for its own accesses — but a
-  hand-built schedule, a buggy rewrite, or an explicitly shrunk
-  ``space_order`` can, and the generated code would then read (or write)
-  a neighbor's DOMAIN or unallocated memory.
 * ``REPRO-W211`` — an optimizer temporary (hoisted loop-invariant scalar
   or CSE temp) that nothing ever reads.
 * ``REPRO-W212`` — a dead write: an equation's stored value is
@@ -18,45 +11,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set, Tuple
 
+from ..ir.access import Key
 from ..symbolics import Temp, unique_nodes
 from .diagnostics import Diagnostic
-from .footprint import Key
 from .render import describe_key
 
-__all__ = ['check_bounds', 'check_dead_code']
-
-
-def _all_accesses(cluster: Any) -> List[Any]:
-    from .footprint import cluster_reads, cluster_writes
-    return cluster_writes(cluster) + cluster_reads(cluster)
-
-
-def check_bounds(schedule: Any) -> List[Diagnostic]:
-    """Prove every cluster access stays within allocated ghost extents."""
-    out: List[Diagnostic] = []
-    dims = schedule.grid.dimensions
-    for si, step in enumerate(schedule.steps):
-        if not step.is_compute:
-            continue
-        seen: Set[Tuple[str, Tuple[int, ...], bool]] = set()
-        for acc in _all_accesses(step.cluster):
-            sig = (acc.function.name, acc.offsets, acc.is_write)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            halo = acc.function.halo
-            for d, off in enumerate(acc.offsets):
-                left, right = halo[d]
-                bound = left if off < 0 else right
-                if abs(off) > bound:
-                    out.append(Diagnostic(
-                        'REPRO-E121',
-                        '%s of %s at offset %+d along %s exceeds the '
-                        'allocated halo extent %d (space_order + padding)'
-                        % ('write' if acc.is_write else 'read',
-                           acc.function.name, off, dims[d].name, bound),
-                        step_index=si))
-    return out
+__all__ = ['check_dead_code']
 
 
 def _temps_in(expr: Any) -> Set[Temp]:

@@ -4,9 +4,10 @@ Both backends execute every compute step as an embarrassingly parallel
 sweep over the space iteration space — the NumPy backend through
 whole-array expressions, the C printer through an OpenMP-style collapsed
 loop nest.  That is only sound when the step carries no dependence
-*across* space iterations.  This pass recomputes the dependence distance
-vectors of every :class:`~repro.ir.schedule.ComputeStep` marked
-``parallel`` and flags:
+*across* space iterations.  This pass compares the read and write
+offsets of every :class:`~repro.ir.schedule.ComputeStep` marked
+``parallel`` (its cluster's :class:`~repro.ir.access.AccessMap`) and
+flags:
 
 * ``REPRO-E111`` — a loop-carried read/write dependence: some equation
   of the cluster reads a (function, time buffer) also written by the
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from ..ir.access import Key
 from .diagnostics import Diagnostic
-from .footprint import Key, cluster_reads
 from .render import describe_key
 
 __all__ = ['check_races']
@@ -44,29 +45,26 @@ def check_races(schedule: Any) -> List[Diagnostic]:
     for si, step in enumerate(schedule.steps):
         if not step.is_compute or not getattr(step, 'parallel', True):
             continue
-        cluster = step.cluster
+        amap = step.cluster.access_map
 
         # -- write/write: same buffer, different offset vectors --------------
         writes: Dict[Key, List[Tuple[int, ...]]] = {}
-        for acc in (eq.write for eq in cluster.eqs):
+        for acc in amap.writes:
             writes.setdefault(acc.key, []).append(acc.offsets)
-        reported = set()
         for key, offs in sorted(writes.items()):
-            distinct = sorted(set(offs))
-            if len(distinct) > 1 and key not in reported:
-                reported.add(key)
+            if len(offs) > 1:
                 out.append(Diagnostic(
                     'REPRO-E112',
                     'parallel step writes %s at distinct offsets %s: '
                     'different space iterations store to the same cell '
                     'in an undefined order'
                     % (describe_key(key),
-                       ' and '.join(_fmt_offsets(o) for o in distinct)),
+                       ' and '.join(_fmt_offsets(o) for o in sorted(offs))),
                     step_index=si))
 
         # -- loop-carried read/write: read a written buffer at distance != 0 -
         flagged = set()
-        for acc in cluster_reads(cluster):
+        for acc in amap.reads:
             if acc.key not in writes or acc.key in flagged:
                 continue
             if any(acc.offsets != w for w in writes[acc.key]):

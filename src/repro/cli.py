@@ -21,8 +21,7 @@ generated schedule *without* executing anything::
         --mpi diagonal --ranks 4 --dump-schedule
 
 building the operator on every simulated rank, running all analysis
-passes (halo coverage, race detection, bounds & dead-code lint, the
-affine dataflow engine with its minimal-halo inference and in-bounds
+passes (halo coverage, race detection, dead-code lint, the in-bounds
 proof) and printing the cross-rank merged diagnostic report; the exit
 status is nonzero when any ``REPRO-E*`` diagnostic fires on any rank.
 ``--dump-schedule`` additionally prints the human-readable schedule,
@@ -204,9 +203,9 @@ def _analyze_parser():
     p = argparse.ArgumentParser(
         prog='python -m repro.cli analyze',
         description='Statically verify the generated schedule of a '
-                    'propagator (halo coverage, race detection, bounds '
-                    '& dead-code lint, minimal-halo inference, the '
-                    'in-bounds proof) without running it.')
+                    'propagator (halo coverage, race detection, '
+                    'dead-code lint, the in-bounds proof) without '
+                    'running it.')
     p.add_argument('kernel', choices=['acoustic', 'elastic', 'tti',
                                       'viscoelastic'])
     p.add_argument('-d', '--shape', nargs='+', type=int,
@@ -221,7 +220,7 @@ def _analyze_parser():
     p.add_argument('--ranks', type=int, default=2,
                    help='simulated MPI ranks the schedule is built for '
                         '(1 = serial: the halo pass is vacuous but '
-                        'races/bounds/dead-code still run)')
+                        'races, dead code and in-bounds still run)')
     p.add_argument('--topology', nargs='+', type=int, default=None,
                    help='process grid (0 entries auto-derived)')
     p.add_argument('--weights', default=None, metavar='W,...',

@@ -10,12 +10,14 @@ CSE, factorization, invariant hoisting) — paper Sections II and III-f.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Any, Optional, Tuple
 
 from ..mpi import HaloWidths
 from ..symbolics import (Add, Integer, Mul, Rational, Temp, cse, factorize,
                          has_indexed, hoist_invariants, unique_nodes)
+from .access import AccessMap, union_widths
 from .lowered import LoweredEq, accesses_of, parse_access
 
 __all__ = ['Cluster', 'HaloRequirement', 'clusterize', 'optimize_clusters']
@@ -60,6 +62,34 @@ class Cluster:
         self.reader = None
         self.producer = None
 
+    # the rewrites replace ``eqs`` and ``temps``; either assignment drops
+    # the access map built from the previous ones
+    @property
+    def eqs(self):
+        return self._eqs
+
+    @eqs.setter
+    def eqs(self, eqs):
+        self._eqs = eqs
+        self._access_map = None
+
+    @property
+    def temps(self):
+        return self._temps
+
+    @temps.setter
+    def temps(self, temps):
+        self._temps = temps
+        self._access_map = None
+
+    @property
+    def access_map(self):
+        """The :class:`~repro.ir.access.AccessMap` of the current
+        equations and CSE temporaries."""
+        if self._access_map is None:
+            self._access_map = AccessMap(self._eqs, self._temps)
+        return self._access_map
+
     @property
     def grid(self):
         return self.eqs[0].grid
@@ -80,16 +110,6 @@ class Cluster:
                 seen[acc.function.name] = acc.function
         return list(seen.values())
 
-    @property
-    def reads(self):
-        """Every read access: equations and CSE temporaries."""
-        reads = []
-        for eq in self.eqs:
-            reads.extend(eq.reads)
-        for _, rhs in self.temps:
-            reads.extend(accesses_of(rhs))
-        return reads
-
     # -- halo detection (paper Section III-f) ----------------------------------
 
     def halo_requirements(self):
@@ -102,28 +122,28 @@ class Cluster:
         reaches that much further.  Scratch arrays are never exchanged:
         their readers' reach is served by the grown region.
         """
+        amap = self.access_map
+        return [HaloRequirement(amap.functions[name], tshift, widths)
+                for (name, tshift), widths in amap.reach(
+                    self.grid.distributor, self.grow).items()]
+
+    def core_widths(self):
+        """The halo widths CORE is carved by, for the overlap (*full*)
+        mode: the union of every read's reach, so CORE points never
+        touch a halo in flight.  A scratch cluster's own extension
+        does not count (its CORE does not reach beyond DOMAIN where a
+        neighbor is); a read of a scratch array at offset ``o`` reaches
+        ``o`` beyond its writer's widths — the CORE of a reader stays
+        what it was before the rewrite.
+        """
         dist = self.grid.distributor
-        grow = self.grow
-        needs = {}
-        for acc in self.reads:
-            func = acc.function
-            if func.is_Scratch:
-                continue
-            key = (func.name, acc.time_shift)
-            entry = needs.setdefault(key, (func, [[0, 0] for _ in
-                                                  acc.offsets]))
-            widths = entry[1]
-            for d, off in enumerate(acc.offsets):
-                if not dist.is_distributed(d):
-                    continue
-                gl, gr = grow[d] if grow is not None else (0, 0)
-                widths[d][0] = max(widths[d][0], gl - off)
-                widths[d][1] = max(widths[d][1], gr + off)
-        out = []
-        for (name, tshift), (func, widths) in needs.items():
-            if any(l or r for l, r in widths):
-                out.append(HaloRequirement(func, tshift, widths))
-        return out
+        amap = self.access_map
+        reach = list(amap.reach(dist).values())
+        if self.producer is not None:
+            reach.extend(amap.reach(dist, self.producer.core_widths(),
+                                    scratch=True).values())
+        zero = tuple((0, 0) for _ in self.grid.shape)
+        return HaloWidths(functools.reduce(union_widths, reach, zero))
 
     # -- cost model hooks -----------------------------------------------------------
 
@@ -139,14 +159,11 @@ class Cluster:
     def traffic_per_point(self, dtype_size=4):
         """Bytes moved per point assuming perfect within-point reuse:
         each distinct (function, time buffer) is streamed once."""
-        keys = set()
-        for eq in self.eqs:
-            keys.add(eq.write.key)
-        for acc in self.reads:
-            keys.add(acc.key)
+        amap = self.access_map
+        writes = {acc.key for acc in amap.writes}
         # writes counted twice (write-allocate)
-        nwrites = len({eq.write.key for eq in self.eqs})
-        return (len(keys) + nwrites) * dtype_size
+        return (len(writes | {acc.key for acc in amap.reads})
+                + len(writes)) * dtype_size
 
     def __repr__(self):
         return 'Cluster(%d eqs, writes=%s%s)' % (
@@ -370,17 +387,13 @@ def _cire(cluster, scratch_names):
     eqs = [LoweredEq(eq.lhs, rec(eq.rhs)) for eq in cluster.eqs]
     if not arrays:
         return None
+    cluster.eqs = eqs
     # the readers' reach per dimension is the arrays' growth
-    grow = [[0, 0] for _ in dims]
-    for eq in eqs:
-        for acc in eq.reads:
-            if acc.function.is_Scratch:
-                for d, off in enumerate(acc.offsets):
-                    grow[d][0] = max(grow[d][0], -off)
-                    grow[d][1] = max(grow[d][1], off)
+    grow = functools.reduce(
+        union_widths, cluster.access_map.reach(scratch=True).values(),
+        tuple((0, 0) for _ in dims))
     for array in arrays.values():
         array.halo = grow
-    cluster.eqs = eqs
     scratch = Cluster([LoweredEq(array.indexify(), expr)
                        for expr, array in arrays.items()], grow=grow)
     scratch.reader, cluster.producer = cluster, scratch

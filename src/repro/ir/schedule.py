@@ -12,18 +12,16 @@ share one halo spot and split around the same wait.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from ..dsl.equation import Eq
 from ..dsl.sparse import Injection, Interpolation
-from ..mpi import HaloWidths, box_difference, core_region
+from ..mpi import box_difference, core_region
 from ..symbolics import indexify, expand_derivatives
+from .access import covers, union_widths
 from .clusters import HaloRequirement, clusterize, optimize_clusters
 from .lowered import LoweredEq, accesses_of, parse_access
 
 __all__ = ['HaloStep', 'ComputeStep', 'SparseStep', 'Schedule',
-           'build_schedule', 'plan_blocking', 'cluster_union_widths',
-           'region_boxes']
+           'build_schedule', 'plan_blocking', 'region_boxes']
 
 #: default cache-block edge (points) of the compiled backend's tiles
 BLOCK_DEFAULT = 32
@@ -76,7 +74,7 @@ class ComputeStep:
         """The halo widths the region is carved by (None for DOMAIN)."""
         if self.region in ('domain', 'grown'):
             return None
-        return cluster_union_widths(self.cluster)
+        return self.cluster.core_widths()
 
     @property
     def grow(self):
@@ -124,44 +122,6 @@ def region_boxes(region, widths, dist, grow=None):
         boxes = [core] if region == 'core' else box_difference(grown, core)
     return [tuple((int(lo), int(hi)) for lo, hi in box)
             for box in boxes if all(hi > lo for lo, hi in box)]
-
-
-def cluster_union_widths(cluster: Any) -> Any:
-    """Union of halo widths over all of a cluster's reads.
-
-    This defines the CORE region for the overlap (*full*) mode: points
-    whose stencil never touches any of the halos being exchanged.  A
-    scratch cluster's own extension does not count (its CORE does not
-    reach beyond DOMAIN where a neighbor is); a read of a scratch array
-    at offset ``o`` counts as ``o`` plus the scratch cluster's widths —
-    the CORE of a reader stays what it was before the rewrite.
-    """
-    dist = cluster.grid.distributor
-    ndim = len(cluster.grid.shape)
-    widths = [[0, 0] for _ in range(ndim)]
-    scratch: Dict[str, Any] = {}
-    for acc in cluster.reads:
-        func = acc.function
-        reach = [(0, 0)] * ndim
-        if func.is_Scratch:
-            if func.name not in scratch:
-                scratch[func.name] = cluster_union_widths(
-                    _writer_of(cluster, func))
-            reach = scratch[func.name]
-        for d, off in enumerate(acc.offsets):
-            if dist.is_distributed(d):
-                widths[d][0] = max(widths[d][0], reach[d][0] - off)
-                widths[d][1] = max(widths[d][1], reach[d][1] + off)
-    return HaloWidths(widths)
-
-
-def _writer_of(cluster, scratch):
-    """The scratch cluster writing ``scratch``, read by ``cluster``."""
-    writer = cluster.producer
-    if writer is None or (scratch.name, None) not in writer.write_keys:
-        raise ValueError("%s reads scratch array %s it does not own"
-                         % (cluster, scratch.name))
-    return writer
 
 
 class SparseStep:
@@ -346,20 +306,9 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
     # an exchange is only dropped (or a hoist only reused) when the
     # already-exchanged depths cover the new requirement in every
     # dimension — a deeper follow-up read forces a fresh exchange (and
-    # widens the hoisted one in place).  The static verifier
-    # (repro.analysis) independently re-derives footprints and would
-    # reject a width-ignoring drop with REPRO-E102.
-    def _covered(have, need):
-        return have is not None and all(
-            hl >= nl and hr >= nr
-            for (hl, hr), (nl, nr) in zip(have, need))
-
-    def _widened(have, need):
-        if have is None:
-            return tuple((l, r) for l, r in need)
-        return tuple((max(hl, nl), max(hr, nr))
-                     for (hl, hr), (nl, nr) in zip(have, need))
-
+    # widens the hoisted one in place).  The static verifier's lattice
+    # simulation (repro.analysis) would reject a width-ignoring drop
+    # with REPRO-E102.
     def _requirements(cluster):
         # a scratch cluster's halo spot serves its reader too (nothing
         # runs between them), so computing scratch arrays adds no spot
@@ -369,7 +318,7 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
                 prev = reqs.get(req.key)
                 reqs[req.key] = req if prev is None else HaloRequirement(
                     req.function, req.time_shift,
-                    _widened(prev.widths, req.widths))
+                    union_widths(prev.widths, req.widths))
         return list(reqs.values())
 
     # a function written inside the loop is exchanged in the loop, after
@@ -399,19 +348,19 @@ def build_schedule(expressions, mpi_mode=None, opt=True):
                         if prev is None:
                             hoisted[req.key] = req
                             preamble_halo.append(req)
-                        elif not _covered(prev.widths, req.widths):
+                        elif not covers(prev.widths, req.widths):
                             merged = HaloRequirement(
                                 req.function, None,
-                                _widened(prev.widths, req.widths))
+                                union_widths(prev.widths, req.widths))
                             preamble_halo[preamble_halo.index(prev)] = \
                                 merged
                             hoisted[req.key] = merged
                         continue
                     have = clean.get(req.key)
-                    if _covered(have, req.widths):
+                    if covers(have, req.widths):
                         continue  # dropped: data not dirty (HaloSpot opt)
                     needed.append(req)
-                    clean[req.key] = _widened(have, req.widths)
+                    clean[req.key] = union_widths(have, req.widths)
             if needed:
                 steps.append(HaloStep(needed, kind='update', uid=uid))
                 uid += 1

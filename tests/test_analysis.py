@@ -4,9 +4,10 @@ Three claims are exercised:
 
 1. **Soundness on shipped code** — every propagator, at every space
    order and with every communication pattern, analyzes *clean* (zero
-   diagnostics, warnings included).  The verifier re-derives the
-   communication requirements independently of the scheduler, so this is
-   a real cross-check, not a tautology.
+   diagnostics, warnings included).  The verifier simulates the emitted
+   schedule against the offsets the scheduler read, so this checks the
+   placement, dropping, hoisting and overlap passes, not the offsets;
+   a brute-force walk over every iteration point checks those.
 2. **Sensitivity to seeded bugs** — mutations of a correct schedule
    (deleted exchange, shrunk halo depth, loop-carried equation in a
    parallel step, out-of-bounds offset) are each rejected with their
@@ -27,11 +28,12 @@ from repro import Eq, Grid, Operator, TimeFunction, configuration, solve
 from repro.analysis import (ANALYSIS_VERSION, AnalysisError, AnalysisReport,
                             CODES, CertificateEntry, CommCertificate,
                             Diagnostic, HaloPoisonError, ReconcileError,
-                            access_maps, analyze_schedule, build_certificate,
-                            covers, declared_widths, dependence_distances,
+                            analyze_schedule, build_certificate,
                             describe_key, format_widths, infer_min_widths,
                             merge_reports, render_merged, verify_schedule)
 from repro.ir.clusters import HaloRequirement
+from repro.ir.lowered import accesses_of
+from repro.ir.schedule import build_schedule
 from repro.mpi import run_parallel
 from repro.mpi.commlog import TagCollisionError, check_tag_spaces
 from repro.mpi.sim import RESERVED_TAG_SPACES
@@ -141,11 +143,13 @@ class TestMutations:
         assert 'REPRO-E112' in op.analyze().codes
 
     def test_out_of_bounds_is_E121(self):
+        # E121 is retired: the in-bounds proof (E123) rejects an offset
+        # beyond the allocated halo over every iteration box
         grid = Grid(shape=(12, 12), extent=(11., 11.))
         u = TimeFunction(name='u', grid=grid, space_order=4)
         t, (x, y) = u.time_dim, grid.dimensions
         op = Operator([Eq(u.forward, u.indexed(t, x + 20, y))], opt=False)
-        assert 'REPRO-E121' in op.analyze().codes
+        assert 'REPRO-E123' in op.analyze().codes
 
     def test_every_code_documented(self):
         for code, (severity, title) in CODES.items():
@@ -411,20 +415,11 @@ class TestCLI:
 class TestDataflowEngine:
     def test_access_maps_hull(self):
         op, _ = _diffusion_op(so=4)
-        maps = [m for m in access_maps(op.schedule)
-                if m.key == ('u', 0) and m.reads is not None]
-        assert maps
+        [cluster] = op.schedule.clusters
+        amap = cluster.access_map
         # the so=4 Laplacian reads +/-2 along both space dimensions
-        hull = maps[0].reads
-        assert hull == ((-2, 2), (-2, 2))
-
-    def test_dependence_distances(self):
-        op, _ = _diffusion_op(so=4)
-        dd = dependence_distances(op.schedule)
-        assert 'u' in dd
-        # write u[t+1] at 0 -> read u[t] at offsets: time distance -1
-        assert all(len(v) == 3 for v in dd['u'])
-        assert any(v[0] == -1 for v in dd['u'])
+        assert amap.reach() == {('u', 0): ((2, 2), (2, 2))}
+        assert [acc.key for acc in amap.writes] == [('u', 1)]
 
     def test_inferred_widths_match_stencil_reach(self):
         def build(comm):
@@ -437,18 +432,8 @@ class TestDataflowEngine:
                        for d in range(2))
         assert inferred[('u', 0)] == expect
 
-    def test_shipped_schedules_are_minimal(self):
-        # the scheduler derives widths from the same footprints, so the
-        # declared exchanges must exactly cover the inferred minimum
-        def build(comm):
-            op, _ = _diffusion_op(comm, mpi='diagonal', so=8)
-            return (infer_min_widths(op.schedule),
-                    declared_widths(op.schedule))
-        for inferred, declared in run_parallel(build, 2):
-            for key, need in inferred.items():
-                assert covers(declared.get(key), need), key
-
     def test_overwide_exchange_is_W203(self):
+        # W203 is retired: an exchange wider than every read is W202
         ops = run_parallel(lambda c: _dist_op(c), 2)
         op = ops[0]
         for step in op.schedule.steps:
@@ -459,29 +444,9 @@ class TestDataflowEngine:
                                 [(l + 2, r + 2) for l, r in req.widths])
                 for req in step.exchanges]
         report = analyze_schedule(op.schedule)
-        assert 'REPRO-W203' in report.codes
-        diag = report.by_code('REPRO-W203')[0]
-        assert 'wasted byte' in diag.message
-        assert 'inferred minimal halo' in diag.message
+        assert 'REPRO-W202' in report.codes
         # over-wide is wasteful, never wrong: no error-severity finding
         assert not report.errors
-
-    def test_oracle_disagreement_is_E122(self, monkeypatch):
-        import repro.analysis.dataflow as dataflow
-        ops = run_parallel(lambda c: _dist_op(c), 2)
-        op = ops[0]
-        # no natural input can make the two oracles disagree (they share
-        # the access parser), so fake the inference deriving a need the
-        # scheduled exchanges cannot cover while the lattice stays clean
-        monkeypatch.setattr(
-            dataflow, 'infer_min_widths',
-            lambda schedule: {('u', 0): ((9, 9), (9, 9))})
-        diagnostics = dataflow.check_dataflow(op.schedule)
-        codes = [d.code for d in diagnostics]
-        assert 'REPRO-E122' in codes
-        [diag] = [d for d in diagnostics if d.code == 'REPRO-E122']
-        assert diag.where == 'cross-check'
-        assert 'contradict' in diag.message
 
     def test_undersized_allocation_is_E123(self):
         op, u = _diffusion_op(so=4)
@@ -627,20 +592,15 @@ class TestDataflowMatrix:
                               comm=comm, mpi=mode, nrec=4)
             op = solver.op
             report = analyze_schedule(op.schedule)
-            inferred = infer_min_widths(op.schedule)
-            declared = declared_widths(op.schedule)
-            minimal = all(covers(declared.get(k), need)
-                          for k, need in inferred.items())
             # the forward run reconciles the commlog ledger against
             # the certificate after apply (raises on any mismatch)
             solver.forward()
-            return report, minimal, op.certificate
-        for rank, (report, minimal, cert) in \
-                enumerate(run_parallel(build, 2)):
-            # zero REPRO-E: in-bounds proof + inference both clean
-            assert not report.errors, (rank, report.render())
-            # inferred minimal widths never exceed the declared ones
-            assert minimal, rank
+            return report, op.certificate
+        for rank, (report, cert) in enumerate(run_parallel(build, 2)):
+            # zero diagnostics, warnings included: no exchange is
+            # missing, stale, redundant or wider than its reads
+            # (W201/W202), and every access is proven in-bounds
+            assert not report.diagnostics, (rank, report.render())
             assert cert is not None and cert.entries, rank
 
 
@@ -694,6 +654,55 @@ class TestMergedReports:
 # -- property-based: inference vs a brute-force off-rank-read simulation -------------
 
 
+def _bruteforce_need(schedule, dist):
+    """Walk every point of every compute step's boxes on this rank, and
+    every read offset, for one iteration; record per buffer how deep
+    each read lands inside a neighbor's owned region.  Along dimension
+    ``d`` that depth depends on a point's ``d`` coordinate only, so each
+    box is walked one dimension at a time."""
+    need = {}
+    for step in schedule.steps:
+        if not step.is_compute:
+            continue
+        cluster = step.cluster
+        reads = [acc for eq in cluster.eqs for acc in eq.reads]
+        reads += [acc for _, rhs in cluster.temps
+                  for acc in accesses_of(rhs)]
+        for box in step.boxes(dist):
+            for acc in reads:
+                if acc.function.is_Scratch:
+                    continue  # never exchanged
+                widths = need.setdefault(acc.key, [[0, 0] for _ in box])
+                for d, ((lo, hi), off) in enumerate(zip(box,
+                                                        acc.offsets)):
+                    dec = dist.decompositions[d]
+                    start, stop = dec.local_range(dist.mycoords[d])
+                    for i in range(start + lo, start + hi):
+                        tgt = i + off
+                        if not 0 <= tgt < dec.npoints:
+                            continue  # boundary padding, never off-rank
+                        if tgt < start:
+                            widths[d][0] = max(widths[d][0], start - tgt)
+                        elif tgt >= stop:
+                            widths[d][1] = max(widths[d][1],
+                                               tgt - stop + 1)
+    return need
+
+
+def _check_inference(inferred, needs):
+    """``inferred`` (every rank's) is sufficient and minimal: it equals
+    the worst brute-force need over the ranks, buffer by buffer."""
+    worst = {}
+    for need in needs:
+        for key, widths in need.items():
+            prev = worst.get(key, widths)
+            worst[key] = [[max(a, b) for a, b in zip(p, w)]
+                          for p, w in zip(prev, widths)]
+    expect = {key: tuple(map(tuple, w)) for key, w in worst.items()
+              if any(l or r for l, r in w)}
+    assert all(inf == expect for inf in inferred), (inferred[0], expect)
+
+
 class TestInferenceProperty:
     @given(offsets=st.lists(st.tuples(st.integers(-3, 3),
                                       st.integers(-3, 3)),
@@ -710,38 +719,28 @@ class TestInferenceProperty:
             expr = u.indexed(t, x, y) * 0.0
             for i, (ox, oy) in enumerate(offsets):
                 expr = expr + u.indexed(t, x + ox, y + oy) * float(i + 1)
-            op = Operator([Eq(u.forward, expr)], mpi=mode, opt=False)
-            dist = grid.distributor
-            inferred = infer_min_widths(op.schedule).get(
-                ('u', 0), ((0, 0), (0, 0)))
-            # brute force: walk every owned point and every stencil
-            # offset for one iteration and record how deep each read
-            # lands inside a neighbor's owned region
-            need = [[0, 0], [0, 0]]
-            for d in range(2):
-                dec = dist.decompositions[d]
-                start, stop = dec.local_range(dist.mycoords[d])
-                for off in {o[d] for o in offsets}:
-                    for i in range(start, stop):
-                        tgt = i + off
-                        if not 0 <= tgt < dec.npoints:
-                            continue  # boundary padding, never off-rank
-                        if tgt < start:
-                            need[d][0] = max(need[d][0], start - tgt)
-                        elif tgt >= stop:
-                            need[d][1] = max(need[d][1], tgt - stop + 1)
-            return inferred, tuple((l, r) for l, r in need)
+            schedule = build_schedule([Eq(u.forward, expr)],
+                                      mpi_mode=mode, opt=False)
+            return (infer_min_widths(schedule),
+                    _bruteforce_need(schedule, grid.distributor))
 
         for mode in MODES:
-            results = run_parallel(lambda c: build(c, mode), ranks)
-            inferred0 = results[0][0]
             # the inference is schedule- and mode-independent
-            assert all(inf == inferred0 for inf, _ in results)
-            # sufficient: every rank's simulated need is covered ...
-            for inf, need in results:
-                assert covers(inf, need)
-            # ... and minimal: it equals the max need over the ranks
-            for d in range(2):
-                for side in range(2):
-                    worst = max(need[d][side] for _, need in results)
-                    assert inferred0[d][side] == worst
+            _check_inference(*zip(*run_parallel(lambda c: build(c, mode),
+                                                ranks)))
+
+    @pytest.mark.parametrize('so,ranks', [(4, 2), (4, 4), (8, 2), (8, 4)])
+    def test_grown_region_matches_bruteforce(self, so, ranks):
+        # TTI's scratch cluster iterates DOMAIN grown by its readers'
+        # offsets, so its reads reach from the grown edge; full mode
+        # splits every region into CORE and REMAINDER boxes
+        solvers = run_parallel(
+            lambda c: tti_setup(shape=(24, 20), spacing=(10., 10.),
+                                tn=10.0, space_order=so, nbl=2, comm=c,
+                                nrec=1)[0], ranks)
+        # one rank-agnostic schedule, walked over every rank's boxes
+        schedule = build_schedule(solvers[0]._equations(), mpi_mode='full')
+        assert any(s.is_compute and s.grow for s in schedule.steps)
+        _check_inference([infer_min_widths(schedule)],
+                         [_bruteforce_need(schedule, s.model.grid.distributor)
+                          for s in solvers])
