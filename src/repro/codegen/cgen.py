@@ -10,7 +10,7 @@ Two emitters live here:
   body over cache-blocked loop nests
   (:func:`~repro.ir.schedule.plan_blocking`), one function per sparse
   operation, and the runtime (:mod:`.cruntime`) whose exported
-  ``step(time, nrows, binding)`` runs one timestep — compute, halo
+  ``repro_step(time, nrows, binding)`` runs one timestep — compute, halo
   spots over in-process channels, injection, interpolation, section
   timers, sanitizer hooks — from a per-rank op program.  Equations,
   space order, dtype and dimensionality are baked into the text;
@@ -30,7 +30,8 @@ from ..profiling import assign_section_names
 from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
                          unique_nodes)
 from .common import function_nb
-from .cruntime import STEP_MARK, prelude_source, runtime_source
+from .cruntime import (KERNEL_MARK, RUNTIME_MARK, STEP_MARK, prelude_source,
+                       runtime_source, table_source)
 
 __all__ = ['generate_c', 'generate_c_steps']
 
@@ -581,16 +582,17 @@ def _emit_kernel(em, name, params, halos, dims, body_lines, parallel):
 
 
 def generate_c_steps(schedule, dtype=None):
-    """Emit the executable C translation unit for ``schedule``.
+    """Emit the executable C source for ``schedule``.
 
-    Returns ``(source, meta)``.  ``source`` is two translation units,
-    split by :data:`~.cruntime.STEP_MARK`: one shape-generic kernel per
-    cluster (see the module docstring for what is baked and what is
-    bound); and the step — a thunk per kernel that reads its operands
-    from the binding, one function per sparse operation, and the
-    runtime (:mod:`.cruntime`) with the exported ``step(time, nrows,
-    binding)`` that runs one timestep's op program.  Nothing in it
-    depends on the comm mode, the decomposition or the rank: the op
+    Returns ``(source, meta)``.  ``source`` is a sequence of translation
+    units, split by the marks of :mod:`.cruntime`: a shared head, then
+    one unit per cluster — a shape-generic kernel (see the module
+    docstring for what is baked and what is bound); the step unit — a
+    thunk per kernel that reads its operands from the binding, one
+    function per sparse operation and the function table; and the
+    runtime (:mod:`.cruntime`) with the exported ``repro_step(time,
+    nrows, binding)`` that runs one timestep's op program.  Nothing in
+    it depends on the comm mode, the decomposition or the rank: the op
     program and everything it points at are run-time data
     (:mod:`.cstep`).
 
@@ -630,18 +632,16 @@ def generate_c_steps(schedule, dtype=None):
     tvars = _time_var_names(schedule)
     scalar_kinds = _scalar_assignment_kinds(schedule)
 
-    em = _CEmitter()
-    em.emit('/* repro compiled backend: one shape-generic function per '
-            'cluster; strict IEEE */')
-    em.emit('#include <math.h>')
-    em.emit()
+    head = ('/* repro compiled backend: one shape-generic function per '
+            'cluster; strict IEEE */\n#include <math.h>\n')
     # the step unit: thunks reading the kernels' operands from the
-    # binding, the sparse functions, the runtime
+    # binding, the sparse functions, the function table
     glue = _CEmitter()
     glue.lines += prelude_source(ctype).splitlines()
     glue.emit()
 
     kernels = {}  # (cluster, parallel) -> its steps' shared metadata
+    units = []
     fns = []
     meta = {}
     for sid, step in enumerate(schedule.steps):
@@ -649,9 +649,11 @@ def generate_c_steps(schedule, dtype=None):
             continue
         key = (id(step.cluster), bool(step.parallel))
         if key not in kernels:
+            em = _CEmitter()
             kernels[key] = _print_kernel(
                 em, glue, 'k%d' % len(kernels), len(fns), step.cluster,
                 key[1], ctype, dtype, tvars, scalar_kinds)
+            units.append(em.source())
             fns.append('__call_k%d' % (len(kernels) - 1))
         fn, halos, fields, scalars = kernels[key]
         meta[sid] = {'name': fns[fn][len('__call_'):], 'fn': fn,
@@ -666,10 +668,11 @@ def generate_c_steps(schedule, dtype=None):
             meta[sid] = {'name': name, 'fn': len(fns), 'fields': fields,
                          'scalars': scalars, 'halos': halos}
             fns.append(name)
-    glue.lines += runtime_source(fns).splitlines()
+    glue.lines += table_source(fns).splitlines()
     if libm:
         glue.lines.insert(0, '#include <math.h>')
-    return em.source() + STEP_MARK + glue.source(), meta
+    return (head + ''.join(KERNEL_MARK + u for u in units) + STEP_MARK
+            + glue.source() + RUNTIME_MARK + runtime_source(ctype)), meta
 
 
 def _print_kernel(em, glue, name, fn, cluster, parallel, ctype, dtype,

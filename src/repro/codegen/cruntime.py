@@ -1,12 +1,15 @@
-"""The fixed part of every executable C translation unit: the step.
+"""The fixed part of every executable C source: the step runtime.
 
 :func:`~repro.codegen.cgen.generate_c_steps` prints the equations (one
 kernel per cluster, one function per sparse operation, one thunk per
 kernel); this module holds the text that does not depend on them — only
 on the element type — and that turns the kernels into one exported
-``step(time, nrows, binding)``.  It closes the step translation unit,
-which is compiled apart from the kernels and linked with them into one
-shared object (:func:`~repro.codegen.jit.compile_shared`):
+``repro_step(time, nrows, binding)``.  A source is a sequence of
+translation units, split by the marks below, compiled apart and linked
+into one shared object (:func:`~repro.codegen.jit.compile_shared`): one
+unit per kernel, the per-build step unit (thunks, sparse functions, the
+function table ``__rp_fns``) and this runtime, which is the same for
+every build of one element type and so is compiled once per process:
 
 * ``__rp_binding`` — what one rank binds for one run of the time loop:
   pointers (fields, sparse plans, pending rows), the scalar table, the
@@ -26,21 +29,27 @@ shared object (:func:`~repro.codegen.jit.compile_shared`):
 * the poisoned-halo sanitizer's fill and scan over boxes;
 * the interpreter of the op program, with one timer per section.
 
-Return codes of ``step``: 0 done; 1 a peer failed; 2 a wait timed out
-(``err`` = src, dst, tag); 3 the sanitizer found poison (``err[0]`` =
-section); 4 a sparse time row out of range (``err[0]`` = time).
+Every unit is compiled with ``-fvisibility=hidden``: the object exports
+``repro_step`` and ``repro_wake`` and nothing else, so no call between
+units can bind to a libc symbol of the same name (glibc exports a weak
+``step``).
+
+Return codes of ``repro_step``: 0 done; 1 a peer failed; 2 a wait timed
+out (``err`` = src, dst, tag); 3 the sanitizer found poison (``err[0]``
+= section); 4 a sparse time row out of range (``err[0]`` = time).
 """
 
 from __future__ import annotations
 
-__all__ = ['OPS', 'ERRORS', 'EXCHANGER_COUNTERS', 'STEP_MARK',
-           'prelude_source', 'runtime_source']
+__all__ = ['OPS', 'ERRORS', 'EXCHANGER_COUNTERS', 'KERNEL_MARK',
+           'STEP_MARK', 'RUNTIME_MARK', 'prelude_source', 'table_source',
+           'runtime_source']
 
 #: op codes of the step program (four ``long`` per op, 0 terminates)
 OPS = {'end': 0, 'begin': 1, 'stop': 2, 'call': 3, 'update': 4,
        'send': 5, 'recv': 6, 'poison': 7, 'scan': 8}
 
-#: non-zero return codes of ``step``
+#: non-zero return codes of ``repro_step``
 ERRORS = {1: 'failed', 2: 'timeout', 3: 'poison', 4: 'time'}
 
 #: the per-exchanger counter row the step accumulates (doubles)
@@ -81,6 +90,8 @@ typedef int (*__rp_fn)(__rp_binding *, const long *, long, long);
 '''
 
 _RUNTIME = r'''
+extern const __rp_fn __rp_fns[];
+
 #if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
 /* the libc entry points the runtime calls, declared here: their
    headers cost more to parse than the runtime costs to compile */
@@ -148,7 +159,7 @@ static void __rp_wake(int *word)
 }
 
 /* wake whoever sleeps on either word of a channel (SimWorld.fail) */
-void repro_wake(__rp_chan *c)
+__attribute__((visibility("default"))) void repro_wake(__rp_chan *c)
 {
   __rp_wake(&c->seq);
   __rp_wake(&c->ack);
@@ -345,7 +356,8 @@ static void __rp_poison(const __rp_binding *b, const long *a)
   }
 }
 
-int step(long time, long nrows, __rp_binding *b)
+__attribute__((visibility("default")))
+int repro_step(long time, long nrows, __rp_binding *b)
 {
   double t0 = 0.0;
   for (const long *op = b->prog; op[0]; op += 4)
@@ -392,21 +404,29 @@ int step(long time, long nrows, __rp_binding *b)
 '''
 
 
-#: where :func:`~repro.codegen.cgen.generate_c_steps` output splits into
-#: its two translation units: the kernels before it, the step after it
-#: (compiled apart and linked into one shared object by
-#: :func:`repro.codegen.jit.compile_shared`)
+#: the marks :func:`~repro.codegen.cgen.generate_c_steps` output is
+#: split by (:func:`repro.codegen.jit.compile_shared`): the text before
+#: the first kernel mark heads every kernel unit, each kernel mark opens
+#: one kernel unit, the step mark the per-build step unit and the
+#: runtime mark the runtime unit
+KERNEL_MARK = '\n/* ---- repro kernel ---- */\n'
 STEP_MARK = '\n/* ---- repro step ---- */\n'
+RUNTIME_MARK = '\n/* ---- repro runtime ---- */\n'
 
 
 def prelude_source(ctype):
-    """Types and helpers of the step translation unit."""
+    """Types and helpers shared by the step and runtime units."""
     return _PRELUDE % {'ctype': ctype}
 
 
-def runtime_source(fns):
-    """The step's function table, then the runtime: channels, halo
-    spots, sanitizer, ``step``.  Nothing in it is hot (halo copies are
-    ``memcpy`` calls), so the step unit compiles at ``-O0``."""
-    return ('static const __rp_fn __rp_fns[] = {%s};\n'
-            % ', '.join(fns or ['0']) + _RUNTIME)
+def table_source(fns):
+    """The step unit's function table, which ``repro_step`` indexes."""
+    return ('const __rp_fn __rp_fns[] = {%s};\n'
+            % ', '.join(fns or ['0']))
+
+
+def runtime_source(ctype):
+    """The runtime unit: channels, halo spots, sanitizer, ``repro_step``.
+    Nothing in it is hot (halo copies are ``memcpy`` calls), so it
+    compiles at ``-O0``, like the step unit."""
+    return prelude_source(ctype) + _RUNTIME

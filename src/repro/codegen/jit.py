@@ -2,11 +2,11 @@
 
 This is the machinery behind ``backend='c'``: discover a working C
 compiler (honoring ``$CC`` first, exactly so CI can mask the toolchain
-with ``CC=/nonexistent`` to prove the fallback path), compile one
-translation unit of shape-generic kernel functions into a shared object
-— once per process, whichever rank thread gets there first —
-``dlopen`` it with :mod:`ctypes` and bind its one entry point for the
-driver, ``step(time, nrows, binding)`` — one timestep of compute, halo
+with ``CC=/nonexistent`` to prove the fallback path), compile the
+translation units of one set of equations into a shared object — once
+per process, whichever rank thread gets there first — ``dlopen`` it
+with :mod:`ctypes` and bind its one entry point for the driver,
+``repro_step(time, nrows, binding)`` — one timestep of compute, halo
 exchange and sparse operations (:mod:`repro.codegen.cruntime`).
 
 Design points:
@@ -26,6 +26,11 @@ Design points:
   objects, so ranks, repartitions and the disk cache tier share them,
   and a cache directory shared between unlike hosts never serves one
   host's ``-march=native`` code to another.
+* **As many compiler processes as CPUs** — every compiler and linker
+  process of the process (all builds, rank threads and service
+  workers) takes a slot of one semaphore sized to the CPUs this
+  process may run on, so a cold build's units use every core and
+  concurrent builds interleave their units instead of oversubscribing.
 * **Graceful fallback** — :func:`resolve_backend` demotes ``'c'`` to
   ``'numpy'`` with a visible :class:`ToolchainWarning` when no compiler
   exists; nothing in the pipeline hard-requires a toolchain.
@@ -34,6 +39,7 @@ Design points:
 from __future__ import annotations
 
 import atexit
+import collections
 import ctypes
 import functools
 import hashlib
@@ -54,8 +60,10 @@ __all__ = ['JITError', 'ToolchainWarning', 'find_compiler',
 _DEFAULT_COMPILERS = ('cc', 'gcc', 'clang')
 
 #: flags shared by every kernel compile; -ffp-contract=off keeps FMA
-#: from fusing a*b+c (NumPy performs the rounding step, so must we)
-CFLAGS = ('-O3', '-fPIC', '-shared', '-ffp-contract=off', '-fno-builtin')
+#: from fusing a*b+c (NumPy performs the rounding step, so must we);
+#: -fvisibility=hidden exports only what the source marks as exported
+CFLAGS = ('-O3', '-fPIC', '-shared', '-ffp-contract=off', '-fno-builtin',
+          '-fvisibility=hidden')
 
 #: best-effort tuning flag: tried first, dropped for a compiler that
 #: rejects it (see :func:`_flag_sets`)
@@ -165,6 +173,17 @@ def cpu_signature():
                            digest_size=8).hexdigest()
 
 
+def _ncpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+#: one slot per compiler or linker process that may run at once
+_slots = threading.BoundedSemaphore(_ncpus())
+
+
 def _flag_sets(cc):
     """Flag sets to compile with, preferred first."""
     if cc in _store.no_native:
@@ -183,6 +202,13 @@ def key_material(cc, flags):
             else platform.machine()}
 
 
+def _object_name(cc, flags, source, pattern):
+    h = hashlib.blake2b(digest_size=16)
+    for part in (*key_material(cc, flags).values(), source):
+        h.update(part.encode('utf-8') + b'\0')
+    return pattern % h.hexdigest()
+
+
 def object_names(source, cc=None):
     """File names this host publishes ``source``'s object under, one
     per flag set of :func:`_flag_sets` (none without a compiler).  A
@@ -190,27 +216,24 @@ def object_names(source, cc=None):
     or for another CPU."""
     if cc is None:
         cc = find_compiler()
-    names = []
-    for flags in _flag_sets(cc) if cc is not None else ():
-        h = hashlib.blake2b(digest_size=16)
-        for part in (*key_material(cc, flags).values(), source):
-            h.update(part.encode('utf-8') + b'\0')
-        names.append('k_%s.so' % h.hexdigest())
-    return names
+    return [_object_name(cc, flags, source, 'k_%s.so')
+            for flags in (_flag_sets(cc) if cc is not None else ())]
 
 
 class _ObjectStore:
     """The process's compiled objects: a scratch directory (removed at
-    exit) of content-named ``.so`` files, a lock per name so that of
-    the rank threads asking for one object exactly one compiles it, a
-    count of the compiles actually run, and the compilers found to
-    reject ``-march=native``."""
+    exit) of content-named ``.so`` files and runtime objects, a lock
+    per name so that of the threads asking for one object exactly one
+    compiles it, a count of the objects actually linked and of the
+    units compiled per kind (``kernel``, ``step``, ``runtime``), and
+    the compilers found to reject ``-march=native``."""
 
     def __init__(self):
         self._guard = threading.Lock()
         self._locks = {}
         self.workdir = None
         self.compiles = 0
+        self.units = collections.Counter()
         self.no_native = set()
 
     def directory(self):
@@ -229,16 +252,19 @@ class _ObjectStore:
         with self._guard:
             return self._locks.setdefault(name, threading.Lock())
 
-    def compiled(self):
+    def compiled(self, unit=None):
         with self._guard:
-            self.compiles += 1
+            if unit is None:
+                self.compiles += 1
+            else:
+                self.units[unit] += 1
 
 
 _store = _ObjectStore()
 
 
 def compile_count():
-    """Compiler runs that produced an object in this process."""
+    """Shared objects compiled and linked in this process."""
     return _store.compiles
 
 
@@ -249,16 +275,19 @@ def compile_shared(source, cc=None):
     content name (:func:`object_names`): asking again for the same
     source — another rank thread, a repartitioned operator, a pooled
     service instance — finds it, and threads asking at once wait for
-    the one that compiles.  The ``.c`` is content-named too and the
+    the one that compiles.  Every file is content-named and the
     compiler runs inside the scratch directory, so no path reaches the
-    object (the source file name is in its symbol table) and equal
-    names give equal bytes.
+    object (a source file name is in its symbol table) and equal names
+    give equal bytes.
 
     A source of the compiled step (:func:`~repro.codegen.cgen.
-    generate_c_steps`) is two translation units, compiled at once and
-    linked into one object: the kernels at the flags of
-    :func:`_flag_sets`, and meanwhile the step (thunks, sparse
-    functions, runtime) at ``-O0``.
+    generate_c_steps`) is several translation units (:mod:`.cruntime`),
+    compiled at once and linked into one object: each kernel at the
+    flags of :func:`_flag_sets`, the step unit (thunks, sparse
+    functions, function table) at ``-O0``, and the runtime at ``-O0``
+    into an object of its own, which every later build of the process
+    with the same element type and flags links again.  If any unit
+    fails under ``-march=native``, all of them are retried portable.
     """
     from .cruntime import STEP_MARK
     if cc is None:
@@ -267,7 +296,6 @@ def compile_shared(source, cc=None):
         raise JITError("no C compiler available (set $CC or install cc/"
                        "gcc/clang)")
     workdir = _store.directory()
-    kernels, _, step = source.partition(STEP_MARK)
     for flags, so_name in zip(_flag_sets(cc), object_names(source, cc)):
         so_path = os.path.join(workdir, so_name)
         with _store.lock(so_name):
@@ -275,26 +303,13 @@ def compile_shared(source, cc=None):
                 return so_path
             stem = so_name[:-3]
             out = ['-o', so_name + '.tmp', '-lm']
-            if not step:
-                run = _finish(_start(cc, [*flags, _write(
-                    workdir, stem + '.c', source), *out], workdir))
+            if STEP_MARK not in source:
+                run = _run(cc, [*flags, _write(
+                    workdir, stem + '.c', source), *out], workdir)
             else:
-                cflags = [f for f in flags if f != '-shared']
-                objs = [stem + '.o', stem + '_step.o']
-                proc = _start(cc, [*cflags, '-c', _write(
-                    workdir, stem + '.c', kernels), '-o', objs[0]], workdir)
-                try:
-                    run = _finish(_start(cc, [
-                        *[f for f in cflags if f != '-O3'], '-O0', '-c',
-                        _write(workdir, stem + '_step.c', step), '-o',
-                        objs[1]], workdir))
-                finally:
-                    kernel_run = _finish(proc)
-                if run.returncode == 0:
-                    run = kernel_run
-                if run.returncode == 0:
-                    run = _finish(_start(cc, ['-shared', *objs, *out],
-                                         workdir))
+                objs, failed = _compile_units(cc, flags, workdir, stem,
+                                              source)
+                run = failed or _run(cc, ['-shared', *objs, *out], workdir)
             if run.returncode == 0:
                 os.replace(so_path + '.tmp', so_path)
                 _store.compiled()
@@ -306,10 +321,89 @@ def compile_shared(source, cc=None):
                    % (' '.join(run.args), run.stderr.strip()))
 
 
+def _compile_units(cc, flags, workdir, stem, source):
+    """Compile the units of a step source at once.  Returns the object
+    files to link and the first failed compiler run (or None)."""
+    from .cruntime import KERNEL_MARK, RUNTIME_MARK, STEP_MARK
+    kflags = [f for f in flags if f != '-shared'] + ['-c']
+    sflags = ['-O0' if f == '-O3' else f for f in kflags]
+    kernels, _, step = source.partition(STEP_MARK)
+    head, *bodies = kernels.split(KERNEL_MARK)
+    glue, _, runtime = step.partition(RUNTIME_MARK)
+    units = [('kernel', kflags, '%s_k%d' % (stem, i), head + KERNEL_MARK + b)
+             for i, b in enumerate(bodies)]
+    units.append(('step', sflags, stem + '_step', glue))
+    jobs = [functools.partial(_compile_unit, cc, workdir, *unit)
+            for unit in units]
+    jobs.append(functools.partial(_runtime_object, cc, workdir, sflags,
+                                  runtime))
+    done = _concurrently(jobs)
+    failed = [run for _, run in done if run is not None and run.returncode]
+    return [obj for obj, _ in done], failed[0] if failed else None
+
+
+def _compile_unit(cc, workdir, kind, flags, stem, text, obj=None):
+    """Compile one unit ``<stem>.c`` into ``obj`` (``<stem>.o``).
+    Returns the object file and the compiler run."""
+    obj = obj or stem + '.o'
+    run = _run(cc, [*flags, _write(workdir, stem + '.c', text), '-o', obj],
+               workdir)
+    if run.returncode == 0:
+        _store.compiled(kind)
+    return obj, run
+
+
+def _runtime_object(cc, workdir, flags, text):
+    """The runtime unit's object, compiled once per process for each
+    text (element type) and flag set: later builds link the same file
+    (and get no compiler run back)."""
+    name = _object_name(cc, flags, text, 'rt_%s.o')
+    path = os.path.join(workdir, name)
+    with _store.lock(name):
+        if os.path.exists(path):
+            return name, None
+        _, run = _compile_unit(cc, workdir, 'runtime', flags, name[:-2],
+                               text, obj=name + '.tmp')
+        if run.returncode == 0:
+            os.replace(path + '.tmp', path)
+        return name, run
+
+
+def _concurrently(jobs):
+    """Run callables at once, one thread each (the last on the calling
+    thread); their results in order.  The compiler slots, not this,
+    decide how many processes run."""
+    results = [None] * len(jobs)
+
+    def run(i):
+        try:
+            results[i] = jobs[i]()
+        except BaseException as e:  # re-raised on the calling thread
+            results[i] = e
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(jobs) - 1)]
+    for t in threads:
+        t.start()
+    run(len(jobs) - 1)
+    for t in threads:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
+
+
 def _write(workdir, name, text):
     with open(os.path.join(workdir, name), 'w', encoding='utf-8') as f:
         f.write(text)
     return name
+
+
+def _run(cc, args, workdir):
+    """One compiler or linker process, started once a slot is free."""
+    with _slots:
+        return _finish(_start(cc, args, workdir))
 
 
 def _start(cc, args, workdir):
@@ -337,9 +431,10 @@ def load_steps(so_path):
     """dlopen a compiled kernel and bind its entry points.
 
     Returns ``(lib, funcs)``: ``funcs`` is the ``__C`` table the
-    generated driver indexes into — ``step(time, nrows, binding)``, one
-    timestep of this rank's op program and the only compiled call the
-    driver makes (ctypes releases the GIL for it).  What a rank binds
+    generated driver indexes into — ``step``, the object's
+    ``repro_step(time, nrows, binding)``: one timestep of this rank's op
+    program and the only compiled call the driver makes (ctypes
+    releases the GIL for it).  What a rank binds
     to it is data (:class:`~repro.codegen.cstep.StepProgram`).
     """
     try:
@@ -347,7 +442,7 @@ def load_steps(so_path):
     except OSError as e:
         raise JITError("cannot load %s: %s" % (so_path, e)) from None
     try:
-        step, wake = lib.step, lib.repro_wake
+        step, wake = lib.repro_step, lib.repro_wake
     except AttributeError:
         raise JITError("compiled object %s lacks the step entry points"
                        % (so_path,)) from None
@@ -372,6 +467,7 @@ def toolchain_report(env=None):
     if cc is not None:
         try:
             so = compile_shared(
+                '__attribute__((visibility("default"))) '
                 'void __repro_smoke(double *x) { x[0] = x[0] * 2.0; }\n',
                 cc=cc)
             lib = ctypes.CDLL(so)

@@ -14,6 +14,7 @@ code.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -847,6 +848,105 @@ class TestShapeGeneric:
             assert (backend, size) == ('c', 3)
             assert np.array_equal(field, oracle)
         assert jit.compile_count() == before
+
+
+# -- the compile pipeline: units, the shared runtime, the process cap --------
+
+
+def _two_kernels(coeff):
+    """Two clusters (v reads the fresh u.forward with an offset): a
+    2-kernel build whose source no other test compiles."""
+    from repro.symbolics import Derivative
+    grid = Grid(shape=(20, 18))
+    u = TimeFunction(name='u', grid=grid, space_order=2)
+    v = TimeFunction(name='v', grid=grid, space_order=2)
+    return [Eq(u.forward, u + coeff * u.laplace),
+            Eq(v.forward, v + coeff * Derivative(
+                u.forward, (grid.dimensions[0], 1), fd_order=2))]
+
+
+@needs_cc
+class TestCompilePipeline:
+
+    def test_one_unit_per_kernel_and_one_per_build(self, monkeypatch):
+        from repro.codegen.cruntime import KERNEL_MARK
+        monkeypatch.setattr(jit, '_store', jit._ObjectStore())
+        op = Operator(_two_kernels(0.137), backend='c')
+        assert op.backend == 'c'
+        assert op.kernel.c_source.count(KERNEL_MARK) == 2
+        assert jit._store.units == {'kernel': 2, 'step': 1, 'runtime': 1}
+        assert jit.compile_count() == 1
+
+    def test_runtime_compiled_once_per_process(self, monkeypatch):
+        """A second structure of the same element type links the
+        runtime object the first one compiled; another element type
+        has a runtime of its own."""
+        monkeypatch.setattr(jit, '_store', jit._ObjectStore())
+        Operator(_two_kernels(0.139), backend='c')
+        Operator(_diffusion(so=2)[0], backend='c')
+        assert jit._store.units == {'kernel': 3, 'step': 2, 'runtime': 1}
+        Operator(_diffusion(so=2, dtype=np.float64)[0], backend='c')
+        assert jit._store.units == {'kernel': 4, 'step': 3, 'runtime': 2}
+        assert jit.compile_count() == 3
+
+    def test_compiler_processes_never_exceed_the_cap(self, monkeypatch):
+        """Concurrent builds share the process-wide slots: a compiler
+        or linker process starts only while fewer than one per CPU
+        run."""
+        import threading
+        monkeypatch.setattr(jit, '_store', jit._ObjectStore())
+        guard = threading.Lock()
+        running, peak = [0], [0]
+        start, finish = jit._start, jit._finish
+
+        def counted_start(*args):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            return start(*args)
+
+        def counted_finish(proc):
+            try:
+                return finish(proc)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(jit, '_start', counted_start)
+        monkeypatch.setattr(jit, '_finish', counted_finish)
+        builds = [_two_kernels(0.141), _two_kernels(0.143),
+                  _diffusion(so=2)[0]]
+        ops = []
+        threads = [threading.Thread(
+            target=lambda e=e: ops.append(Operator(e, backend='c')))
+            for e in builds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [op.backend for op in ops] == ['c'] * 3
+        # 5 kernel units + 3 step units + 1 runtime + 3 links
+        assert sum(jit._store.units.values()) + jit.compile_count() == 12
+        assert 1 <= peak[0] <= jit._ncpus()
+
+    def test_exports_only_the_entry_points(self):
+        """No call between units can bind to a libc symbol: glibc
+        exports a weak ``step``, and the object exports nothing but its
+        two entry points."""
+        nm = shutil.which('nm')
+        if nm is None:
+            pytest.skip('no nm on this host')
+        op = Operator(_diffusion(so=2)[0], backend='c')
+        out = subprocess.run([nm, '-D', '--defined-only', op.kernel.so_path],
+                             capture_output=True, text=True, check=True)
+        assert {line.split()[-1] for line in out.stdout.splitlines()
+                if line.strip()} == {'repro_step', 'repro_wake'}
 
 
 # -- CLI surface --------------------------------------------------------------

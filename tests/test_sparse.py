@@ -5,8 +5,12 @@ import pytest
 
 from repro import (Eq, Function, Grid, Operator, SparseTimeFunction,
                    TimeFunction)
+from repro.codegen import jit
 from repro.dsl import sparse as sparse_mod
 from repro.mpi import run_parallel
+
+needs_cc = pytest.mark.skipif(jit.find_compiler() is None,
+                              reason='no C toolchain on this host')
 
 
 def _grid(comm=None):
@@ -169,10 +173,12 @@ class TestInterpolation:
         assert rec.data[0, 0] == pytest.approx(5.0)
 
 
-def _receiver_problem(comm, coords, steps, profiling=None, reinject=False):
+def _receiver_problem(comm, coords, steps, profiling=None, reinject=False,
+                      backend=None):
     """u diffuses from a seeded field; ``rec`` samples it every step.
     With ``reinject`` the same step injects ``rec`` into ``v`` — a read
-    of the just-interpolated row.  Returns ``(op, rec, v)``, not applied."""
+    of the just-interpolated row.  Returns ``(op, rec, v)``, not applied;
+    a ``backend`` asked for must be the one built."""
     n = 16
     grid = Grid(shape=(n, n), extent=(n - 1.0, n - 1.0), comm=comm)
     u = TimeFunction(name='u', grid=grid, space_order=2)
@@ -185,12 +191,14 @@ def _receiver_problem(comm, coords, steps, profiling=None, reinject=False):
     if reinject:
         eqs.append(rec.inject(field=v.forward, expr=rec))
     op = Operator(eqs, mpi='diagonal' if comm is not None else None,
-                  profiling=profiling)
+                  profiling=profiling, backend=backend)
+    assert backend is None or op.backend == backend
     return op, rec, v
 
 
-def _receivers(comm, coords, steps, reinject=False):
-    op, rec, v = _receiver_problem(comm, coords, steps, reinject=reinject)
+def _receivers(comm, coords, steps, reinject=False, backend=None):
+    op, rec, v = _receiver_problem(comm, coords, steps, reinject=reinject,
+                                   backend=backend)
     op.apply(time_M=steps - 1)
     return next(iter(op.kernel.sparse_plans.values())), rec.data.copy(), \
         v.data.gather()
@@ -202,30 +210,50 @@ class TestBlockReduction:
 
     @pytest.mark.parametrize('where', ['spread', 'rank0_only'])
     def test_several_blocks_match_serial(self, monkeypatch, where):
+        self._several_blocks(monkeypatch, where)
+
+    @needs_cc
+    @pytest.mark.parametrize('where', ['spread', 'rank0_only'])
+    def test_compiled_several_blocks_match_serial(self, monkeypatch, where):
+        """The compiled step leaves its rows in the pending block
+        (sparse mode 2); the driver reduces them as it does NumPy's."""
+        self._several_blocks(monkeypatch, where, backend='c')
+
+    def test_one_reduction_per_block(self):
+        """200 steps x 4096 receivers on 2 ranks: ceil(200 / block)
+        allreduces, counted in the transport's send ledger (an
+        unprofiled apply runs no other collective)."""
+        self._reductions_per_block()
+
+    @needs_cc
+    def test_compiled_one_reduction_per_block(self):
+        self._reductions_per_block(backend='c')
+
+    @staticmethod
+    def _several_blocks(monkeypatch, where, backend=None):
         # 6 points -> 48 B per row: a block of 3 rows, 4 blocks in 11
         monkeypatch.setattr(sparse_mod, 'PENDING_ROWS_BYTES', 3 * 48)
         coords = np.random.default_rng(11).uniform(0, 15, (6, 2))
         if where == 'rank0_only':
             coords[:, 0] *= 6.5 / 15   # rank 1 (x >= 8) holds no point
         _, serial, _ = _receivers(None, coords, 11)
-        out = run_parallel(lambda c: _receivers(c, coords, 11), 2)
+        out = run_parallel(
+            lambda c: _receivers(c, coords, 11, backend=backend), 2)
         assert all(plan['block'] == 3 for plan, _, _ in out)
         if where == 'rank0_only':
             assert len(out[1][0]['pids']) == 0
         for _, rec, _ in out:
             assert np.array_equal(rec, serial)
 
-    def test_one_reduction_per_block(self):
-        """200 steps x 4096 receivers on 2 ranks: ceil(200 / block)
-        allreduces, counted in the transport's send ledger (an
-        unprofiled apply runs no other collective)."""
+    @staticmethod
+    def _reductions_per_block(backend=None):
         steps = 200
         coords = np.random.default_rng(5).uniform(0, 15, (4096, 2))
         _, serial, _ = _receivers(None, coords, steps)
 
         def job(comm):
             op, rec, _ = _receiver_problem(comm, coords, steps,
-                                           profiling='off')
+                                           profiling='off', backend=backend)
             log = comm.world.commlog
             before = log.sends_snapshot(src=1, user_only=False)
             op.apply(time_M=steps - 1)
