@@ -365,10 +365,9 @@ def run_benchmark(kernel, shape, tn, space_order, nbl=10, mpi='basic',
             print('repartitioning  : %s' % configuration['repartition'],
                   file=out)
         setup = _setups()[kernel]
-        spacing = (10.0,) * len(shape)
 
         def single(comm=None, resume_run=False):
-            solver, tr = setup(shape=tuple(shape), spacing=spacing, tn=tn,
+            solver, tr = setup(shape=tuple(shape), tn=tn,
                                space_order=space_order, nbl=nbl, comm=comm,
                                topology=tuple(topology) if topology
                                else None,
@@ -453,7 +452,6 @@ def run_analyze(kernel, shape, space_order, nbl=10, mpi='basic', ranks=2,
                            build_certificate, describe_key,
                            infer_min_widths, merge_reports, render_merged)
     setup = _setups()[kernel]
-    spacing = (10.0,) * len(shape)
 
     dim_weights = None
     if weights is not None:
@@ -468,7 +466,7 @@ def run_analyze(kernel, shape, space_order, nbl=10, mpi='basic', ranks=2,
         dim_weights = rank_weights_to_dim_weights(weights, dims)
 
     def build(comm=None):
-        solver, _ = setup(shape=tuple(shape), spacing=spacing, tn=100.0,
+        solver, _ = setup(shape=tuple(shape), tn=100.0,
                           space_order=space_order, nbl=nbl, comm=comm,
                           topology=tuple(topology) if topology else None,
                           weights=dim_weights if comm is not None else None,

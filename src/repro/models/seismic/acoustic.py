@@ -69,7 +69,7 @@ class AcousticWaveSolver:
         return rec_data, self.u, summary
 
 
-def acoustic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
+def acoustic_setup(shape=(50, 50), spacing=None, nbl=10, tn=250.0,
                    space_order=4, vp=1.5, f0=0.025, comm=None,
                    topology=None, weights=None, mpi=None, nrec=None,
                    opt=True, cache=None):
@@ -82,12 +82,13 @@ def acoustic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
     from .model import SeismicModel
 
     ndim = len(shape)
+    spacing = (10.,) * ndim if spacing is None else spacing
     if np.isscalar(vp):
-        # two-layer model: slower on top, faster at depth
-        v = np.empty(shape, dtype=np.float32)
-        v[...] = vp
-        v[tuple([slice(None)] * (ndim - 1) + [slice(shape[-1] // 2, None)])] \
-            = vp * 1.5
+        # two-layer model: slower on top, faster at depth; a broadcast
+        # view of one depth profile, so no rank holds a global array
+        depth = np.full(shape[-1], vp, dtype=np.float32)
+        depth[shape[-1] // 2:] = vp * 1.5
+        v = np.broadcast_to(depth, shape)
     else:
         v = vp
     model = SeismicModel(shape=shape, spacing=spacing, vp=v, nbl=nbl,

@@ -108,7 +108,7 @@ class ElasticWaveSolver:
         return rec_data, self.v, self.tau, summary
 
 
-def elastic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
+def elastic_setup(shape=(50, 50), spacing=None, nbl=10, tn=250.0,
                   space_order=4, vp=2.0, vs=1.0, rho=1.8, f0=0.015,
                   comm=None, topology=None, weights=None, mpi=None,
                   nrec=None, opt=True, cache=None):
@@ -116,6 +116,7 @@ def elastic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
     from .model import SeismicModel
 
     ndim = len(shape)
+    spacing = (10.,) * ndim if spacing is None else spacing
     model = SeismicModel(shape=shape, spacing=spacing, vp=vp, vs=vs,
                          rho=rho, nbl=nbl, space_order=space_order,
                          comm=comm, topology=topology, weights=weights)

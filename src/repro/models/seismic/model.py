@@ -15,46 +15,68 @@ from ...dsl import Function, Grid
 __all__ = ['SeismicModel', 'damping_profile']
 
 
-def damping_profile(shape, nbl, spacing, vmax, dtype=np.float32):
+def _identity(block):
+    return block
+
+
+def damping_profile(shape, nbl, spacing, vmax, dtype=np.float32,
+                    ranges=None):
     """Cosine-taper absorbing damping coefficient (Sochacki-style sponge).
 
     Zero in the physical domain, growing towards the outer edge of the
     absorbing layer.  Scaled so that ``damp*u.dt`` critically damps the
     fastest wave over the layer.
+
+    ``ranges`` gives, per axis, the global ``[start, stop)`` interval of
+    the block to build (default: the whole grid); the result has that
+    block's shape.  Each axis profile is computed in float64 over its
+    interval only, rounded to ``dtype`` and combined by broadcasting
+    ``np.maximum``, so no array of the global shape is allocated.
+    Rounding before the maximum gives the same bits as rounding the
+    float64 maximum, because rounding is monotone.
     """
     ndim = len(shape)
-    damp = np.zeros(shape, dtype=dtype)
+    if ranges is None:
+        ranges = tuple((0, n) for n in shape)
+    damp = np.zeros(tuple(b - a for a, b in ranges), dtype=dtype)
+    if nbl == 0:
+        return damp
     # log(1/R) * 3 v / (2 L) with reflection coefficient R = 1e-3
-    for d in range(ndim):
-        if nbl == 0:
-            continue
+    for d, (n, (start, stop)) in enumerate(zip(shape, ranges)):
         coeff = 3.0 * vmax * np.log(1000.0) / (2.0 * nbl * spacing[d])
-        pos = np.zeros(shape[d])
-        for i in range(shape[d]):
+        pos = np.zeros(stop - start)
+        for i in range(start, stop):
             dist = 0
             if i < nbl:
                 dist = (nbl - i) / nbl
-            elif i >= shape[d] - nbl:
-                dist = (i - (shape[d] - nbl - 1)) / nbl
-            pos[i] = coeff * (dist - np.sin(2 * np.pi * dist) /
-                              (2 * np.pi))
+            elif i >= n - nbl:
+                dist = (i - (n - nbl - 1)) / nbl
+            pos[i - start] = coeff * (dist - np.sin(2 * np.pi * dist) /
+                                      (2 * np.pi))
         expand = [1] * ndim
-        expand[d] = shape[d]
-        damp = np.maximum(damp, pos.reshape(expand))
+        expand[d] = stop - start
+        np.maximum(damp, pos.astype(dtype).reshape(expand), out=damp)
     return damp
 
 
 class SeismicModel:
     """Physical model on an ABC-extended grid.
 
+    Model set-up is rank-local: the model keeps the raw, unpadded
+    inputs (a scalar, or an array of the interior shape, referenced and
+    not copied), and each parameter ``Function`` is built on first use
+    from this rank's block of the edge-padded input only, so set-up
+    memory per rank scales with the subdomain, not the global grid.
+
     Parameters
     ----------
     shape : tuple
         Physical (interior) grid shape.
     spacing : tuple of float
-        Grid spacing in meters.
+        Grid spacing in meters, one entry per dimension.
     origin : tuple of float
-        Physical origin of the *interior* domain.
+        Physical origin of the *interior* domain, one entry per
+        dimension.
     vp : float or ndarray
         P-wave velocity in km/s (Devito convention).
     nbl : int
@@ -74,12 +96,16 @@ class SeismicModel:
                  theta=None, phi=None, qp=None, qs=None, dtype=np.float32,
                  comm=None, topology=None, weights=None):
         self.shape = tuple(int(s) for s in shape)
-        self.spacing = tuple(float(h) for h in spacing)
-        self.nbl = int(nbl)
-        self.space_order = int(space_order)
         ndim = len(self.shape)
         if origin is None:
             origin = (0.0,) * ndim
+        for name, value in (('spacing', spacing), ('origin', origin)):
+            if len(value) != ndim:
+                raise ValueError("%s has %d entries but shape %s has %d"
+                                 % (name, len(value), self.shape, ndim))
+        self.spacing = tuple(float(h) for h in spacing)
+        self.nbl = int(nbl)
+        self.space_order = int(space_order)
         self.origin_interior = tuple(float(o) for o in origin)
 
         shape_pml = tuple(s + 2 * self.nbl for s in self.shape)
@@ -90,43 +116,53 @@ class SeismicModel:
                          dtype=dtype, comm=comm, topology=topology,
                          weights=weights)
 
-        self._vp = self._to_array(vp)
-        self._vs = self._to_array(vs) if vs is not None else None
-        self._rho = self._to_array(rho) if rho is not None else None
-        self._epsilon = self._to_array(epsilon) if epsilon is not None \
-            else None
-        self._delta = self._to_array(delta) if delta is not None else None
-        self._theta = self._to_array(theta) if theta is not None else None
-        self._phi = self._to_array(phi) if phi is not None else None
+        self._vp = self._raw(vp)
+        self._vs = self._raw(vs) if vs is not None else None
+        self._rho = self._raw(1.0 if rho is None else rho)
+        self._epsilon = self._raw(0.0 if epsilon is None else epsilon)
+        self._delta = self._raw(0.0 if delta is None else delta)
+        self._theta = self._raw(0.0 if theta is None else theta)
+        self._phi = self._raw(0.0 if phi is None else phi)
+        self.vmax = float(np.max(self._vp))
         self.qp = qp
         self.qs = qs
         self._functions = {}
 
     # -- raw parameter handling -------------------------------------------------
 
-    def _to_array(self, value):
-        shape_pml = tuple(s + 2 * self.nbl for s in self.shape)
-        arr = np.empty(shape_pml, dtype=np.float32)
+    def _raw(self, value):
         if np.isscalar(value):
-            arr.fill(float(value))
-        else:
-            value = np.asarray(value, dtype=np.float32)
-            if value.shape != self.shape:
-                raise ValueError("parameter shape %s != model shape %s"
-                                 % (value.shape, self.shape))
-            inner = tuple(slice(self.nbl, self.nbl + s) for s in self.shape)
-            # pad into the absorbing layer with edge values
-            pad = [(self.nbl, self.nbl)] * len(self.shape)
-            arr[...] = np.pad(value, pad, mode='edge')
-        return arr
+            return np.float32(value)
+        value = np.asarray(value, dtype=np.float32)
+        if value.shape != self.shape:
+            raise ValueError("parameter shape %s != model shape %s"
+                             % (value.shape, self.shape))
+        return value
 
-    @property
-    def vmax(self):
-        return float(self._vp.max())
+    def _block(self, value, ranges=None):
+        """The block ``ranges`` (per-axis global ``[start, stop)`` on the
+        padded grid; default: this rank's subdomain) of ``value``
+        edge-padded into the absorbing layer.  Padded index ``i`` reads
+        raw index ``clip(i - nbl, 0, n - 1)``: ``np.pad(mode='edge')``
+        restricted to the block."""
+        if ranges is None:
+            ranges = self.grid.distributor.local_ranges()
+        if np.ndim(value) == 0:
+            return np.full(tuple(b - a for a, b in ranges), value,
+                           dtype=np.float32)
+        index = [np.clip(np.arange(a, b) - self.nbl, 0, n - 1)
+                 for (a, b), n in zip(ranges, self.shape)]
+        return value[np.ix_(*index)]
 
     @property
     def vp(self):
-        return self._vp
+        """The global edge-padded velocity, built on demand.
+
+        An array of the whole padded grid on every rank: for inspection
+        only.  The parameter ``Function``s never read it; each rank
+        builds them from its own block of the raw input.
+        """
+        return self._block(self._vp, tuple((0, n) for n in self.grid.shape))
 
     @property
     def critical_dt(self):
@@ -137,87 +173,88 @@ class SeismicModel:
 
     # -- symbolic parameter functions -----------------------------------------------
 
-    def _function(self, name, values):
-        if name not in self._functions:
+    def _function(self, name, formula, *params):
+        """The parameter ``Function`` ``name``, built on first use by
+        evaluating the elementwise ``formula`` on this rank's blocks of
+        the raw ``params`` and writing the rank's DOMAIN region."""
+        f = self._functions.get(name)
+        if f is None:
             f = Function(name=name, grid=self.grid,
                          space_order=self.space_order)
-            f.data[:] = values
+            f.data.local[...] = formula(*(self._block(p) for p in params))
             self._functions[name] = f
-        return self._functions[name]
+        return f
+
+    def _damping(self, dtype):
+        return damping_profile(self.grid.shape, self.nbl, self.spacing,
+                               self.vmax, dtype=dtype,
+                               ranges=self.grid.distributor.local_ranges())
 
     @property
     def m(self):
         """Squared slowness 1/vp**2."""
-        return self._function('m', 1.0 / self._vp ** 2)
+        return self._function('m', lambda vp: 1.0 / vp ** 2, self._vp)
 
     @property
     def damp(self):
         """Additive damping coefficient (for ``damp * u.dt`` terms)."""
-        shape_pml = tuple(s + 2 * self.nbl for s in self.shape)
-        return self._function('damp', damping_profile(
-            shape_pml, self.nbl, self.spacing, self.vmax))
+        return self._function('damp', lambda: self._damping(np.float32))
 
     @property
     def mask(self):
         """Multiplicative sponge mask (1 interior, decaying in the ABC)."""
-        shape_pml = tuple(s + 2 * self.nbl for s in self.shape)
-        profile = damping_profile(shape_pml, self.nbl, self.spacing,
-                                  self.vmax)
-        # convert additive coefficient to per-step multiplicative decay
-        decay = 1.0 / (1.0 + self.critical_dt * profile)
+        def decay():
+            # per-step multiplicative decay 1 / (1 + dt * profile), in
+            # float64 (then rounded on the write), in place
+            profile = self._damping(np.float64)
+            profile *= self.critical_dt
+            profile += 1.0
+            return np.divide(1.0, profile, out=profile)
         return self._function('mask', decay)
 
     @property
     def b(self):
         """Buoyancy 1/rho."""
-        rho = self._rho if self._rho is not None else np.ones_like(self._vp)
-        return self._function('b', 1.0 / rho)
+        return self._function('b', lambda rho: 1.0 / rho, self._rho)
 
     @property
     def lam(self):
         """First Lame parameter rho*(vp^2 - 2 vs^2)."""
         if self._vs is None:
             raise ValueError("lam requires vs")
-        rho = self._rho if self._rho is not None else np.ones_like(self._vp)
-        return self._function('lam',
-                              rho * (self._vp ** 2 - 2 * self._vs ** 2))
+        return self._function(
+            'lam', lambda rho, vp, vs: rho * (vp ** 2 - 2 * vs ** 2),
+            self._rho, self._vp, self._vs)
 
     @property
     def mu(self):
         """Shear modulus rho*vs^2."""
         if self._vs is None:
             raise ValueError("mu requires vs")
-        rho = self._rho if self._rho is not None else np.ones_like(self._vp)
-        return self._function('mu', rho * self._vs ** 2)
+        return self._function('mu', lambda rho, vs: rho * vs ** 2,
+                              self._rho, self._vs)
 
     @property
     def pi(self):
         """P-wave modulus rho*vp^2 (viscoelastic)."""
-        rho = self._rho if self._rho is not None else np.ones_like(self._vp)
-        return self._function('pi', rho * self._vp ** 2)
+        return self._function('pi', lambda rho, vp: rho * vp ** 2,
+                              self._rho, self._vp)
 
     @property
     def epsilon(self):
-        eps = self._epsilon if self._epsilon is not None \
-            else np.zeros_like(self._vp)
-        return self._function('epsilon', eps)
+        return self._function('epsilon', _identity, self._epsilon)
 
     @property
     def delta(self):
-        dlt = self._delta if self._delta is not None \
-            else np.zeros_like(self._vp)
-        return self._function('delta', dlt)
+        return self._function('delta', _identity, self._delta)
 
     @property
     def theta(self):
-        th = self._theta if self._theta is not None \
-            else np.zeros_like(self._vp)
-        return self._function('theta', th)
+        return self._function('theta', _identity, self._theta)
 
     @property
     def phi(self):
-        ph = self._phi if self._phi is not None else np.zeros_like(self._vp)
-        return self._function('phi', ph)
+        return self._function('phi', _identity, self._phi)
 
     # -- viscoelastic relaxation times (single SLS mechanism) -------------------------
 

@@ -133,7 +133,7 @@ class TTIWaveSolver:
         return rec_data, self.p, self.q, summary
 
 
-def tti_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
+def tti_setup(shape=(50, 50), spacing=None, nbl=10, tn=250.0,
               space_order=4, vp=1.5, epsilon=0.15, delta=0.1,
               theta=np.pi / 12, phi=np.pi / 10, f0=0.02, comm=None,
               topology=None, weights=None, mpi=None, nrec=None, opt=True,
@@ -142,6 +142,7 @@ def tti_setup(shape=(50, 50), spacing=(10., 10.), nbl=10, tn=250.0,
     from .model import SeismicModel
 
     ndim = len(shape)
+    spacing = (10.,) * ndim if spacing is None else spacing
     kwargs = dict(epsilon=epsilon, delta=delta, theta=theta)
     if ndim == 3:
         kwargs['phi'] = phi

@@ -136,7 +136,7 @@ class ViscoelasticWaveSolver:
         return rec_data, self.v, self.sig, summary
 
 
-def viscoelastic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10,
+def viscoelastic_setup(shape=(50, 50), spacing=None, nbl=10,
                        tn=250.0, space_order=4, vp=2.2, vs=1.2, rho=2.0,
                        qp=100.0, qs=70.0, f0=0.01, comm=None, topology=None,
                        weights=None, mpi=None, nrec=None, opt=True,
@@ -145,6 +145,7 @@ def viscoelastic_setup(shape=(50, 50), spacing=(10., 10.), nbl=10,
     from .model import SeismicModel
 
     ndim = len(shape)
+    spacing = (10.,) * ndim if spacing is None else spacing
     model = SeismicModel(shape=shape, spacing=spacing, vp=vp, vs=vs,
                          rho=rho, qp=qp, qs=qs, nbl=nbl,
                          space_order=space_order, comm=comm,

@@ -73,6 +73,152 @@ class TestSeismicModel:
         assert t_ep > t_s and t_es > t_s
 
 
+class TestSpacingValidation:
+    @pytest.mark.parametrize('kw', [dict(spacing=(10., 10.)),
+                                    dict(spacing=(10.,) * 3,
+                                         origin=(0., 0.))])
+    def test_length_mismatch_names_both_lengths(self, kw):
+        with pytest.raises(ValueError, match=r'has 2 entries.*has 3'):
+            SeismicModel(shape=(16, 16, 16), vp=1.5, nbl=2, **kw)
+
+    def test_setup_spacing_defaults_per_dimension(self):
+        solver, _ = acoustic_setup(shape=(16, 16, 16), nbl=2, tn=10.0)
+        assert solver.model.spacing == (10.,) * 3
+        assert solver.model.domain_size == (150.,) * 3
+
+
+# Every parameter property, on inputs that exercise both raw kinds:
+# arrays for all of them, and scalars with the rho/Thomsen defaults.
+_PARAMS = ('m', 'damp', 'mask', 'b', 'lam', 'mu', 'pi', 'epsilon', 'delta',
+           'theta', 'phi')
+
+
+def _model_inputs(kind, shape):
+    if kind == 'scalar':
+        return dict(vp=2.2, vs=1.1)
+    rng = np.random.default_rng(len(shape))
+    vp = rng.uniform(1.5, 4.5, shape).astype(np.float32)
+    return dict(vp=vp, vs=vp * 0.45, rho=vp * 0.3 + 1.0, epsilon=vp * 0.03,
+                delta=vp * 0.02, theta=vp * 0.1, phi=vp * 0.2)
+
+
+def _reference(shape, nbl, spacing, inputs):
+    """The parameters as the global arrays an edge-padded global ``vp``
+    gives (``np.pad``), with no decomposition involved."""
+    shape_pml = tuple(n + 2 * nbl for n in shape)
+
+    def padded(name, default):
+        v = inputs.get(name, default)
+        if np.isscalar(v):
+            return np.full(shape_pml, v, dtype=np.float32)
+        return np.pad(np.asarray(v, dtype=np.float32), nbl, mode='edge')
+    vp, vs, rho = padded('vp', None), padded('vs', None), padded('rho', 1.)
+    vmax = float(vp.max())
+    dt = (0.38 if len(shape) == 3 else 0.42) * min(spacing) / vmax
+    profile = damping_profile(shape_pml, nbl, spacing, vmax,
+                              dtype=np.float64)
+    out = dict(m=1.0 / vp ** 2, damp=profile,
+               mask=1.0 / (1.0 + dt * profile), b=1.0 / rho,
+               lam=rho * (vp ** 2 - 2 * vs ** 2), mu=rho * vs ** 2,
+               pi=rho * vp ** 2)
+    for name in ('epsilon', 'delta', 'theta', 'phi'):
+        out[name] = padded(name, 0.)
+    return {k: v.astype(np.float32) for k, v in out.items()}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+class TestRankLocalModel:
+    """Each rank builds only its own block of every parameter; gathered,
+    the blocks are bitwise the serial model, which is bitwise the
+    globally padded reference."""
+
+    # (shape, nbl, ranks, topology, weights): padded extents 33 x 28
+    # split unevenly; weights (1, 9) leave rank 0 three points, all of
+    # them inside the 5-point absorbing layer
+    DECOMPOSITIONS = [
+        ((23, 18), 5, 1, None, None),
+        ((23, 18), 5, 2, (2, 1), None),
+        ((23, 18), 5, 3, (1, 3), None),
+        ((23, 18), 5, 4, (2, 2), None),
+        ((23, 18), 5, 2, (2, 1), ((1., 9.), None)),
+        ((9, 8, 7), 3, 4, (2, 1, 2), None),
+    ]
+
+    @staticmethod
+    def _build(shape, nbl, inputs, comm=None, **kw):
+        model = SeismicModel(shape=shape, spacing=(10., 12., 8.)[:len(shape)],
+                             nbl=nbl, space_order=4, comm=comm, **inputs,
+                             **kw)
+        return {name: getattr(model, name).data.gather()
+                for name in _PARAMS}
+
+    @pytest.mark.parametrize('kind', ['array', 'scalar'])
+    @pytest.mark.parametrize('shape', [(23, 18), (9, 8, 7)])
+    def test_serial_matches_padded_reference(self, shape, kind):
+        nbl = 3
+        inputs = _model_inputs(kind, shape)
+        serial = self._build(shape, nbl, inputs)
+        ref = _reference(shape, nbl, (10., 12., 8.)[:len(shape)], inputs)
+        for name in _PARAMS:
+            assert np.array_equal(_bits(serial[name]), _bits(ref[name])), \
+                name
+
+    @pytest.mark.parametrize('kind', ['array', 'scalar'])
+    @pytest.mark.parametrize('shape,nbl,ranks,topology,weights',
+                             DECOMPOSITIONS, ids=['1rank', '2ranks', '3ranks',
+                                                  '2x2', 'weighted', '3d'])
+    def test_distributed_is_bitwise_serial(self, shape, nbl, ranks,
+                                           topology, weights, kind):
+        from repro.mpi import run_parallel
+        inputs = _model_inputs(kind, shape)
+        serial = self._build(shape, nbl, inputs)
+        out = run_parallel(
+            lambda comm: self._build(shape, nbl, inputs, comm=comm,
+                                     topology=topology, weights=weights),
+            ranks)
+        for name in _PARAMS:
+            assert np.array_equal(_bits(out[0][name]),
+                                  _bits(serial[name])), name
+
+    def test_vp_is_the_global_padded_input(self):
+        inputs = _model_inputs('array', (23, 18))
+        model = SeismicModel(shape=(23, 18), spacing=(10., 10.), nbl=5,
+                             vp=inputs['vp'])
+        assert np.array_equal(model.vp, np.pad(inputs['vp'], 5, mode='edge'))
+        assert model.vmax == float(inputs['vp'].max())
+
+    def test_setup_memory_scales_with_subdomain(self):
+        """Building ``m``, ``damp`` and ``mask`` on 4 ranks allocates,
+        beyond the Functions' own storage, less than one global-shaped
+        float32 array per rank (the globally padded set-up allocated
+        several per rank and kept one)."""
+        import tracemalloc
+        from repro.mpi import run_parallel
+        shape, nbl, ranks = (400, 300), 20, 4
+        vp = np.full(shape, 2.0, dtype=np.float32)
+        global_bytes = 4 * (shape[0] + 2 * nbl) * (shape[1] + 2 * nbl)
+
+        def build(comm):
+            model = SeismicModel(shape=shape, spacing=(10., 10.), nbl=nbl,
+                                 vp=vp, space_order=4, comm=comm)
+            fs = [model.m, model.damp, model.mask]
+            return model, sum(f.data.with_halo.nbytes for f in fs)
+
+        build(None)  # warm the symbolic caches outside the measurement
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = run_parallel(build, ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        storage = sum(nbytes for _, nbytes in out)
+        assert peak - start - storage < ranks * global_bytes
+
+
 class TestGeometry:
     def test_time_axis(self):
         ta = TimeAxis(start=0.0, stop=100.0, step=4.0)
