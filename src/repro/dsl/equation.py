@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..symbolics import Derivative, S, expand_derivatives, indexify
+from ..symbolics import (Derivative, Indexed, S, TokenEmitter,
+                         expand_derivatives, indexify)
 from ..symbolics import solve as _solve
 from .function import DiscreteFunction, TimeFunction
 from .tensor import TensorExpr, VectorExpr
@@ -132,19 +133,103 @@ def solve(eq, target):
 
     Resolves staggering against the *target*'s grid position before
     expanding, so staggered systems produce consistent updates.
+
+    On a distributed grid the rank threads of a world solve each
+    equation once.  The key is a rank-free rendering of the resolved
+    residual and the target (:class:`~repro.symbolics.TokenEmitter`:
+    function signatures and the global grid shape).  This rank's n-th
+    solve with a key joins the n-th shared solve of it
+    (:class:`~repro.mpi.sim.SharedBuilds`): the first rank to arrive
+    solves and publishes the result with the atoms it owns (or the
+    error, which every rank raises); every other rank rebinds that
+    result to its own functions, dimensions and spacings.  A serial
+    grid, a target that is not a function, an input outside the token
+    grammar or a result that holds an atom this rank cannot rebind is
+    solved locally.
     """
-    if isinstance(eq, Eq):
-        expr = eq.residual
-    else:
-        expr = S(eq)
-    tfunc = None
+    expr = eq.residual if isinstance(eq, Eq) else S(eq)
     t = S(target)
-    if isinstance(t, DiscreteFunction):
-        tfunc = t
-    elif t.is_Indexed and isinstance(t.base, DiscreteFunction):
-        tfunc = t.base
-    if tfunc is not None:
-        expr = _apply_x0(expr, dict(getattr(tfunc, 'stagger_map', {})))
+    tfunc = t if isinstance(t, DiscreteFunction) else \
+        t.base if t.is_Indexed and isinstance(t.base, DiscreteFunction) \
+        else None
+    if tfunc is None:
+        return _solve(expr, t)
+    expr = _apply_x0(expr, dict(getattr(tfunc, 'stagger_map', {})))
     if isinstance(t, DiscreteFunction):
         t = t.indexify()
-    return _solve(expr, t)
+    comm = tfunc.grid.distributor.comm
+    world = getattr(comm, 'world', None)
+    if world is None or world.size == 1:
+        return _solve(expr, t)
+    emitter = TokenEmitter()
+    try:
+        emitter.emit((expr, t))
+    except TypeError:
+        return _solve(expr, t)
+    atoms = _owned_atoms(emitter)
+    entry, leader = world.builds.join(comm.rank,
+                                      ('solve', emitter.hexdigest()))
+    if leader:
+        try:
+            result = _solve(expr, t)
+        except BaseException as exc:
+            entry.publish(error=exc)
+            raise
+        entry.publish((result, atoms))
+        return result
+    result, theirs = entry.take()
+    try:
+        return _rebind(result, {id(a): b for a, b in zip(theirs, atoms)})
+    except LookupError:
+        return _solve(expr, t)
+
+
+def _owned_atoms(emitter):
+    """The per-rank atoms a solve of the emitted input can hold, in an
+    order every rank with the same key shares: its functions and
+    constants, and the dimensions and spacings of their grids."""
+    atoms = list(emitter.functions.values())
+    atoms += emitter.constants.values()
+    for grid in emitter.grids:
+        dims = grid.dimensions + (grid.time_dim, grid.stepping_dim)
+        atoms += dims
+        atoms += [d.spacing for d in dims]
+    return atoms
+
+
+def _rebind(expr, mapping):
+    """``expr`` with every atom renamed through ``mapping`` (``id`` of the
+    leader's atom -> this rank's).
+
+    The renamed atoms have the names and signatures of the originals,
+    so every canonical sort key is unchanged and each node is rebuilt
+    by its class call, which only interns: no re-canonicalisation.
+    Raises ``LookupError`` on a node that would keep an atom of another
+    rank: an unmapped function or non-interned leaf (per-object, like
+    a dimension), or a node that is neither interned nor an access.
+    """
+    memo = {}  # keyed by nodes of ``expr``, which pins them
+
+    def rec(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
+        if node.is_Indexed:
+            result = Indexed(mapping[id(node.base)],
+                             *[rec(a) for a in node.args])
+        elif not node.args:
+            result = mapping.get(id(node))
+            if result is None:
+                if not type(node)._hashcons:
+                    raise LookupError(node)
+                result = node
+        elif type(node)._hashcons and not node.is_Derivative:
+            args = [rec(a) for a in node.args]
+            result = node if all(a is b for a, b in zip(args, node.args)) \
+                else type(node)(*args)
+        else:
+            raise LookupError(node)
+        memo[id(node)] = result
+        return result
+
+    return rec(expr)

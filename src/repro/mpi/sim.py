@@ -152,16 +152,18 @@ def new_lineage():
 
 class SharedBuilds:
     """Collective construction: the rank threads of one world share one
-    build per operator structure.
+    build per operator structure, and one solve per equation
+    (``('solve', digest)`` keys, :func:`repro.dsl.solve`).
 
-    Rank ``r``'s n-th :meth:`join` with a structure key meets every
-    other rank's n-th join with that key in one entry.  The first rank
-    to arrive is its leader: it builds (or looks up) the structure and
+    Rank ``r``'s n-th :meth:`join` with a key meets every other rank's
+    n-th join with that key in one entry.  The first rank to arrive is
+    its leader: it builds (or looks up) the structure, or solves, and
     publishes the result — or the error, which every waiting rank then
     raises.  The others take it, blocking without the GIL only while
-    the leader is building (a build never communicates).  An entry is
-    dropped once every rank of the world has taken it, or by
-    :meth:`SimWorld.reset`.
+    the leader is working (neither step communicates).  An entry is
+    dropped once every rank of the world has joined it, or by
+    :meth:`SimWorld.reset`; one that some rank never joins lives as
+    long as the world.
     """
 
     def __init__(self, size):
@@ -266,7 +268,8 @@ class SimWorld:
         self.commlog = CommLog(size, enabled=configuration['commlog'])
         #: the compiled step's transport (:mod:`.channel`)
         self.channels = ChannelTable()
-        #: operator builds shared by the rank threads (Operator._build)
+        #: operator builds and equation solves shared by the rank
+        #: threads (Operator._build, repro.dsl.solve)
         self.builds = SharedBuilds(size)
         #: transport-level instrumentation: messages/bytes delivered per
         #: destination rank (monotonic; profiling reads, never resets)

@@ -27,8 +27,7 @@ from .rewriting import (Temp, collect_mul_coeff, cse, factorize,
                         hoist_invariants)
 from .printing import (CExecPrinter, CPrinter, PyPrinter,
                        ccode, pycode)
-from .hashing import (TokenEmitter, canonical_tokens,
-                      structural_fingerprint)
+from .hashing import TokenEmitter, canonical_tokens
 
 __all__ = [  # noqa: F405
     # expression core
@@ -50,5 +49,5 @@ __all__ = [  # noqa: F405
     # printing
     'CPrinter', 'CExecPrinter', 'PyPrinter', 'ccode', 'pycode',
     # fingerprints
-    'TokenEmitter', 'canonical_tokens', 'structural_fingerprint',
+    'TokenEmitter', 'canonical_tokens',
 ]

@@ -43,12 +43,14 @@ def indexify(expr):
     """Replace leaf DSL function atoms with their default array accesses."""
 
     def rec(node):
+        if getattr(node, 'is_DiscreteFunction', False):
+            # not memoized: the access holds the function, so the entry
+            # would keep its own key (and the field's data) alive forever
+            return node.indexify()
         result = _INDEXIFY_MEMO.get(node)
         if result is not None:
             return result
-        if getattr(node, 'is_DiscreteFunction', False):
-            result = node.indexify()
-        elif not node.args:
+        if not node.args:
             result = node
         else:
             new_args = [rec(a) for a in node.args]

@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-__all__ = ['TokenEmitter', 'canonical_tokens', 'structural_fingerprint']
+__all__ = ['TokenEmitter', 'canonical_tokens']
 
 #: bump when the token grammar changes (invalidates every cached entry
 #: through the fingerprint itself, no cache-format version needed)
@@ -291,20 +291,3 @@ def canonical_tokens(obj):
     emitter = TokenEmitter()
     emitter.emit(obj)
     return emitter.hexdigest()
-
-
-def structural_fingerprint(objects, extra=None):
-    """Fingerprint a sequence of objects plus an ``extra`` context dict.
-
-    Returns ``(hexdigest, emitter)`` — the emitter carries the collected
-    symbol table (functions/sparse/constants/grids).
-    """
-    objects = list(objects)
-    emitter = TokenEmitter()
-    emitter.token('seq', len(objects))
-    for obj in objects:
-        emitter.emit(obj)
-    if extra:
-        emitter.token('extra')
-        emitter.emit(dict(extra))
-    return emitter.hexdigest(), emitter
