@@ -34,7 +34,7 @@ equations, the comm mode and which dimensions are split), so a launch
 runs them once, with the one lowering (:data:`STRUCTURE_PASSES`).  The
 in-bounds proof and the certificate depend on a rank's geometry and
 run per binding, on every rank, over the rank-agnostic
-:func:`~.dataflow.access_table` and :func:`~.certificate.certificate_plan`
+:func:`~.dataflow.access_table` and the step record's exchanger table
 (:func:`~.dataflow.prove_inbounds`, :func:`~.certificate.bind_certificate`).
 
 Entry points: :func:`analyze_schedule` collects every diagnostic into an
@@ -51,7 +51,7 @@ from typing import Any, Optional
 
 from .certificate import (CertificateEntry, CommCertificate,
                           ReconcileError, bind_certificate,
-                          build_certificate, certificate_plan)
+                          build_certificate)
 from .dataflow import (access_table, check_inbounds, infer_min_widths,
                        prove_inbounds)
 from .diagnostics import (CODES, ERROR, WARNING, AnalysisError,
@@ -70,7 +70,7 @@ __all__ = [
     'check_halo_coverage', 'check_races', 'check_dead_code',
     'check_inbounds', 'access_table', 'infer_min_widths', 'prove_inbounds',
     'CertificateEntry', 'CommCertificate', 'ReconcileError',
-    'bind_certificate', 'build_certificate', 'certificate_plan',
+    'bind_certificate', 'build_certificate',
     'describe_key', 'format_widths', 'merge_reports', 'render_merged',
     'render_report', 'render_schedule',
     'HaloPoisonError', 'HaloSanitizer', 'poison_boxes',

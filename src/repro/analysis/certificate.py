@@ -3,9 +3,10 @@
 From nothing but the :class:`~repro.ir.schedule.Schedule` and the
 decomposition, :func:`build_certificate` predicts — per rank, per
 neighbor, per tag — exactly how many messages of exactly how many bytes
-every ``apply`` will send.  The prediction replays the code generator's
-exchanger enumeration (same keys, same ``tag_base`` assignment order)
-and each pattern's message geometry:
+every ``apply`` will send.  The prediction reads the exchanger table
+of the timestep's record (:func:`~repro.ir.program.step_program`: the
+keys and ``tag_base`` values the runtime exchangers are made from) and
+derives each pattern's message geometry on its own:
 
 * ``basic`` — per active dimension, per sign, one face message toward
   each existing neighbor; the slab *extends* into the halo along every
@@ -15,11 +16,10 @@ and each pattern's message geometry:
   neighbor; sends are posted by ``begin`` (``full``'s ``finish`` posts
   nothing), so both predict the identical per-call set.
 
-The enumeration is the same on every rank (:func:`certificate_plan`,
-persisted in the rank-agnostic
-:class:`~repro.codegen.artifact.KernelArtifact`); the message geometry
-is bound per rank (:func:`bind_certificate`), and the certificate is
-attached to that rank's ``Operator``.  Its consumer is the
+The exchanger table is the same on every rank (persisted in the
+rank-agnostic :class:`~repro.codegen.artifact.KernelArtifact`); the
+message geometry is bound per rank (:func:`bind_certificate`), and the
+certificate is attached to that rank's ``Operator``.  Its consumer is the
 **reconcile sanitizer mode** (``sanitizer='reconcile'``): after every
 successful ``apply``, the per-run delta of the commlog send ledger
 (:meth:`~repro.mpi.commlog.CommLog.sends_snapshot`) is compared against
@@ -32,10 +32,10 @@ that duplicates or re-routes messages legitimately changes the ledger.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ['CertificateEntry', 'CommCertificate', 'ReconcileError',
-           'bind_certificate', 'build_certificate', 'certificate_plan']
+           'bind_certificate', 'build_certificate']
 
 #: one predicted message: (destination rank, tag, payload bytes)
 Message = Tuple[int, int, int]
@@ -256,57 +256,25 @@ def _call_messages(dist: Any, mode: str, widths: Any, tag_base: int,
     return tuple(msgs)
 
 
-def certificate_plan(schedule: Any) -> Dict[str, Any]:
-    """The rank-agnostic half of :func:`build_certificate`, as JSON-able
-    data: the comm mode, the itemsize and one ``[key, where, widths,
-    tag_base]`` per exchanger.
-
-    Replays the code generator's exchanger enumeration exactly: the
-    hoisted preamble exchanges first (in ``preamble_halo`` order), then
-    every ``update``/``begin`` requirement in step order, each exchanger
-    claiming a 64-tag block — so keys and tags match the runtime
-    exchangers one-to-one (asserted by the test suite).
-    """
-    dist = schedule.grid.distributor
-    itemsize = int(schedule.grid.dtype.itemsize)
-    if not (dist.is_parallel and schedule.mpi_mode):
-        return {'mode': None, 'itemsize': itemsize, 'entries': []}
-    entries: List[List[Any]] = []
-
-    def add(key: str, where: str, widths: Any) -> None:
-        entries.append([key, where, [[int(l), int(r)] for l, r in widths],
-                        64 * len(entries)])
-
-    for req in schedule.preamble_halo:
-        add('pre_%s' % req.function.name, 'preamble', req.widths)
-    seen: Set[str] = set()
-    for step in schedule.steps:
-        if not (step.is_halo and step.kind in ('update', 'begin')):
-            continue
-        for req in step.exchanges:
-            key = 'h%d_%s' % (step.uid, req.function.name)
-            if key not in seen:
-                seen.add(key)
-                add(key, 'loop', req.widths)
-    return {'mode': str(schedule.mpi_mode), 'itemsize': itemsize,
-            'entries': entries}
-
-
-def bind_certificate(plan: Dict[str, Any], dist: Any) -> CommCertificate:
-    """One rank's certificate: the messages each exchanger of ``plan``
-    (:func:`certificate_plan`) sends from this rank of ``dist``."""
+def bind_certificate(program: Mapping[str, Any],
+                     dist: Any) -> CommCertificate:
+    """One rank's certificate: the messages each exchanger of the step
+    record ``program`` (:func:`~repro.ir.program.step_program`) sends
+    from this rank of ``dist``."""
     rank = int(getattr(dist, 'myrank', 0))
-    mode = plan['mode']
+    mode = program['mode']
     if mode is None:
         return CommCertificate(rank, None, ())
     return CommCertificate(rank, mode, tuple(
-        CertificateEntry(key, where, _call_messages(
-            dist, mode, widths, int(tag_base), int(plan['itemsize'])))
-        for key, where, widths, tag_base in plan['entries']))
+        CertificateEntry(ex['key'], ex['scope'], _call_messages(
+            dist, mode, ex['widths'], int(ex['tag_base']),
+            int(program['itemsize'])))
+        for ex in program['exchangers']))
 
 
 def build_certificate(schedule: Any) -> CommCertificate:
     """Predict the per-apply communication of ``schedule`` on this rank
-    (:func:`certificate_plan`, bound to the schedule's own rank)."""
-    return bind_certificate(certificate_plan(schedule),
+    (its step record, bound to the schedule's own rank)."""
+    from ..ir.program import step_program
+    return bind_certificate(step_program(schedule),
                             schedule.grid.distributor)

@@ -64,13 +64,15 @@ def _describe_exchange(req: Any, dims: Sequence[Any]) -> str:
 def render_schedule(schedule: Any) -> str:
     """The pretty ``Schedule`` dump (one line per step).
 
-    Sections are named exactly as the profiler names them
-    (:func:`~repro.profiling.sections.assign_section_names`), so a dump
-    can be read against a performance summary line by line.
+    Sections are named as the step record names them for the profiler
+    (:func:`~repro.ir.program.step_program`), so a dump can be read
+    against a performance summary line by line.
     """
-    from ..profiling import assign_section_names
+    from ..ir.program import step_program
     dims = schedule.grid.dimensions
-    pre_names, step_names = assign_section_names(schedule)
+    program = step_program(schedule)
+    pre_names = [sec['name'] for sec in program['pre']]
+    step_names = [sec['name'] for sec in program['loop']]
     lines: List[str] = []
     mode = schedule.mpi_mode or 'off'
     lines.append('Schedule <mpi=%s, %d preamble exchange(s), %d step(s)>'

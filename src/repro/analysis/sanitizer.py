@@ -129,32 +129,42 @@ class HaloSanitizer:
             if key not in entry and key[0] in self._fields:
                 entry.append(key)
 
+    # -- geometry (what the compiled step's program is built from) -----------------
+
+    def poisoned(self, which: str
+                 ) -> List[Tuple[str, Optional[int], List[Box]]]:
+        """``(function, nbuffers or None, ghost boxes)`` of every buffer
+        a fill poisons: all of them for ``'all'`` (before the preamble
+        exchanges), the time-buffered ones for ``'time'`` (the top of
+        each iteration: time-invariant halos are preamble-refreshed and
+        stay valid)."""
+        return [(name, nb, boxes)
+                for name, (nb, boxes, _) in self._fields.items()
+                if which == 'all' or nb is not None]
+
+    def domain(self, name: str) -> Tuple[Optional[int], Box]:
+        """``(nbuffers or None, DOMAIN box)`` of a scanned function."""
+        nb, _, domain = self._fields[name]
+        return nb, domain
+
     # -- runtime hooks -------------------------------------------------------------
 
-    def poison_invariants(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Poison every ghost box once, before the preamble exchanges."""
-        if not self.enabled:
-            return
-        for name, (nb, boxes, _) in self._fields.items():
+    def _fill(self, arrays: Dict[str, np.ndarray], which: str) -> None:
+        for name, nb, boxes in self.poisoned(which):
             arr = arrays[name]
             views = [arr] if nb is None else [arr[b] for b in range(nb)]
             for view in views:
                 for box in boxes:
                     view[box] = np.nan
 
+    def poison_invariants(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Poison every ghost box once, before the preamble exchanges."""
+        self._fill(arrays, 'all')
+
     def poison(self, arrays: Dict[str, np.ndarray]) -> None:
         """Poison the time-buffered ghost boxes (top of each iteration:
         buffer rotation has invalidated every time-shifted halo)."""
-        if not self.enabled:
-            return
-        for name, (nb, boxes, _) in self._fields.items():
-            if nb is None:
-                continue  # time-invariant: preamble-refreshed, stays valid
-            arr = arrays[name]
-            for b in range(nb):
-                view = arr[b]
-                for box in boxes:
-                    view[box] = np.nan
+        self._fill(arrays, 'time')
 
     def check(self, section: str, arrays: Dict[str, np.ndarray],
               time: Optional[int] = None) -> None:
@@ -162,7 +172,7 @@ class HaloSanitizer:
         if not self.enabled:
             return
         for name, tshift in self._writes.get(section, ()):
-            nb, _, domain = self._fields[name]
+            nb, domain = self.domain(name)
             arr = arrays[name]
             if nb is None:
                 view = arr[domain]

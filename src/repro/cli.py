@@ -47,19 +47,6 @@ __all__ = ['main', 'run_analyze', 'run_benchmark', 'run_cache',
            'run_doctor', 'run_fetch', 'run_serve', 'run_status',
            'run_submit']
 
-_SETUPS = None
-
-
-def _setups():
-    global _SETUPS
-    if _SETUPS is None:
-        from .models import (acoustic_setup, elastic_setup, tti_setup,
-                             viscoelastic_setup)
-        _SETUPS = {'acoustic': acoustic_setup, 'elastic': elastic_setup,
-                   'tti': tti_setup, 'viscoelastic': viscoelastic_setup}
-    return _SETUPS
-
-
 #: the configuration keys each verb exposes as flags (``None``: the
 #: benchmark run); a flag's spelling, type, choices and help come from
 #: the key's :class:`~repro.parameters.Parameter`, and its value applies
@@ -364,7 +351,8 @@ def run_benchmark(kernel, shape, tn, space_order, nbl=10, mpi='basic',
         if configuration['repartition'] != 'off':
             print('repartitioning  : %s' % configuration['repartition'],
                   file=out)
-        setup = _setups()[kernel]
+        from .service.spec import kernel_setup
+        setup = kernel_setup(kernel)
 
         def single(comm=None, resume_run=False):
             solver, tr = setup(shape=tuple(shape), tn=tn,
@@ -451,7 +439,8 @@ def run_analyze(kernel, shape, space_order, nbl=10, mpi='basic', ranks=2,
     from .analysis import (AnalysisReport, analyze_schedule,
                            build_certificate, describe_key,
                            infer_min_widths, merge_reports, render_merged)
-    setup = _setups()[kernel]
+    from .service.spec import kernel_setup
+    setup = kernel_setup(kernel)
 
     dim_weights = None
     if weights is not None:

@@ -7,11 +7,12 @@ dimensions are split — whatever rank does it.  Its product is
 rank-agnostic:
 
 * **pure data** that is a deterministic function of the structure —
-  the NumPy driver as a template (:func:`~.pybackend.render_driver`),
-  the per-step geometry and access table, the section metadata,
-  exchanger widths and tags, flop and traffic counts, the certificate's
-  exchanger enumeration, the structure passes' diagnostics, the
-  compiled object and the template of its op program;
+  the timestep's one record (:func:`~repro.ir.program.step_program`:
+  sections, exchangers with widths and tags, ops, sanitizer hooks),
+  the NumPy driver printed from it as a template
+  (:func:`~.pybackend.render_driver`), the per-step geometry and
+  access table, flop and traffic counts, the structure passes'
+  diagnostics and the compiled object with its call metadata;
 * and nothing per rank.  What one rank runs — its iteration boxes and
   hence the literal slice bounds of its driver text, section point
   counts, the sanitizer's write map, the compiled step's geometry rows
@@ -58,15 +59,17 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #:    ``c_steps`` a program template; every rank binds its own geometry.
 #: 8: scratch arrays (``scratch``: name and allocated halo, storage per
 #:    binding) and grown compute regions (``steps[i]['grow']``).
-ARTIFACT_VERSION = 8
+#: 9: one step record (``program``) replaces ``sections``,
+#:    ``exchangers``, ``mpi_mode``, ``sanitizer``, ``certificate`` and
+#:    the op program template; ``c_steps`` became ``c_meta``.
+ARTIFACT_VERSION = 9
 
-_REQUIRED_KEYS = ('version', 'driver', 'shape', 'steps', 'sections',
-                  'exchangers', 'mpi_mode', 'sanitizer', 'functions',
-                  'scratch',
-                  'sparse_functions', 'sparse_steps', 'constants',
-                  'uses_dt', 'flops_per_point', 'traffic_per_point',
-                  'certificate', 'analysis', 'build_seconds', 'backend',
-                  'c_source', 'so_path', 'so_checksum', 'c_steps')
+_REQUIRED_KEYS = ('version', 'driver', 'program', 'shape', 'steps',
+                  'functions', 'scratch', 'sparse_functions',
+                  'sparse_steps', 'constants', 'uses_dt',
+                  'flops_per_point', 'traffic_per_point', 'analysis',
+                  'build_seconds', 'backend', 'c_source', 'so_path',
+                  'so_checksum', 'c_meta')
 
 
 class ArtifactError(RuntimeError):
@@ -85,11 +88,6 @@ class _SanitizerScheduleShim:
         self.grid = grid
         self.mpi_mode = mpi_mode
         self.functions = functions
-
-
-def _scalars(meta):
-    """The scalar table of a bound compiled step (sorted names)."""
-    return sorted({s for m in meta.values() for s in m['scalars']})
 
 
 class _Whole:
@@ -138,14 +136,14 @@ class KernelArtifact:
     @property
     def source(self):
         """The driver as a rank owning the whole grid would run it."""
-        from .cstep import bind_meta
+        from .cstep import bind_meta, meta_scalars
         from .pybackend import render_driver
         whole = _Whole(self.payload['shape'])
         boxes = self._boxes(whole)
         scalars = ()
-        if self.payload['c_steps'] is not None:
-            scalars = _scalars(bind_meta(self.payload['c_steps']['meta'],
-                                         boxes, whole.shape_local))
+        if self.payload['c_meta'] is not None:
+            scalars = meta_scalars(bind_meta(self.payload['c_meta'], boxes,
+                                             whole.shape_local))
         return render_driver(self.payload['driver'], boxes, scalars)[0]
 
     @property
@@ -154,10 +152,13 @@ class KernelArtifact:
 
     @property
     def nbytes(self):
-        """Approximate in-memory payload weight (source dominates)."""
+        """Serialized payload weight, ``build_seconds`` aside (a float
+        whose printed length varies from build to build): equal
+        structures weigh the same."""
         if self._nbytes is None:
             import json
-            self._nbytes = len(json.dumps(self.payload))
+            self._nbytes = len(json.dumps(dict(self.payload,
+                                               build_seconds=0.0)))
         return self._nbytes
 
     # -- extraction (cold build -> data) ------------------------------------------
@@ -212,9 +213,11 @@ class KernelArtifact:
         resolved; the caller falls back to a cold build.
         """
         from ..dsl.sparse import PrecomputedSparseData
-        from .pybackend import PyKernel, box_volume, render_driver
+        from .pybackend import (PyKernel, bind_plan, box_volume,
+                                render_driver)
 
         p = self.payload
+        program = p['program']
         try:
             functions = [symtab.functions[n] for n in p['functions']]
             sparse = [symtab.sparse[n] for n in p['sparse_functions']]
@@ -225,9 +228,10 @@ class KernelArtifact:
             raise ArtifactError("artifact carries no functions")
         grid = functions[0].grid
         dist = grid.distributor
-        mode = p['mpi_mode']
+        mode = program['mode']
         by_name = {f.name: f for f in functions}
         boxes = self._boxes(dist)
+        bound = bind_plan(program, boxes)
 
         # scratch arrays: this binding's own storage, NaN-filled under
         # the sanitizer so a read of a cell no step computed shows up
@@ -238,12 +242,13 @@ class KernelArtifact:
             shape = tuple(n + hl + hr for n, (hl, hr)
                           in zip(dist.shape_local, array.halo))
             scratch[name] = (array, np.full(
-                shape, np.nan if p['sanitizer'] else 0, dtype=grid.dtype))
+                shape, np.nan if program['sanitizer'] else 0,
+                dtype=grid.dtype))
 
-        # exchangers: geometry from the artifact, topology from the live
+        # exchangers: geometry from the record, topology from the live
         # distributor
         exchangers = {}
-        for spec in p['exchangers']:
+        for spec in program['exchangers']:
             func = by_name.get(spec['function'])
             if func is None:
                 raise ArtifactError("exchanger %r names unknown function %r"
@@ -267,43 +272,45 @@ class KernelArtifact:
             sparse_plans[int(sid)] = PrecomputedSparseData(s).binding()
             sparse_npoints[int(sid)] = len(s.routing.local_points)
 
+        # section registry, in the record's order: compute point counts
+        # are this rank's boxes, sparse ones its live routing
+        if profiler is None:
+            profiler = Profiler('off')
+        for sec in program['pre'] + program['loop']:
+            name, kind, step = sec['name'], sec['kind'], sec['step']
+            if name is None:
+                continue
+            points = npoints = 0
+            keys = ()
+            if kind == 'compute':
+                points = sum(box_volume(box) for box in boxes[step])
+            elif kind == 'halo':
+                keys = tuple(op[1] for op in sec['ops'])
+            elif kind == 'sparse':
+                if step not in sparse_npoints:
+                    raise ArtifactError("sparse section %r has no sparse "
+                                        "step" % name)
+                npoints = sparse_npoints[step]
+            profiler.register(SectionMeta(
+                name, kind, points=points,
+                flops_per_point=sec['flops_per_point'],
+                traffic_per_point=sec['traffic_per_point'],
+                exchanger_keys=keys, sparse_npoints=npoints))
+
         # sanitizer: built from the live grid/functions; a compute
         # section's writes are scanned only where it has points
         san = None
-        if p['sanitizer']:
+        if program['sanitizer']:
             from ..analysis.sanitizer import HaloSanitizer
             san = HaloSanitizer(_SanitizerScheduleShim(grid, mode,
                                                        functions))
             if not san.enabled:
                 raise ArtifactError("sanitizer recorded but not "
                                     "rebuildable on this grid")
-
-        # section registry, in emission order: compute point counts are
-        # this rank's boxes, sparse ones its live routing
-        if profiler is None:
-            profiler = Profiler('off')
-        sparse_sids = iter(sorted(sparse_npoints))
-        for meta in p['sections']:
-            npoints = points = 0
-            step = meta['step']
-            if meta['kind'] == 'sparse':
-                try:
-                    npoints = sparse_npoints[next(sparse_sids)]
-                except StopIteration:
-                    raise ArtifactError(
-                        "more sparse sections than sparse steps") from None
-            elif step is not None:
-                points = sum(box_volume(box) for box in boxes[step])
-            profiler.register(SectionMeta(
-                meta['name'], meta['kind'], points=points,
-                flops_per_point=meta['flops_per_point'],
-                traffic_per_point=meta['traffic_per_point'],
-                exchanger_keys=tuple(meta['exchanger_keys']),
-                sparse_npoints=npoints))
-            if san is not None and meta['writes'] and \
-                    (step is None or boxes[step]):
-                san.register_writes(meta['name'],
-                                    [tuple(w) for w in meta['writes']])
+            for sec in bound['pre'] + bound['loop']:
+                if sec['writes']:
+                    san.register_writes(sec['name'],
+                                        [tuple(w) for w in sec['writes']])
 
         # compiled backend: re-attach the shared object.  The checksum
         # is the tamper seal — a deleted, truncated or modified .so
@@ -312,7 +319,7 @@ class KernelArtifact:
         # the content name says who may run it: an object this host's
         # toolchain and CPU would not have produced is foreign too.
         backend = p.get('backend') or 'numpy'
-        c_funcs = program = c_steps = None
+        c_funcs = cstep = None
         scalars = ()
         if backend == 'c':
             import os
@@ -331,20 +338,16 @@ class KernelArtifact:
                 raise ArtifactError("compiled artifact's shared object "
                                     "fails its checksum: %r" % (so_path,))
             from .cstep import StepProgram, bind_meta
-            from .pybackend import bind_plan
             try:
                 self._lib, c_funcs = jit.load_steps(so_path)
-                meta = bind_meta(p['c_steps']['meta'], boxes,
-                                 dist.shape_local)
-                plan = bind_plan(p['c_steps']['plan'], meta,
-                                 san._writes if san is not None else {})
-                program = StepProgram(self._lib, plan, meta, exchangers,
-                                      dist, san, grid.dtype)
+                cstep = StepProgram(
+                    self._lib, bound,
+                    bind_meta(p['c_meta'], boxes, dist.shape_local),
+                    functions + [a for a, _ in scratch.values()],
+                    exchangers, dist, san, grid.dtype)
             except (jit.JITError, KeyError, TypeError, ValueError) as e:
                 raise ArtifactError(str(e)) from None
-            scalars = _scalars(meta)
-            c_steps = {'meta': {str(sid): m for sid, m in meta.items()},
-                       'plan': plan}
+            scalars = cstep.scalars
 
         # render this rank's driver, compile it (memoized by text)
         source, step_lines = render_driver(p['driver'], boxes, scalars)
@@ -356,7 +359,7 @@ class KernelArtifact:
         if san is not None:
             namespace['__SAN'] = san
         if c_funcs is not None:
-            namespace.update(__C=c_funcs, __CS=program)
+            namespace.update(__C=c_funcs, __CS=cstep)
         exec(code, namespace)  # noqa: S102 - the JIT kernel
         func = namespace.get('__kernel')
         if func is None:
@@ -368,7 +371,7 @@ class KernelArtifact:
                         backend=backend, c_source=p['c_source'],
                         so_path=p['so_path'],
                         so_checksum=p['so_checksum'],
-                        c_steps=c_steps, lib=self._lib, artifact=self,
+                        cstep=cstep, lib=self._lib, artifact=self,
                         scratch=scratch)
 
     def rehydrate_analysis(self):
@@ -384,15 +387,18 @@ class KernelArtifact:
 
     def rehydrate_certificate(self, dist):
         """The static communication certificate of ``dist``'s rank,
-        bound from the cached exchanger enumeration."""
+        bound from the record's exchanger table."""
         from ..analysis.certificate import bind_certificate
         try:
-            return bind_certificate(self.payload['certificate'], dist)
+            return bind_certificate(self.payload['program'], dist)
         except (KeyError, TypeError, ValueError) as e:
             raise ArtifactError("malformed certificate payload: %s"
                                 % (e,)) from None
 
     def __repr__(self):
+        program = self.payload['program']
         return ('KernelArtifact(v%d, %d sections, %d exchangers, %dB)'
-                % (self.payload['version'], len(self.payload['sections']),
-                   len(self.payload['exchangers']), self.nbytes))
+                % (self.payload['version'],
+                   sum(sec['name'] is not None
+                       for sec in program['pre'] + program['loop']),
+                   len(program['exchangers']), self.nbytes))

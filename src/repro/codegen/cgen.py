@@ -25,8 +25,8 @@ Two emitters live here:
 
 from __future__ import annotations
 
+from ..ir.program import step_program
 from ..ir.schedule import plan_blocking
-from ..profiling import assign_section_names
 from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
                          unique_nodes)
 from .common import function_nb
@@ -124,15 +124,22 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     ``__san_check`` scans written DOMAIN regions after each section —
     mirroring what the executable NumPy backend actually runs in
     sanitizer mode (:mod:`repro.analysis.sanitizer`).
+
+    Step order, section names and brackets, halo callables and
+    sanitizer calls are printed from the timestep's record
+    (:func:`~repro.ir.program.step_program`), cluster bodies from the
+    schedule.
     """
     grid = schedule.grid
-    dist = grid.distributor
     printer = CPrinter()
     tvars = _time_var_names(schedule)
     em = _CEmitter()
     instrument = profiling != 'off'
-    sanitize = bool(sanitizer and schedule.mpi_mode)
-    preamble_names, step_names = assign_section_names(schedule)
+    program = step_program(schedule, instrument, sanitizer)
+    sanitize = program['sanitizer']
+    sections = program['pre'] + program['loop']
+    functions = {f.name: f for f in schedule.functions}
+    widths = {ex['key']: ex['widths'] for ex in program['exchangers']}
 
     em.emit('#define _POSIX_C_SOURCE 200809L')
     em.emit('#include <stdlib.h>')
@@ -151,12 +158,9 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
                 '+ (double)(end_ ## S .tv_usec '
                 '- start_ ## S .tv_usec)/1000000;')
         em.emit()
-        seen = []
-        for sname in preamble_names + step_names:
-            if sname not in seen:
-                seen.append(sname)
         em.open_block('struct profiler')
-        for sname in seen:
+        for sname in dict.fromkeys(sec['name'] for sec in sections
+                                   if sec['name'] is not None):
             em.emit('double %s;' % sname)
         em.close_block()
         em.lines[-1] += ' ;'
@@ -194,13 +198,12 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.emit()
 
     # halo-exchange callables
-    halo_ids = []
-    for step in schedule.steps:
-        if step.is_halo and step.kind in ('update', 'begin'):
-            for req in step.exchanges:
-                halo_ids.append((step.uid, req, step.kind))
-    for uid, req, kind in halo_ids:
-        _emit_halo_callable(em, schedule, uid, req, kind)
+    for sec in program['loop']:
+        for op in sec['ops']:
+            if op[0] in ('update', 'send'):
+                _emit_halo_callable(em, schedule.mpi_mode, grid.dim,
+                                    schedule.steps[sec['step']].uid, op[2],
+                                    widths[op[1]], op[0] == 'send')
 
     # kernel signature
     args = ['float *restrict %s_vec' % n for n in fnames]
@@ -214,8 +217,6 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         args.append('struct profiler * timers')
     em.open_block('int %s(%s)' % (name, ', '.join(args)))
 
-    for _, rhs in schedule.scalar_assignments:
-        pass  # emitted below with names
     for temp, rhs in schedule.scalar_assignments:
         em.emit('float %s = %s;' % (temp.name, printer.doprint(rhs)))
     if schedule.scalar_assignments:
@@ -232,16 +233,17 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     if scratch:
         em.emit()
 
-    if sanitize:
-        for n in fnames:
-            em.emit('__san_poison(%s_vec, comm, -1);' % n)
-        em.emit()
-
-    for req, sname in zip(schedule.preamble_halo, preamble_names):
+    for sec in program['pre']:
+        sname = sec['name']
+        if sec['kind'] == 'poison':
+            for n in fnames:
+                em.emit('__san_poison(%s_vec, comm, -1);' % n)
+            em.emit()
+            continue
         em.emit('/* begin %s (hoisted, time-invariant) */' % sname)
         start(sname)
-        em.emit('haloupdate_pre_%s(%s_vec, comm);'
-                % (req.function.name, req.function.name))
+        for _, _, fname, _ in sec['ops']:
+            em.emit('haloupdate_pre_%s(%s_vec, comm);' % (fname, fname))
         stop(sname)
         em.emit('/* end %s */' % sname)
 
@@ -255,49 +257,26 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
                  ', ' + steps if steps else ''))
     em.open_block(header)
 
-    if sanitize:
-        em.emit('/* sanitizer: buffer rotation invalidated every '
-                'time-shifted halo */')
-        for f in schedule.functions:
-            if getattr(f, 'is_TimeFunction', False):
-                em.emit('__san_poison(%s_vec, comm, time);' % f.name)
-
-    def _san_check_writes(keys):
-        for fname, tshift in sorted(keys, key=lambda k: (k[0], k[1] or 0)):
-            if fname in fnames:  # scratch arrays are not scanned
-                em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
-
-    for step, sname in zip(schedule.steps, step_names):
+    for sec in program['loop']:
+        sname, kind = sec['name'], sec['kind']
+        if kind == 'poison':
+            em.emit('/* sanitizer: buffer rotation invalidated every '
+                    'time-shifted halo */')
+            for f in schedule.functions:
+                if getattr(f, 'is_TimeFunction', False):
+                    em.emit('__san_poison(%s_vec, comm, time);' % f.name)
+            continue
+        step = schedule.steps[sec['step']]
         em.emit('/* begin %s */' % sname)
         start(sname)
-        if step.is_halo:
-            for req in step.exchanges:
-                tvar = tvars.get((req.time_shift,
-                                  function_nb(req.function)),
-                                 't0') if req.time_shift is not None else ''
-                fname = req.function.name
-                if step.kind == 'update':
-                    em.emit('haloupdate%d_%s(%s_vec, comm, %s);'
-                            % (step.uid, fname, fname, tvar))
-                elif step.kind == 'begin':
-                    em.emit('MPI_Request reqs%d_%s[%d];'
-                            % (step.uid, fname, 2 * 26))
-                    em.emit('halobegin%d_%s(%s_vec, comm, %s, reqs%d_%s);'
-                            % (step.uid, fname, fname, tvar, step.uid,
-                               fname))
-                else:
-                    em.emit('MPI_Waitall(%d, reqs%d_%s, MPI_STATUSES_IGNORE);'
-                            % (2 * 26, step.uid, fname))
-                    em.emit('halounpack%d_%s(%s_vec, %s);'
-                            % (step.uid, fname, fname, tvar))
-        elif step.is_compute:
+        if kind == 'compute':
             _emit_compute(em, schedule, step, printer, tvars)
-            if sanitize:
-                _san_check_writes(step.cluster.write_keys)
-        else:
+        elif kind == 'sparse':
             _emit_sparse_c(em, step, printer, tvars)
-            if sanitize and step.field_access is not None:
-                _san_check_writes([step.field_access.key])
+        else:
+            _emit_halo_spot(em, step.uid, sec['ops'], functions, tvars)
+        for fname, _ in sec['writes']:
+            em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
         stop(sname)
         em.emit('/* end %s */' % sname)
 
@@ -307,6 +286,25 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     em.emit('return 0;')
     em.close_block()  # kernel
     return em.source()
+
+
+def _emit_halo_spot(em, uid, ops, functions, tvars):
+    """The calls of one halo spot's ops (update, send or recv)."""
+    for op, _, fname, shift in ops:
+        tvar = tvars.get((shift, function_nb(functions[fname])), 't0') \
+            if shift is not None else ''
+        if op == 'update':
+            em.emit('haloupdate%d_%s(%s_vec, comm, %s);'
+                    % (uid, fname, fname, tvar))
+        elif op == 'send':
+            em.emit('MPI_Request reqs%d_%s[%d];' % (uid, fname, 2 * 26))
+            em.emit('halobegin%d_%s(%s_vec, comm, %s, reqs%d_%s);'
+                    % (uid, fname, fname, tvar, uid, fname))
+        else:
+            em.emit('MPI_Waitall(%d, reqs%d_%s, MPI_STATUSES_IGNORE);'
+                    % (2 * 26, uid, fname))
+            em.emit('halounpack%d_%s(%s_vec, %s);'
+                    % (uid, fname, fname, tvar))
 
 
 def _emit_compute(em, schedule, step, printer, tvars):
@@ -359,12 +357,10 @@ def _emit_sparse_c(em, step, printer, tvars):
         em.close_block()
 
 
-def _emit_halo_callable(em, schedule, uid, req, kind):
-    """Emit one halo-exchange callable for function ``req.function``."""
-    fname = req.function.name
-    mode = schedule.mpi_mode
-    ndim = schedule.grid.dim
-    if kind == 'begin':
+def _emit_halo_callable(em, mode, ndim, uid, fname, widths, begin):
+    """Emit one halo-exchange callable for function ``fname``: the
+    ``begin`` half of an overlapped exchange, or a blocking update."""
+    if begin:
         header = ('static void halobegin%d_%s(float *restrict %s_vec, '
                   'MPI_Comm comm, int t, MPI_Request *reqs)'
                   % (uid, fname, fname))
@@ -376,7 +372,7 @@ def _emit_halo_callable(em, schedule, uid, req, kind):
     if mode == 'basic':
         em.emit('/* multi-step synchronous face exchanges: '
                 '%d messages in %dD */' % (2 * ndim, ndim))
-        for d, (wl, wr) in enumerate(req.widths):
+        for d, (wl, wr) in enumerate(widths):
             if not (wl or wr):
                 continue
             em.emit('float *sendbuf%d = malloc(sizeof(float)*%d); '
@@ -405,13 +401,13 @@ def _emit_halo_callable(em, schedule, uid, req, kind):
         em.emit('MPI_Irecv(recvbufs[n], counts[n], MPI_FLOAT, '
                 'neighbors[n], rtags[n], comm, &reqs[nreq++]);')
         em.close_block()
-        if kind != 'begin':
+        if not begin:
             em.emit('MPI_Waitall(nreq, reqs, MPI_STATUSES_IGNORE);')
             em.emit('#pragma omp parallel for /* threaded unpack */')
             em.emit('/* unpack_halo(%s_vec, recvbufs, t); */' % fname)
     em.close_block()
     em.emit()
-    if kind == 'begin':
+    if begin:
         em.open_block('static void halounpack%d_%s(float *restrict %s_vec, '
                       'int t)' % (uid, fname, fname))
         em.emit('#pragma omp parallel for /* threaded unpack */')

@@ -2,22 +2,18 @@
 
 The C translation unit (:func:`~repro.codegen.cgen.generate_c_steps`) is
 the same for every rank, comm mode and decomposition.  What one rank
-runs per timestep is data: a *plan* the driver generator records
-(:func:`repro.codegen.pybackend.generate_kernel`; JSON, so the build
-cache carries it), which :class:`StepProgram` turns — once per built
-kernel — into the op program, argument records, geometry rows and the
-channel list of this rank; then, once per run of the time loop,
+runs per timestep is data: the timestep's record
+(:func:`~repro.ir.program.step_program`; JSON, so the build cache
+carries it), which :class:`StepProgram` turns — once per built kernel —
+into the op program, argument records, geometry rows and the channel
+list of this rank; then, once per run of the time loop,
 :meth:`StepProgram.bind` fills in the pointers (fields, sparse plans,
 pending rows), the scalar table and the channels of the world, and
 returns the :class:`Binding` the driver hands to ``step``.
 
-Plan ops (symbolic; field and exchanger references are names)::
-
-    ['begin', section] / ['stop', section]     time a section
-    ['call', sid]                              compute or sparse step
-    ['update' | 'send' | 'recv', key, field, shift]   halo spot
-    ['poison', 'all' | 'time']                 sanitizer fill
-    ['scan', section, field, shift]            sanitizer DOMAIN scan
+Each section of the record becomes its ops, bracketed by ``begin`` /
+``stop`` of its timer when timers are compiled in and followed by a
+``scan`` of each buffer it writes under the sanitizer.
 
 After every run :meth:`Binding.fold` moves what the step counted into
 the places the NumPy driver writes directly: the exchanger counters,
@@ -32,10 +28,10 @@ import numpy as np
 
 from ..mpi.channel import ChannelTimeoutError
 from ..mpi.sim import PROC_NULL, RemoteRankError
-from .common import class_geometry
+from .common import class_geometry, function_nb
 from .cruntime import ERRORS, EXCHANGER_COUNTERS, OPS
 
-__all__ = ['Binding', 'StepProgram', 'bind_meta']
+__all__ = ['Binding', 'StepProgram', 'bind_meta', 'meta_scalars']
 
 
 class _Struct(ctypes.Structure):
@@ -78,23 +74,35 @@ def bind_meta(meta, boxes, shape_local):
     return out
 
 
+def meta_scalars(meta):
+    """The scalar table of a bound compiled step (sorted names)."""
+    return sorted({s for m in meta.values() for s in m['scalars']})
+
+
 class StepProgram:
     """One rank's compiled-step program, built once per kernel.
 
-    ``plan`` is the driver generator's record, ``meta`` the emitter's
-    (:func:`~repro.codegen.cgen.generate_c_steps`), ``exchangers`` the
-    kernel's live exchangers and ``sanitizer`` its
+    ``program`` is the rank's view of the step record
+    (:func:`~repro.codegen.pybackend.bind_plan`), ``meta`` the
+    emitter's, bound to the rank (:func:`bind_meta`), ``functions``
+    every array the step reads or writes (scratch arrays included),
+    ``exchangers`` the kernel's live exchangers and ``sanitizer`` its
     :class:`~repro.analysis.sanitizer.HaloSanitizer` (or None).
     """
 
-    def __init__(self, lib, plan, meta, exchangers, distributor, sanitizer,
-                 dtype):
+    def __init__(self, lib, program, meta, functions, exchangers,
+                 distributor, sanitizer, dtype):
         self.dtype = np.dtype(dtype)
-        self.exchangers = [exchangers[key] for key in plan['exchangers']]
-        self.sections = list(plan['sections'])
+        self.exchangers = [exchangers[ex['key']]
+                           for ex in program['exchangers']]
+        #: timer slot -> section name
+        self.sections = []
         self.sanitizer = sanitizer
+        #: the scalar names the bound steps read, in table order
+        self.scalars = meta_scalars(meta)
         ndim = distributor.ndim
-        fields = {name: i for i, name in enumerate(plan['fields'])}
+        nbuffers = {f.name: function_nb(f) for f in functions}
+        fields = {name: i for i, name in enumerate(sorted(nbuffers))}
         self._fields = fields
         self._nptrs = len(fields)
         self._args, self._geom = [], []
@@ -107,11 +115,12 @@ class StepProgram:
         self._sparse = {}
         records = {}
         meta = {int(sid): m for sid, m in meta.items()}
-        scalars = {name: i for i, name in enumerate(plan['scalars'])}
-        exindex = {key: i for i, key in enumerate(plan['exchangers'])}
+        scalars = {name: i for i, name in enumerate(self.scalars)}
+        exindex = {ex['key']: i
+                   for i, ex in enumerate(program['exchangers'])}
 
         def view(field, shift):
-            nb = plan['nbuffers'][field]
+            nb = nbuffers[field]
             off = len(self._args)
             self._args += [fields[field], shift is not None, shift or 0,
                            nb, ndim, 0] + [0] * ndim
@@ -145,13 +154,33 @@ class StepProgram:
             records[key, field, shift] = off
             return off
 
-        def compile_ops(ops):
+        def timer(name):
+            if name not in self.sections:
+                self.sections.append(name)
+            return self.sections.index(name)
+
+        def compile_sections(sections):
             prog = []
+            for sec in sections:
+                timed = program['timed'] and sec['name'] is not None
+                if timed:
+                    prog.append([OPS['begin'], timer(sec['name']), 0, 0])
+                compile_ops(sec['ops'], prog)
+                if timed:
+                    prog.append([OPS['stop'], timer(sec['name']), 0, 0])
+                for field, shift in sec['writes']:
+                    slot = timer(sec['name'])
+                    nb, domain = sanitizer.domain(field)
+                    off = view(field, (shift or 0) if nb else None)
+                    self._args += [b for s in domain
+                                   for b in (s.start, s.stop)]
+                    prog.append([OPS['scan'], slot, off, 0])
+            return _long([v for row in prog for v in row] + [0] * 4)
+
+        def compile_ops(ops, prog):
             for op in ops:
                 kind = op[0]
-                if kind in ('begin', 'stop'):
-                    prog.append([OPS[kind], op[1], 0, 0])
-                elif kind == 'call':
+                if kind == 'call':
                     sid = op[1]
                     off = len(self._args)
                     m = meta[sid]
@@ -167,38 +196,27 @@ class StepProgram:
                         self._nptrs += 4 + ndim
                         self._args += [0, slot, slot + 1]
                         self._args += [slot + 2 + d for d in range(ndim)]
-                        self._args += [slot + 2 + ndim, 0, 0,
-                                       plan['sparse'][str(sid)],
+                        self._args += [slot + 2 + ndim, 0, 0, op[2],
                                        slot + 3 + ndim]
-                        self._sparse[sid] = (off, slot,
-                                             plan['sparse'][str(sid)])
+                        self._sparse[sid] = (off, slot, op[2])
                     self._args += [fields[f] for f in m['fields']]
                     self._args += [scalars[s] for s in m['scalars']]
                     prog.append([OPS['call'], m['fn'], off, 0])
                 elif kind in ('update', 'send', 'recv'):
                     prog.append([OPS[kind], halo_record(*op[1:]), 0, 0])
                 elif kind == 'poison':
-                    for name, (nb, boxes, _) in sanitizer._fields.items():
-                        if op[1] == 'time' and nb is None:
-                            continue
+                    for name, nb, boxes in sanitizer.poisoned(op[1]):
                         off = view(name, None)
                         self._args += [nb or 1, len(boxes)]
                         for box in boxes:
                             self._args += [b for s in box
                                            for b in (s.start, s.stop)]
                         prog.append([OPS['poison'], off, 0, 0])
-                elif kind == 'scan':
-                    nb, _, domain = sanitizer._fields[op[2]]
-                    off = view(op[2], (op[3] or 0) if nb else None)
-                    self._args += [b for s in domain
-                                   for b in (s.start, s.stop)]
-                    prog.append([OPS['scan'], op[1], off, 0])
                 else:
-                    raise ValueError("unknown step-plan op %r" % (op,))
-            return _long([v for row in prog for v in row] + [0] * 4)
+                    raise ValueError("unknown step-program op %r" % (op,))
 
-        self.pre = compile_ops(plan['pre'])
-        self.loop = compile_ops(plan['loop'])
+        self.pre = compile_sections(program['pre'])
+        self.loop = compile_sections(program['loop'])
         self.args = _long(self._args)
         self.geom = _long(self._geom if self._geom else [0])
         self.waker = lib.repro_wake
@@ -208,7 +226,7 @@ class StepProgram:
 
         ``arrays`` maps field names to halo-inclusive arrays,
         ``sparse_plans`` is the kernel's ``__SP``, ``scalars`` the values
-        of ``plan['scalars']`` in order and ``rows`` the pending
+        of :attr:`scalars` in order and ``rows`` the pending
         interpolation blocks of the deferred sparse steps, in sid
         order."""
         dtype = self.dtype

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioutil import file_digest
-from ..profiling import Profiler, assign_section_names
+from ..profiling import Profiler
 from ..symbolics import PyPrinter
 from .artifact import ARTIFACT_VERSION, KernelArtifact
 from .common import function_nb, validate_names
@@ -41,7 +41,7 @@ class PyKernel:
     def __init__(self, source, func, exchangers, sparse_plans,
                  profiler=None, step_lines=None, sanitizer=None,
                  backend='numpy', c_source=None, so_path=None,
-                 so_checksum=None, c_steps=None, lib=None, artifact=None,
+                 so_checksum=None, cstep=None, lib=None, artifact=None,
                  scratch=None):
         self.source = source
         self.func = func
@@ -61,9 +61,8 @@ class PyKernel:
         #: every kernel built from the same equations
         self.so_path = so_path
         self.so_checksum = so_checksum
-        #: what this rank binds to its step ('c' only): ``{'meta': the
-        #: bound generate_c_steps metadata, 'plan': the op program}``
-        self.c_steps = c_steps
+        #: this rank's :class:`~.cstep.StepProgram` ('c' only)
+        self.cstep = cstep
         #: the loaded ctypes library (keeps the dlopen handle alive)
         self.lib = lib
         #: the rank-agnostic KernelArtifact this kernel is a binding of
@@ -219,22 +218,26 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     """Everything a kernel is that no rank's geometry decides.
 
     Returns the JSON-able rank-agnostic artifact payload (see
-    :mod:`repro.codegen.artifact`).  The NumPy driver is a template
-    (:func:`render_driver`): the slice bounds of every compute step and
-    whether it runs at all on a rank are left to that rank's boxes, and
-    so are the section point counts, the sanitizer's write map and the
-    compiled step's geometry rows and op program.
+    :mod:`repro.codegen.artifact`).  Its ``program`` is the timestep's
+    one record (:func:`~repro.ir.program.step_program`); the NumPy
+    driver is printed from it as a template (:func:`render_driver`):
+    the slice bounds of every compute step and whether it runs at all
+    on a rank are left to that rank's boxes, and so are the section
+    point counts, the sanitizer's write map and the compiled step's
+    geometry rows and op program.
     """
-    from ..analysis.certificate import certificate_plan
     from ..analysis.dataflow import access_table
+    from ..ir.program import step_program
     grid = schedule.grid
     validate_names(schedule)
     parallel = grid.distributor.is_parallel
-    san = sanitizer and bool(parallel and schedule.mpi_mode)
-    preamble_names, step_names = assign_section_names(schedule)
-    sparse_steps = [(i, s) for i, s in enumerate(schedule.steps)
-                    if s.is_sparse]
-    deferred = _deferred_interpolations(sparse_steps) if parallel else {}
+    program = step_program(schedule, instrument, sanitizer)
+    san = program['sanitizer']
+    steps = schedule.steps
+    sparse_steps = [(i, s) for i, s in enumerate(steps) if s.is_sparse]
+    # the interpolations reduced once per block of steps (call mode 2)
+    deferred = {op[1]: steps[op[1]] for sec in program['loop']
+                for op in sec['ops'] if op[0] == 'call' and op[2:] == [2]}
     constants, uses_dt = _free_symbols(schedule)
 
     c_source = c_meta = so_path = so_checksum = None
@@ -258,9 +261,6 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
             backend = 'numpy'
             c_source = c_meta = so_path = so_checksum = None
     compiled = backend == 'c'
-    #: the compiled step's program, recorded alongside the NumPy driver
-    plan = _Plan(schedule, instrument)
-    sections = []
 
     em = _Template()
     em.emit('def __kernel%s(time_m, time_M, __A, __P, __EX, __SP, __comm, '
@@ -307,32 +307,19 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     if deferred:
         _emit_pending_rows(em, deferred)
 
-    # -- preamble: hoisted halo exchanges of time-invariant functions ---------------
-    # exchangers are made per rank from these specs (each owns 64 tags)
-    exchangers = []
-
-    def new_exchanger(key, func, widths):
-        exchangers.append({'key': key, 'function': func.name,
-                           'widths': [list(w) for w in widths],
-                           'tag_base': 64 * len(exchangers)})
-
+    # -- preamble: sanitizer fill, hoisted (time-invariant) halo exchanges ---------
+    hoisted = [sec for sec in program['pre'] if sec['kind'] == 'halo']
     if san:
         em.emit('# sanitizer: poison every neighbor-owned ghost cell')
         em.emit('__SAN.poison_invariants(__A)')
         em.emit()
-        plan.add('pre', 'poison', 'all')
-
-    if schedule.preamble_halo:
+    if hoisted:
         em.emit('# hoisted halo exchanges (time-invariant functions)')
-        for req, sname in zip(schedule.preamble_halo, preamble_names):
-            key = 'pre_%s' % req.function.name
-            new_exchanger(key, req.function, req.widths)
-            sections.append(_section(sname, 'halo', exchanger_keys=[key]))
-            em.emit_all(sec_begin())
-            em.emit("__EX['%s'].exchange(%s)" % (key, req.function.name))
-            em.emit_all(sec_end(sname, in_loop=False))
-            plan.section('pre', sname, [
-                ('update', key, req.function.name, None)])
+        for sec in hoisted:
+            for _, key, fname, _ in sec['ops']:
+                em.emit_all(sec_begin())
+                em.emit("__EX['%s'].exchange(%s)" % (key, fname))
+                em.emit_all(sec_end(sec['name'], in_loop=False))
         em.emit()
 
     # -- the time loop ---------------------------------------------------------------
@@ -345,93 +332,50 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     em.emit('__RES is None or __RES.tick(time%s)'
             % (', __flush' if deferred else ''))
     em.emit('__comm is None or __comm.fault_tick(time)')
-    if san:
-        em.emit('# sanitizer: buffer rotation invalidated every halo')
-        em.emit('__SAN.poison(__A)')
-        plan.add('loop', 'poison', 'time')
-
-    for sid, step in enumerate(schedule.steps):
-        sname = step_names[sid]
-        if step.is_halo:
-            em.open_step()
-            keys = ['h%d_%s' % (step.uid, req.function.name)
-                    for req in step.exchanges]
-            sections.append(_section(
-                sname, 'halo' if step.kind != 'wait' else 'wait',
-                exchanger_keys=keys if step.kind != 'wait' else []))
-            em.emit_all(sec_begin())
-            ops = []
-            for req, key in zip(step.exchanges, keys):
-                view = _view_expr(req.function, req.time_shift)
-                if step.kind == 'update':
-                    if all(ex['key'] != key for ex in exchangers):
-                        new_exchanger(key, req.function, req.widths)
-                    em.emit("__EX['%s'].exchange(%s)" % (key, view))
-                elif step.kind == 'begin':
-                    if all(ex['key'] != key for ex in exchangers):
-                        new_exchanger(key, req.function, req.widths)
-                    em.emit("__pend_%s = __EX['%s'].begin(%s)"
-                            % (key, key, view))
-                elif step.kind == 'wait':
-                    em.emit("__EX['%s'].finish(%s, __pend_%s)"
-                            % (key, view, key))
-                ops.append(({'update': 'update', 'begin': 'send',
-                             'wait': 'recv'}[step.kind], key,
-                            req.function.name, req.time_shift))
-            em.emit_all(sec_end(sname))
-            em.close_step(sid)
-            plan.section('loop', sname, ops)
-        elif step.is_compute:
-            sections.append(_section(
-                sname, 'compute', step=sid,
-                flops_per_point=step.cluster.flops_per_point(),
-                traffic_per_point=step.cluster.traffic_per_point(
-                    grid.dtype.itemsize),
-                writes=sorted(step.cluster.write_keys) if san else []))
+    for sec in program['loop']:
+        sname, kind, sid = sec['name'], sec['kind'], sec['step']
+        if kind == 'poison':
+            em.emit('# sanitizer: buffer rotation invalidated every halo')
+            em.emit('__SAN.poison(__A)')
+        elif kind == 'compute':
             tail = sec_end(sname)
             if san:
                 tail.append("__SAN.check('%s', __A, time)" % sname)
-            em.compute(sid, sec_begin(), _cluster_template(em, step.cluster),
-                       tail)
-            plan.section('loop', sname, [('call', sid)], step=sid)
+            em.compute(sid, sec_begin(),
+                       _cluster_template(em, steps[sid].cluster), tail)
         else:
             em.open_step()
-            writes = [list(step.field_access.key)] \
-                if san and step.field_access is not None else []
-            sections.append(_section(sname, 'sparse', writes=writes))
             em.emit_all(sec_begin())
-            _emit_sparse(em, sid, step, parallel, deferred=sid in deferred)
-            if deferred and sid == max(deferred):
-                _emit_block_end(em, deferred)
+            if kind == 'sparse':
+                _emit_sparse(em, sid, steps[sid], parallel,
+                             deferred=sid in deferred)
+                if deferred and sid == max(deferred):
+                    _emit_block_end(em, deferred)
+            else:
+                for op, key, fname, shift in sec['ops']:
+                    em.emit(_HALO_LINES[op] % dict(
+                        key=key, view=_view_expr(functions[fname], shift)))
             em.emit_all(sec_end(sname))
-            if writes:
+            if sec['writes']:
                 em.emit("__SAN.check('%s', __A, time)" % sname)
             em.close_step(sid)
-            plan.sparse(sid, step, sid in deferred)
-            plan.section('loop', sname, [('call', sid)])
 
-    if not schedule.steps:
+    if not steps:
         em.emit('pass')
     em.level -= 1
     em.emit('return')
 
-    c_steps = None
     if compiled:
-        c_steps = {'meta': {str(sid): m for sid, m in c_meta.items()},
-                   'plan': plan.template(exchangers)}
         em.level = 0
         em.emit()
-        _emit_compiled_driver(em, schedule, bool(plan.ops['pre']),
+        _emit_compiled_driver(em, schedule, bool(program['pre']),
                               deferred, scalar_names, instrument)
-    payload = {
+    return {
         'version': ARTIFACT_VERSION,
         'driver': em.finish(),
+        'program': program,
         'shape': [int(n) for n in grid.shape],
         'steps': access_table(schedule),
-        'sections': sections,
-        'exchangers': exchangers,
-        'mpi_mode': schedule.mpi_mode,
-        'sanitizer': san,
         'functions': [f.name for f in schedule.functions
                       if not f.is_Scratch],
         'scratch': [[f.name, [list(h) for h in f.halo]]
@@ -444,7 +388,6 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
         'flops_per_point': schedule.flops_per_point(),
         'traffic_per_point': schedule.traffic_per_point(
             grid.dtype.itemsize),
-        'certificate': certificate_plan(schedule),
         'analysis': None,
         'build_seconds': 0.0,
         # compiled-backend products ('numpy' builds carry Nones).  The
@@ -455,22 +398,15 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
         'c_source': c_source,
         'so_path': so_path,
         'so_checksum': so_checksum,
-        'c_steps': c_steps,
+        'c_meta': None if c_meta is None else {
+            str(sid): m for sid, m in c_meta.items()},
     }
-    return payload
 
 
-def _section(name, kind, step=None, flops_per_point=0, traffic_per_point=0,
-             exchanger_keys=(), writes=()):
-    """One profiler section of the build, as data: a compute section
-    names its ``step`` (its point count is that step's boxes on the
-    binding rank); ``writes`` are the (function, time shift) buffers the
-    sanitizer scans after it."""
-    return {'name': name, 'kind': kind, 'step': step,
-            'flops_per_point': flops_per_point,
-            'traffic_per_point': traffic_per_point,
-            'exchanger_keys': list(exchanger_keys),
-            'writes': [list(w) for w in writes]}
+#: the driver line of each halo op
+_HALO_LINES = {'update': "__EX['%(key)s'].exchange(%(view)s)",
+               'send': "__pend_%(key)s = __EX['%(key)s'].begin(%(view)s)",
+               'recv': "__EX['%(key)s'].finish(%(view)s, __pend_%(key)s)"}
 
 
 class _Template:
@@ -566,78 +502,15 @@ def _fill(body, box):
     return ''.join(pieces).split('\n')
 
 
-class _Plan:
-    """The compiled step's program, recorded while the NumPy driver is
-    emitted (see :mod:`.cstep` for the op vocabulary).  A compute
-    section is kept only by ranks with iteration points in its step, so
-    the program is a template each rank replays (:func:`bind_plan`)."""
-
-    def __init__(self, schedule, timed):
-        self.ops = {'pre': [], 'loop': []}
-        self.timed = timed
-        self.modes = {}
-        self.nbuffers = {f.name: function_nb(f) for f in schedule.functions}
-
-    def add(self, where, *op):
-        self.ops[where].append(['op', list(op)])
-
-    def section(self, where, name, ops, step=None):
-        """``ops`` bracketed by the section's timer (when profiling is
-        compiled in), then the sanitizer's scans of what it wrote;
-        dropped on ranks where compute ``step`` has no points."""
-        self.ops[where].append(['section', name, [list(op) for op in ops],
-                                step])
-
-    def sparse(self, sid, step, deferred):
-        """Mode of a sparse function: 0 inject, 1 interpolate into the
-        sparse data, 2 into the pending block of rows."""
-        self.modes[str(sid)] = 0 if step.kind == 'inject' else \
-            2 if deferred else 1
-
-    def template(self, exchangers):
-        return {'pre': self.ops['pre'], 'loop': self.ops['loop'],
-                'timed': self.timed, 'sparse': self.modes,
-                'fields': sorted(self.nbuffers), 'nbuffers': self.nbuffers,
-                'exchangers': [ex['key'] for ex in exchangers]}
-
-
-def bind_plan(template, meta, writes):
-    """One rank's op program from a :class:`_Plan` template: ``meta``
-    is the rank's bound step metadata (:func:`~.cstep.bind_meta`: no
-    entry for a compute step without points here), ``writes`` the
-    sanitizer's write map by section name."""
-    sections = []
-    timed = template['timed']
-
-    def replay(records):
-        ops = []
-        for kind, *rec in records:
-            if kind == 'op':
-                ops.append(rec[0])
-                continue
-            name, body, step = rec
-            if step is not None and step not in meta:
-                continue
-            if timed:
-                if name not in sections:
-                    sections.append(name)
-                ops.append(['begin', sections.index(name)])
-            ops += body
-            if timed:
-                ops.append(['stop', sections.index(name)])
-            for fname, tshift in writes.get(name, ()):
-                if name not in sections:
-                    sections.append(name)
-                ops.append(['scan', sections.index(name), fname, tshift])
-        return ops
-
-    pre, loop = replay(template['pre']), replay(template['loop'])
-    return {'pre': pre, 'loop': loop, 'sections': sections,
-            'sparse': template['sparse'], 'fields': template['fields'],
-            'nbuffers': template['nbuffers'],
-            'scalars': sorted({s for m in meta.values()
-                               for s in m['scalars']}),
-            'exchangers': template['exchangers']}
+def bind_plan(program, boxes):
+    """One rank's view of a :func:`~repro.ir.program.step_program`
+    record: a compute section is dropped where its step has no
+    iteration points (``boxes`` maps every compute step to this rank's
+    boxes)."""
+    def runs(sec):
+        return sec['kind'] != 'compute' or bool(boxes[sec['step']])
+    return dict(program, pre=[s for s in program['pre'] if runs(s)],
+                loop=[s for s in program['loop'] if runs(s)])
 
 
 def _emit_compiled_driver(em, schedule, has_pre, deferred, scalar_names,
@@ -726,20 +599,6 @@ def _sparse_grid_functions(step):
         f = step.field_access.function
         seen[f.name] = f
     return [seen[k] for k in sorted(seen)]
-
-
-def _deferred_interpolations(sparse_steps):
-    """``{sid: step}`` of the interpolations whose cross-rank reduction
-    may wait for the end of a block of steps: all of them, except those
-    into a sparse function that a sparse step of the same kernel also
-    reads (that read needs the reduced value of the current step)."""
-    from ..symbolics import unique_nodes
-    read = {node.name for _, step in sparse_steps
-            for node in unique_nodes(step.expr)
-            if getattr(node, 'is_SparseFunction', False)}
-    return {sid: step for sid, step in sparse_steps
-            if step.kind == 'interpolate'
-            and step.op.sparse.name not in read}
 
 
 def _timed(deferred):

@@ -364,7 +364,7 @@ class Operator:
         self._constants = [symtab.constants[n] for n in p['constants']]
         self._uses_dt = bool(p['uses_dt'])
         self.grid = self._functions[0].grid
-        self.mpi_mode = p['mpi_mode']
+        self.mpi_mode = p['program']['mode']
         self._flops_per_point = p['flops_per_point']
         self._traffic_per_point = p['traffic_per_point']
         dist = self.grid.distributor

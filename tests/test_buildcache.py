@@ -389,3 +389,13 @@ class TestSurface:
         assert back.source == art.source == op.pycode
         assert back.build_seconds == pytest.approx(0.123)
         assert back.nbytes > 0
+
+    def test_artifact_nbytes_excludes_build_seconds(self):
+        """Equal structures weigh the same: the build time's printed
+        length (0.1 vs 0.123456789) is not part of the count."""
+        op = Operator(_exprs()[0], cache=False)
+        fast, slow = (KernelArtifact.extract(op, build_seconds=s)
+                      for s in (0.1, 0.123456789))
+        assert len(json.dumps(fast.to_payload())) \
+            != len(json.dumps(slow.to_payload()))
+        assert fast.nbytes == slow.nbytes > 0
