@@ -62,7 +62,10 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #: 9: one step record (``program``) replaces ``sections``,
 #:    ``exchangers``, ``mpi_mode``, ``sanitizer``, ``certificate`` and
 #:    the op program template; ``c_steps`` became ``c_meta``.
-ARTIFACT_VERSION = 9
+#: 10: the binding (``decide``, ``retries``) and channel (``parked``,
+#:     ``redelivered``) layouts the compiled object reads changed, and
+#:     a ``backend='c'`` driver no longer carries ``__kernel_py``.
+ARTIFACT_VERSION = 10
 
 _REQUIRED_KEYS = ('version', 'driver', 'program', 'shape', 'steps',
                   'functions', 'scratch', 'sparse_functions',

@@ -197,13 +197,22 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.close_block()
         em.emit()
 
-    # halo-exchange callables
+    # halo-exchange callables: one per hoisted (preamble) exchanger,
+    # then one per loop halo spot and function
+    for ex in program['exchangers']:
+        if ex['scope'] == 'preamble':
+            _emit_halo_callable(em, schedule.mpi_mode, grid.dim,
+                                '_' + ex['key'], ex['function'],
+                                ex['widths'], False, ex['tag_base'],
+                                timed=False)
     for sec in program['loop']:
         for op in sec['ops']:
             if op[0] in ('update', 'send'):
+                uid = schedule.steps[sec['step']].uid
                 _emit_halo_callable(em, schedule.mpi_mode, grid.dim,
-                                    schedule.steps[sec['step']].uid, op[2],
-                                    widths[op[1]], op[0] == 'send')
+                                    '%d_%s' % (uid, op[2]), op[2],
+                                    widths[op[1]], op[0] == 'send',
+                                    uid * 64, timed=True)
 
     # kernel signature
     args = ['float *restrict %s_vec' % n for n in fnames]
@@ -357,16 +366,21 @@ def _emit_sparse_c(em, step, printer, tvars):
         em.close_block()
 
 
-def _emit_halo_callable(em, mode, ndim, uid, fname, widths, begin):
-    """Emit one halo-exchange callable for function ``fname``: the
-    ``begin`` half of an overlapped exchange, or a blocking update."""
+def _emit_halo_callable(em, mode, ndim, suffix, fname, widths, begin,
+                        tag0, timed):
+    """Emit one halo-exchange callable for function ``fname``, named
+    ``halobegin<suffix>`` / ``haloupdate<suffix>``: the ``begin`` half
+    of an overlapped exchange, or a blocking update.  Only a ``timed``
+    callable takes a time index (a hoisted exchange's function has no
+    time dimension)."""
+    tparam, targ = (', int t', ', t') if timed else ('', '')
     if begin:
-        header = ('static void halobegin%d_%s(float *restrict %s_vec, '
-                  'MPI_Comm comm, int t, MPI_Request *reqs)'
-                  % (uid, fname, fname))
+        header = ('static void halobegin%s(float *restrict %s_vec, '
+                  'MPI_Comm comm%s, MPI_Request *reqs)'
+                  % (suffix, fname, tparam))
     else:
-        header = ('static void haloupdate%d_%s(float *restrict %s_vec, '
-                  'MPI_Comm comm, int t)' % (uid, fname, fname))
+        header = ('static void haloupdate%s(float *restrict %s_vec, '
+                  'MPI_Comm comm%s)' % (suffix, fname, tparam))
     em.open_block(header)
     em.emit('int rank; MPI_Comm_rank(comm, &rank);')
     if mode == 'basic':
@@ -380,12 +394,12 @@ def _emit_halo_callable(em, mode, ndim, uid, fname, widths, begin):
             em.emit('MPI_Sendrecv(sendbuf%d, /*...*/ 1, MPI_FLOAT, '
                     'neighbor_pos[%d], %d, recvbuf%d, 1, MPI_FLOAT, '
                     'neighbor_neg[%d], %d, comm, MPI_STATUS_IGNORE);'
-                    % (d, d, uid * 64 + d, d, d, uid * 64 + d))
+                    % (d, d, tag0 + d, d, d, tag0 + d))
             em.emit('MPI_Sendrecv(/* opposite direction */ sendbuf%d, 1, '
                     'MPI_FLOAT, neighbor_neg[%d], %d, recvbuf%d, 1, '
                     'MPI_FLOAT, neighbor_pos[%d], %d, comm, '
                     'MPI_STATUS_IGNORE);'
-                    % (d, d, uid * 64 + d + 32, d, d, uid * 64 + d + 32))
+                    % (d, d, tag0 + d + 32, d, d, tag0 + d + 32))
             em.emit('free(sendbuf%d);' % d)
     else:
         nmsg = 3 ** ndim - 1
@@ -395,7 +409,8 @@ def _emit_halo_callable(em, mode, ndim, uid, fname, widths, begin):
         em.emit('int nreq = 0;')
         em.open_block('for (int n = 0; n < %d; n += 1)' % nmsg)
         em.emit('#pragma omp parallel for /* threaded pack */')
-        em.emit('/* pack_halo(%s_vec, sendbufs[n], n, t); */' % fname)
+        em.emit('/* pack_halo(%s_vec, sendbufs[n], n%s); */'
+                % (fname, targ))
         em.emit('MPI_Isend(sendbufs[n], counts[n], MPI_FLOAT, '
                 'neighbors[n], tags[n], comm, &reqs[nreq++]);')
         em.emit('MPI_Irecv(recvbufs[n], counts[n], MPI_FLOAT, '
@@ -404,12 +419,13 @@ def _emit_halo_callable(em, mode, ndim, uid, fname, widths, begin):
         if not begin:
             em.emit('MPI_Waitall(nreq, reqs, MPI_STATUSES_IGNORE);')
             em.emit('#pragma omp parallel for /* threaded unpack */')
-            em.emit('/* unpack_halo(%s_vec, recvbufs, t); */' % fname)
+            em.emit('/* unpack_halo(%s_vec, recvbufs%s); */'
+                    % (fname, targ))
     em.close_block()
     em.emit()
     if begin:
-        em.open_block('static void halounpack%d_%s(float *restrict %s_vec, '
-                      'int t)' % (uid, fname, fname))
+        em.open_block('static void halounpack%s(float *restrict %s_vec, '
+                      'int t)' % (suffix, fname))
         em.emit('#pragma omp parallel for /* threaded unpack */')
         em.emit('/* unpack_halo(%s_vec, recvbufs, t); */' % fname)
         em.close_block()

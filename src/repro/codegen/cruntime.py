@@ -14,15 +14,23 @@ every build of one element type and so is compiled once per process:
 * ``__rp_binding`` — what one rank binds for one run of the time loop:
   pointers (fields, sparse plans, pending rows), the scalar table, the
   op program, argument records, geometry rows, channel pointers, the
-  section timers, the exchanger counters and the world's failure flag
-  (mirrored by :class:`repro.codegen.cstep.Binding`);
+  section timers, the exchanger counters, the world's failure flag and
+  its fault hook (mirrored by :class:`repro.codegen.cstep.Binding`);
 * the channel layer — one single-slot channel per (comm, src, dst, tag,
   size) in memory the :class:`~repro.mpi.sim.SimWorld` owns
   (:mod:`repro.mpi.channel`).  The sender waits for the slot to be
   free, packs straight into it and bumps ``seq``; the receiver waits
   for ``seq``, unpacks and bumps ``ack``.  A wait spins briefly, then
   sleeps on a futex in slices of the world's ``check_interval`` until
-  the deadline (``comm_timeout``) or the failure flag;
+  the deadline (``comm_timeout``) or the failure flag.  Under a fault
+  plan the binding's ``decide`` hook (NULL otherwise: one branch per
+  send) asks :meth:`~repro.mpi.faults.FaultPlan.decide` about each
+  message, by its ordinal on the channel.  The hook itself sleeps for
+  ``delay`` and counts duplicates (a single-slot channel holds no
+  second copy, and cannot reorder); a ``drop`` is published *parked*,
+  and the receiver redelivers it after one ``check_interval`` slice
+  if it may retry (``comm_retries`` > 0), counting it in the channel's
+  ``redelivered``;
 * halo spots — pack / send / wait / unpack over an exchanger's
   per-neighbour box table, phase by phase (``update``) or split into
   the ``begin`` / ``finish`` halves full mode places around CORE;
@@ -60,7 +68,7 @@ _PRELUDE = r'''typedef %(ctype)s __rp_elem;
 
 typedef struct
 {
-  int seq, ack, waiting, src, dst, tag;
+  int seq, ack, waiting, src, dst, tag, parked, redelivered;
   long nbytes;
   char *slot;
 } __rp_chan;
@@ -76,6 +84,8 @@ typedef struct __rp_binding
   double *timers;
   double *counters;
   const int *failed;
+  int (*decide)(int, int, int, int);
+  long retries;
   double timeout, slice;
   long err[4];
 } __rp_binding;
@@ -163,6 +173,7 @@ __attribute__((visibility("default"))) void repro_wake(__rp_chan *c)
 {
   __rp_wake(&c->seq);
   __rp_wake(&c->ack);
+  __rp_wake(&c->parked);
 }
 
 /* wait until *word moved past seen: 0, or 1 (a peer failed) or 2
@@ -266,6 +277,29 @@ static int __rp_fail(__rp_binding *b, __rp_chan *c, int rc)
   return rc;
 }
 
+/* a dropped (parked) message: after one check_interval slice the
+   receiver redelivers it, if it may retry at all; else it waits out
+   the deadline */
+static int __rp_redeliver(const __rp_binding *b, __rp_chan *c)
+{
+  const double deadline = __rp_now() + b->timeout;
+  for (;;)
+  {
+    if (__atomic_load_n(b->failed, __ATOMIC_ACQUIRE))
+      return 1;
+    const double left = deadline - __rp_now();
+    if (left <= 0.0)
+      return 2;
+    __rp_sleep_on(&c->parked, 1, left < b->slice ? left : b->slice);
+    if (b->retries > 0)
+    {
+      c->redelivered += 1;
+      __atomic_store_n(&c->parked, 0, __ATOMIC_RELEASE);
+      return 0;
+    }
+  }
+}
+
 static int __rp_send(__rp_binding *b, __rp_chan *c, __rp_elem *base,
                      const long *a, const long *box, double *cnt)
 {
@@ -279,6 +313,9 @@ static int __rp_send(__rp_binding *b, __rp_chan *c, __rp_elem *base,
       return __rp_fail(b, c, rc);
   }
   __rp_walk(base, a + 6, a[4], box, (__rp_elem *)c->slot, 0);
+  /* under a fault plan: a dropped message is published parked */
+  if (b->decide && b->decide(c->src, c->dst, c->tag, seq))
+    c->parked = 1;
   __rp_publish(c, &c->seq);
   cnt[0] += 1;
   cnt[1] += (double)c->nbytes;
@@ -290,7 +327,9 @@ static int __rp_recv(__rp_binding *b, __rp_chan *c, __rp_elem *base,
 {
   const int ack = c->ack;
   const double t0 = __rp_now();
-  const int rc = __rp_await(b, c, &c->seq, ack);
+  int rc = __rp_await(b, c, &c->seq, ack);
+  if (!rc && __atomic_load_n(&c->parked, __ATOMIC_ACQUIRE))
+    rc = __rp_redeliver(b, c);
   cnt[4] += __rp_now() - t0;
   if (rc)
     return __rp_fail(b, c, rc);

@@ -17,7 +17,8 @@ Each section of the record becomes its ops, bracketed by ``begin`` /
 
 After every run :meth:`Binding.fold` moves what the step counted into
 the places the NumPy driver writes directly: the exchanger counters,
-the commlog send/recv ledger and the profiler's section timers.
+the commlog send/recv ledger, the world's retry and redelivery counters
+and the profiler's section timers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import ctypes
 
 import numpy as np
 
-from ..mpi.channel import ChannelTimeoutError
+from ..mpi.channel import ChannelTimeoutError, fault_hook
 from ..mpi.sim import PROC_NULL, RemoteRankError
 from .common import class_geometry, function_nb
 from .cruntime import ERRORS, EXCHANGER_COUNTERS, OPS
@@ -41,7 +42,8 @@ class _Struct(ctypes.Structure):
                 ('prog', ctypes.c_void_p), ('args', ctypes.c_void_p),
                 ('geom', ctypes.c_void_p), ('chans', ctypes.c_void_p),
                 ('timers', ctypes.c_void_p), ('counters', ctypes.c_void_p),
-                ('failed', ctypes.c_void_p), ('timeout', ctypes.c_double),
+                ('failed', ctypes.c_void_p), ('decide', ctypes.c_void_p),
+                ('retries', ctypes.c_long), ('timeout', ctypes.c_double),
                 ('slice', ctypes.c_double), ('err', ctypes.c_long * 4)]
 
 
@@ -287,23 +289,30 @@ class Binding:
             for (src, dst), tag, nbytes, ex in program._channels:
                 ch = table.get(comm_id, src, dst, tag, nbytes)
                 chans.append(ch.address)
-                # (channel, exchanger, sender side?, count at bind)
+                # (channel, exchanger, sender side?, count at bind,
+                # redeliveries at bind)
                 send = src == ex.distributor.comm.rank
                 self._chans.append([ch, ex, send,
-                                    ch.sent if send else ch.received])
+                                    ch.sent if send else ch.received,
+                                    ch.redelivered])
         self._chan_ptrs = np.asarray(chans or [0], dtype=np.uintp)
         self.timers = np.zeros(3 * max(len(program.sections), 1))
         self.counters = np.zeros(len(EXCHANGER_COUNTERS)
                                  * max(len(program.exchangers), 1))
         failed = world.channels.failed if world is not None else _NEVER
         self.timeout = world.recv_timeout if world is not None else 1e9
+        # NULL without a fault plan; kept alive with the binding
+        self._hook = fault_hook(world) if world is not None else None
         common = dict(
             ptrs=ptrs.ctypes.data, scalars=scalars.ctypes.data,
             args=program.args.ctypes.data, geom=program.geom.ctypes.data,
             chans=self._chan_ptrs.ctypes.data,
             timers=self.timers.ctypes.data,
             counters=self.counters.ctypes.data,
-            failed=ctypes.addressof(failed), timeout=self.timeout,
+            failed=ctypes.addressof(failed),
+            decide=ctypes.cast(self._hook, ctypes.c_void_p).value,
+            retries=world.max_retries if world is not None else 0,
+            timeout=self.timeout,
             slice=world.check_interval if world is not None else 0.05)
         self._pre = _Struct(prog=program.pre.ctypes.data, **common)
         self._loop = _Struct(prog=program.loop.ctypes.data, **common)
@@ -344,7 +353,9 @@ class Binding:
 
     def fold(self, timer):
         """Move what the step counted since the last fold into the
-        exchangers, the commlog ledger and ``timer``; zero it here."""
+        exchangers, the commlog ledger, the world's retry and
+        redelivery counters (one retry redelivers one dropped message)
+        and ``timer``; zero it here."""
         counters = self.counters.reshape(-1, len(EXCHANGER_COUNTERS))
         for ex, row in zip(self.program.exchangers, counters):
             ex.nmessages += int(row[0])
@@ -363,9 +374,14 @@ class Binding:
         self.timers[:] = 0.0
         if not self._chans:
             return
-        log = self.world.commlog
+        world = self.world
+        log = world.commlog
         for entry in self._chans:
-            ch, ex, send, seen = entry
+            ch, ex, send, seen, redelivered = entry
+            if not send and ch.redelivered != redelivered:
+                entry[4] = ch.redelivered
+                world.nretries[ch.dst] += entry[4] - redelivered
+                world.nredelivered[ch.dst] += entry[4] - redelivered
             now = ch.sent if send else ch.received
             count = now - seen
             if count:

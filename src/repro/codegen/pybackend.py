@@ -186,12 +186,13 @@ def generate_kernel(schedule, progress=False, profiler=None,
     section timers and sanitizer hooks
     (:func:`~repro.codegen.cgen.generate_c_steps`,
     :mod:`~repro.codegen.cstep`).  The Python driver keeps the time
-    loop, the resilience and fault hooks and the block flush of pending
-    receiver rows; it runs the NumPy driver (``__kernel_py``, the NumPy
-    backend's text) instead when the world has an armed fault plan.
-    Unsupported builds (dtype outside float32/float64, a distributed
-    interpolation another sparse step reads in the same timestep)
-    degrade to NumPy with a visible warning.
+    loop, the resilience and kill hooks and the block flush of pending
+    receiver rows.  It is the only driver such a build carries and it
+    runs under every fault plan: drops, duplicates and delays act in
+    the step's channels, kills between steps.  A build falls back to
+    NumPy, with a visible warning, only without a working toolchain,
+    for a dtype other than float32/float64, or when a distributed
+    interpolation is read by another sparse step of its timestep.
     """
     if profiler is None:
         profiler = Profiler('off')
@@ -219,12 +220,16 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
 
     Returns the JSON-able rank-agnostic artifact payload (see
     :mod:`repro.codegen.artifact`).  Its ``program`` is the timestep's
-    one record (:func:`~repro.ir.program.step_program`); the NumPy
-    driver is printed from it as a template (:func:`render_driver`):
-    the slice bounds of every compute step and whether it runs at all
-    on a rank are left to that rank's boxes, and so are the section
-    point counts, the sanitizer's write map and the compiled step's
-    geometry rows and op program.
+    one record (:func:`~repro.ir.program.step_program`); the driver is
+    printed from it as a template (:func:`render_driver`), one
+    ``__kernel`` per artifact: the NumPy driver, or under
+    ``backend='c'`` the loop around the compiled step.  Both open with
+    one head (scalars, scalar temporaries, pending receiver rows; the
+    NumPy driver also unpacks arrays and sparse plans).  The slice
+    bounds of every compute step and whether it runs at all on a rank
+    are left to that rank's boxes, and so are the section point
+    counts, the sanitizer's write map and the compiled step's geometry
+    rows and op program.
     """
     from ..analysis.dataflow import access_table
     from ..ir.program import step_program
@@ -232,7 +237,6 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     validate_names(schedule)
     parallel = grid.distributor.is_parallel
     program = step_program(schedule, instrument, sanitizer)
-    san = program['sanitizer']
     steps = schedule.steps
     sparse_steps = [(i, s) for i, s in enumerate(steps) if s.is_sparse]
     # the interpolations reduced once per block of steps (call mode 2)
@@ -263,21 +267,15 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     compiled = backend == 'c'
 
     em = _Template()
-    em.emit('def __kernel%s(time_m, time_M, __A, __P, __EX, __SP, __comm, '
-            'np, __T, __RES=None):' % ('_py' if compiled else ''))
+    em.emit('def __kernel(time_m, time_M, __A, __P, __EX, __SP, __comm, '
+            'np, __T, __RES=None):')
     em.level += 1
 
-    def sec_begin():
-        return ['__t = __T.now()'] if instrument else []
-
-    def sec_end(name, in_loop=True):
-        return ["__T.add('%s', __t%s)" % (name, ', time' if in_loop
-                                           else '')] if instrument else []
-
-    # -- unpack arrays and scalars ------------------------------------------------
+    # -- unpack arrays (the compiled step binds them whole) and scalars -----------
     functions = {f.name: f for f in schedule.functions}
-    for name in sorted(functions):
-        em.emit("%s = __A['%s']" % (name, name))
+    if not compiled:
+        for name in sorted(functions):
+            em.emit("%s = __A['%s']" % (name, name))
     scalar_names = sorted({d.spacing.name for d in grid.dimensions}
                           | {'dt'} | set(constants))
     for name in scalar_names:
@@ -292,8 +290,13 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
             em.emit('%s = %s' % (temp.name, scalar_printer.doprint(rhs)))
         em.emit()
 
-    # -- preamble: sparse plan unpacking --------------------------------------------
+    # -- preamble: sparse plan unpacking (the compiled step binds the plans;
+    # its driver keeps the data that pending rows are reduced into) --------------
     for sid, step in sparse_steps:
+        if compiled:
+            if sid in deferred:
+                em.emit("__sd%d = __SP[%d]['data']" % (sid, sid))
+            continue
         plan_funcs = _sparse_grid_functions(step)
         em.emit("__p%d = __SP[%d]['pids']" % (sid, sid))
         em.emit("__w%d = __SP[%d]['w']" % (sid, sid))
@@ -307,69 +310,11 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     if deferred:
         _emit_pending_rows(em, deferred)
 
-    # -- preamble: sanitizer fill, hoisted (time-invariant) halo exchanges ---------
-    hoisted = [sec for sec in program['pre'] if sec['kind'] == 'halo']
-    if san:
-        em.emit('# sanitizer: poison every neighbor-owned ghost cell')
-        em.emit('__SAN.poison_invariants(__A)')
-        em.emit()
-    if hoisted:
-        em.emit('# hoisted halo exchanges (time-invariant functions)')
-        for sec in hoisted:
-            for _, key, fname, _ in sec['ops']:
-                em.emit_all(sec_begin())
-                em.emit("__EX['%s'].exchange(%s)" % (key, fname))
-                em.emit_all(sec_end(sec['name'], in_loop=False))
-        em.emit()
-
-    # -- the time loop ---------------------------------------------------------------
-    em.emit('for time in range(time_m, time_M + 1):')
-    em.level += 1
-    # resilience hook first (a checkpoint due at the kill step must
-    # complete before the kill fires), then the fault-injection hook;
-    # the hook reduces pending receiver rows before it saves or moves
-    # sparse state
-    em.emit('__RES is None or __RES.tick(time%s)'
-            % (', __flush' if deferred else ''))
-    em.emit('__comm is None or __comm.fault_tick(time)')
-    for sec in program['loop']:
-        sname, kind, sid = sec['name'], sec['kind'], sec['step']
-        if kind == 'poison':
-            em.emit('# sanitizer: buffer rotation invalidated every halo')
-            em.emit('__SAN.poison(__A)')
-        elif kind == 'compute':
-            tail = sec_end(sname)
-            if san:
-                tail.append("__SAN.check('%s', __A, time)" % sname)
-            em.compute(sid, sec_begin(),
-                       _cluster_template(em, steps[sid].cluster), tail)
-        else:
-            em.open_step()
-            em.emit_all(sec_begin())
-            if kind == 'sparse':
-                _emit_sparse(em, sid, steps[sid], parallel,
-                             deferred=sid in deferred)
-                if deferred and sid == max(deferred):
-                    _emit_block_end(em, deferred)
-            else:
-                for op, key, fname, shift in sec['ops']:
-                    em.emit(_HALO_LINES[op] % dict(
-                        key=key, view=_view_expr(functions[fname], shift)))
-            em.emit_all(sec_end(sname))
-            if sec['writes']:
-                em.emit("__SAN.check('%s', __A, time)" % sname)
-            em.close_step(sid)
-
-    if not steps:
-        em.emit('pass')
-    em.level -= 1
-    em.emit('return')
-
     if compiled:
-        em.level = 0
-        em.emit()
-        _emit_compiled_driver(em, schedule, bool(program['pre']),
-                              deferred, scalar_names, instrument)
+        _emit_compiled_loop(em, bool(program['pre']), deferred, instrument)
+    else:
+        _emit_numpy_loop(em, program, steps, functions, deferred, parallel,
+                         instrument)
     return {
         'version': ARTIFACT_VERSION,
         'driver': em.finish(),
@@ -513,29 +458,85 @@ def bind_plan(program, boxes):
                 loop=[s for s in program['loop'] if runs(s)])
 
 
-def _emit_compiled_driver(em, schedule, has_pre, deferred, scalar_names,
-                          instrument):
-    """The ``backend='c'`` driver: one call of the compiled ``step`` per
-    timestep, between the resilience / fault hooks and the block flush
-    of pending receiver rows; the NumPy driver when a fault plan is
-    armed (that transport is the one that injects faults)."""
-    em.emit('def __kernel(time_m, time_M, __A, __P, __EX, __SP, __comm, '
-            'np, __T, __RES=None):')
+def _emit_numpy_loop(em, program, steps, functions, deferred, parallel,
+                     instrument):
+    """The NumPy driver's preamble and time loop: one block of slice
+    arithmetic, exchanger call or sparse operation per section of the
+    step record, bracketed by section timers when ``instrument``."""
+    san = program['sanitizer']
+
+    def sec_begin():
+        return ['__t = __T.now()'] if instrument else []
+
+    def sec_end(name, in_loop=True):
+        return ["__T.add('%s', __t%s)" % (name, ', time' if in_loop
+                                           else '')] if instrument else []
+
+    # -- preamble: sanitizer fill, hoisted (time-invariant) halo exchanges ---------
+    hoisted = [sec for sec in program['pre'] if sec['kind'] == 'halo']
+    if san:
+        em.emit('# sanitizer: poison every neighbor-owned ghost cell')
+        em.emit('__SAN.poison_invariants(__A)')
+        em.emit()
+    if hoisted:
+        em.emit('# hoisted halo exchanges (time-invariant functions)')
+        for sec in hoisted:
+            for _, key, fname, _ in sec['ops']:
+                em.emit_all(sec_begin())
+                em.emit("__EX['%s'].exchange(%s)" % (key, fname))
+                em.emit_all(sec_end(sec['name'], in_loop=False))
+        em.emit()
+
+    # -- the time loop ---------------------------------------------------------------
+    em.emit('for time in range(time_m, time_M + 1):')
     em.level += 1
-    em.emit("if getattr(getattr(__comm, 'world', None), 'faults', None) "
-            "is not None:")
-    em.emit(_INDENT + 'return __kernel_py(time_m, time_M, __A, __P, __EX, '
-            '__SP, __comm, np, __T, __RES)')
-    for name in scalar_names:
-        em.emit("%s = __P['%s']" % (name, name))
-    if schedule.scalar_assignments:
-        printer = PyPrinter()
-        for temp, rhs in schedule.scalar_assignments:
-            em.emit('%s = %s' % (temp.name, printer.doprint(rhs)))
-    if deferred:
-        for sid in deferred:
-            em.emit("__sd%d = __SP[%d]['data']" % (sid, sid))
-        _emit_pending_rows(em, deferred)
+    # resilience hook first (a checkpoint due at the kill step must
+    # complete before the kill fires), then the fault-injection hook;
+    # the hook reduces pending receiver rows before it saves or moves
+    # sparse state
+    em.emit('__RES is None or __RES.tick(time%s)'
+            % (', __flush' if deferred else ''))
+    em.emit('__comm is None or __comm.fault_tick(time)')
+    for sec in program['loop']:
+        sname, kind, sid = sec['name'], sec['kind'], sec['step']
+        if kind == 'poison':
+            em.emit('# sanitizer: buffer rotation invalidated every halo')
+            em.emit('__SAN.poison(__A)')
+        elif kind == 'compute':
+            tail = sec_end(sname)
+            if san:
+                tail.append("__SAN.check('%s', __A, time)" % sname)
+            em.compute(sid, sec_begin(),
+                       _cluster_template(em, steps[sid].cluster), tail)
+        else:
+            em.open_step()
+            em.emit_all(sec_begin())
+            if kind == 'sparse':
+                _emit_sparse(em, sid, steps[sid], parallel,
+                             deferred=sid in deferred)
+                if deferred and sid == max(deferred):
+                    _emit_block_end(em, deferred)
+            else:
+                for op, key, fname, shift in sec['ops']:
+                    em.emit(_HALO_LINES[op] % dict(
+                        key=key, view=_view_expr(functions[fname], shift)))
+            em.emit_all(sec_end(sname))
+            if sec['writes']:
+                em.emit("__SAN.check('%s', __A, time)" % sname)
+            em.close_step(sid)
+
+    if not steps:
+        em.emit('pass')
+    em.level -= 1
+    em.emit('return')
+
+
+def _emit_compiled_loop(em, has_pre, deferred, instrument):
+    """The ``backend='c'`` driver's time loop: one call of the compiled
+    ``step`` per timestep, between the resilience / fault hooks and the
+    block flush of pending receiver rows.  Transport faults act inside
+    the step's channels (:mod:`~repro.codegen.cruntime`); kills fire at
+    ``fault_tick`` between steps."""
     em.bind_call(''.join('__rows%d, ' % sid for sid in sorted(deferred)))
     em.emit("__step, __ref = __C['step'], __B.ref")
     if instrument:

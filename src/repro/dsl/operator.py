@@ -105,11 +105,14 @@ class Operator:
         toolchain and run each timestep — cache-blocked compute, halo
         exchanges over in-process channels, sparse operations, timers —
         as one GIL-free ctypes call).  Defaults to
-        ``configuration['backend']`` (env ``REPRO_BACKEND``).  When no
-        C compiler is available the build degrades to NumPy with a
-        :class:`~repro.codegen.jit.ToolchainWarning`; when the world
-        has an armed fault plan the compiled build runs its NumPy
-        driver on the Python transport, so faults inject as before.
+        ``configuration['backend']`` (env ``REPRO_BACKEND``).  A
+        compiled build runs its compiled step under every fault plan:
+        drops, duplicates and delays act in its channels, kills between
+        steps.  It degrades to NumPy, with a
+        :class:`~repro.codegen.jit.ToolchainWarning`, when no C compiler
+        is available, for a dtype other than float32/float64, or when a
+        distributed interpolation is read by another sparse step of its
+        timestep.
     """
 
     def __init__(self, expressions, name='Kernel', opt=True, mpi=None,

@@ -12,6 +12,11 @@ messages the receiver consumed; the slot is free when they are equal.
 The table also holds the world's failure flag, which a waiting step
 reads every ``check_interval``; :meth:`ChannelTable.fail` raises it and
 wakes every sleeper at once.
+
+Transport faults act here too: :func:`fault_hook` asks the world's
+fault plan (:meth:`~repro.mpi.sim.SimWorld.inject`) about each message,
+by its ordinal on its channel, and the C side parks a dropped message until
+its receiver redelivers it (:mod:`repro.codegen.cruntime`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .sim import RemoteRankError
 
-__all__ = ['Channel', 'ChannelTable', 'ChannelTimeoutError']
+__all__ = ['Channel', 'ChannelTable', 'ChannelTimeoutError', 'fault_hook']
 
 
 class ChannelTimeoutError(RemoteRankError):
@@ -44,7 +49,29 @@ class _Struct(ctypes.Structure):
     _fields_ = [('seq', ctypes.c_int), ('ack', ctypes.c_int),
                 ('waiting', ctypes.c_int), ('src', ctypes.c_int),
                 ('dst', ctypes.c_int), ('tag', ctypes.c_int),
+                ('parked', ctypes.c_int), ('redelivered', ctypes.c_int),
                 ('nbytes', ctypes.c_long), ('slot', ctypes.c_void_p)]
+
+
+#: the C type of the step's ``decide`` hook: (src, dst, tag, ordinal) ->
+#: 1 to drop the message, else 0
+_DECIDE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                           ctypes.c_int, ctypes.c_int)
+
+
+def fault_hook(world):
+    """The compiled step's ``decide`` hook for ``world``: None when no
+    fault plan is armed, else a C callback that applies
+    :meth:`SimWorld.inject <repro.mpi.sim.SimWorld.inject>` to one
+    message and returns 1 for a drop.  The caller keeps the callback
+    alive while a step may call it."""
+    if world.faults is None:
+        return None
+
+    def decide(src, dst, tag, seq):
+        return int('drop' in world.inject(src, dst, tag, seq))
+
+    return _DECIDE(decide)
 
 
 class Channel:
@@ -58,7 +85,7 @@ class Channel:
         self.nbytes = int(nbytes)
         # 8-byte aligned whatever the element type
         self._slot = np.empty(max(self.nbytes, 8) // 8 + 1, dtype=np.float64)
-        self.struct = _Struct(0, 0, 0, self.src, self.dst, self.tag,
+        self.struct = _Struct(0, 0, 0, self.src, self.dst, self.tag, 0, 0,
                               self.nbytes, self._slot.ctypes.data)
         self.address = ctypes.addressof(self.struct)
 
@@ -69,6 +96,11 @@ class Channel:
     @property
     def received(self):
         return self.struct.ack
+
+    @property
+    def redelivered(self):
+        """Dropped messages the receiver redelivered (one retry each)."""
+        return self.struct.redelivered
 
 
 class ChannelTable:

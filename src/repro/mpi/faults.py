@@ -30,6 +30,9 @@ Determinism does not rely on a shared RNG consumed in delivery order
 schedule regardless of thread interleaving — and therefore bit-identical
 results for any non-lethal plan.
 
+The compiled step's channels ask the same :meth:`FaultPlan.decide`
+(:func:`repro.mpi.channel.fault_hook`).
+
 Plans are configured via ``configuration['faults']``, the
 ``REPRO_FAULTS`` environment variable, or the CLI ``--inject-faults``
 flag, all of which accept the spec grammar of :meth:`FaultPlan.parse`.

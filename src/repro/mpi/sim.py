@@ -320,16 +320,30 @@ class SimWorld:
 
     # -- transport ---------------------------------------------------------
 
+    def inject(self, src, dest, tag, seq):
+        """Apply the fault plan to one message: return its actions
+        (empty when no plan is armed), sleep for its ``delay`` and count
+        a drop, or else a duplicate, into ``dest``'s counters.  Both
+        transports ask here: :meth:`deliver` and the compiled step's
+        channels (:func:`repro.mpi.channel.fault_hook`)."""
+        plan = self.faults
+        if plan is None:
+            return ()
+        actions = plan.decide(src, dest, tag, seq)
+        if 'delay' in actions:
+            _time.sleep(plan.delay)
+        with self._conds[dest]:
+            if 'drop' in actions:
+                self.ndrops_injected[dest] += 1
+            elif 'duplicate' in actions:
+                self.ndups_injected[dest] += 1
+        return actions
+
     def deliver(self, dest, message):
         if not 0 <= dest < self.size:
             raise ValueError("invalid destination rank %d" % dest)
-        plan = self.faults
-        actions = ()
-        if plan is not None:
-            actions = plan.decide(message.source, dest, message.tag,
-                                  message.seq)
-            if 'delay' in actions:
-                _time.sleep(plan.delay)
+        actions = self.inject(message.source, dest, message.tag,
+                              message.seq)
         self.commlog.record_send(message.source, dest, message.tag,
                                  _payload_nbytes(message.payload),
                                  section=message.section)
@@ -337,7 +351,6 @@ class SimWorld:
         with cond:
             if 'drop' in actions:
                 self._dropped[dest].append(message)
-                self.ndrops_injected[dest] += 1
                 # no notify: the receiver recovers it on its retry path
                 return
             box = self._boxes[dest]
@@ -349,7 +362,6 @@ class SimWorld:
                 # enqueue the *same* object again; consumption discards
                 # aliases by identity (transport-level dedup)
                 box.append(message)
-                self.ndups_injected[dest] += 1
             self.ndelivered[dest] += 1
             self.nbytes_delivered[dest] += _payload_nbytes(message.payload)
             cond.notify_all()

@@ -409,21 +409,25 @@ class TestCompiledStep:
         with pytest.raises(HaloPoisonError, match='section0'):
             run_parallel(job, 2)
 
-    def test_fault_plan_runs_the_numpy_driver(self, monkeypatch):
-        """An armed fault plan is a world-wide decision: no rank calls
-        the compiled step, and the result is still the serial one."""
-        from repro.codegen import cstep
-        binds = []
-        real = cstep.StepProgram.bind
-        monkeypatch.setattr(cstep.StepProgram, 'bind',
-                            lambda self, *a: binds.append(1) or
-                            real(self, *a))
+    def test_fault_plan_runs_the_compiled_step(self, step_calls):
+        """Under a drop / duplicate plan every rank binds and calls the
+        compiled step (there is no other driver), the channels park and
+        redeliver what the plan drops, and the result is still the
+        serial one."""
         serial = _receiver_job(None, None, 'numpy')
         configuration['faults'] = 'seed=3,drop=0.2,duplicate=0.1'
-        for out in run_parallel(
-                lambda c: _receiver_job(c, 'diagonal', 'c'), 2):
+
+        def job(comm):
+            comm.world.check_interval = 0.01
+            out = _receiver_job(comm, 'diagonal', 'c')
+            return out, step_calls(), comm.world
+        for out, calls, world in run_parallel(job, 2):
             assert all(np.array_equal(a, b) for a, b in zip(serial, out[0]))
-        assert not binds
+            assert calls == 12
+        health = world.comm_health()
+        assert health['drops_injected'] > 0
+        assert health['duplicates_injected'] > 0
+        assert health['redelivered'] == health['drops_injected']
 
 
 def _stalled_job(comm, stall, box):
@@ -491,6 +495,41 @@ class TestStepFailures:
         assert 'src=1 -> dst=0, tag=%d' % exc.tag in str(exc)
         assert 0.3 <= box['seconds'] < 0.9
         world = worlds[0]
+        world.reset()
+        assert len(world.channels) == 0
+
+    def test_dropped_message_without_retries_times_out(self):
+        """A drop the receiver may not retry (``comm_retries=0``) stays
+        parked: a typed timeout naming (src, dst, tag) after
+        ``comm_timeout``, no thread left behind, no channel after the
+        world is reset."""
+        import threading
+        from repro.mpi import FaultPlan
+        from repro.mpi.channel import ChannelTimeoutError
+        configuration['comm_timeout'] = 0.5
+        configuration['comm_retries'] = 0
+        threads = threading.active_count()
+        worlds = []
+
+        def job(comm):
+            worlds.append(comm.world)
+            grid = Grid(shape=(16, 12), comm=comm)
+            u = TimeFunction(name='u', grid=grid, space_order=2)
+            op = Operator([Eq(u.forward, u + 0.1 * u.laplace)],
+                          mpi='diagonal', backend='c')
+            comm.barrier()
+            comm.world.faults = FaultPlan(drop=1.0)  # the step's traffic
+            op.apply(time_M=4)
+
+        with pytest.raises(ChannelTimeoutError) as err:
+            run_parallel(job, 2)
+        exc = err.value
+        assert {exc.src, exc.dst} == {0, 1} and exc.tag >= 0
+        assert 'src=%d -> dst=%d, tag=%d' % (exc.src, exc.dst, exc.tag) \
+            in str(exc)
+        assert threading.active_count() == threads
+        world = worlds[0]
+        assert world.comm_health()['redelivered'] == 0
         world.reset()
         assert len(world.channels) == 0
 
@@ -802,9 +841,11 @@ class TestShapeGeneric:
         assert jit.compile_count() - before == 1
 
     @needs_cc
-    def test_elastic_transitions_compile_nothing(self, tmp_path):
+    def test_elastic_transitions_compile_nothing(self, tmp_path,
+                                                 step_calls):
         """2 -> 4 (reserve grow) -> 3 (kill + shrink) under backend=c:
-        every rebuilt kernel finds its object by content."""
+        every rebuilt kernel finds its object by content, and every
+        surviving rank runs the compiled step."""
         from repro.mpi.faults import RankKilledError
         from repro.mpi.sim import SimComm, SimWorld
         from repro.resilience import run_elastic
@@ -829,7 +870,7 @@ class TestShapeGeneric:
             except RankKilledError:
                 return None  # the victim left the job
             return (u.data.gather(), op.backend,
-                    op.grid.distributor.comm.world.size)
+                    op.grid.distributor.comm.world.size, step_calls())
 
         oracle = run(*build(None, backend='numpy'))[0]
         build(None)  # the one compile, if no earlier test paid for it
@@ -844,9 +885,10 @@ class TestShapeGeneric:
                 _elastic_join={'lineage': lineage, 'orig': orig}))
         finished = [r for r in active + reserve if r is not None]
         assert len(finished) == 3
-        for field, backend, size in finished:
+        for field, backend, size, calls in finished:
             assert (backend, size) == ('c', 3)
             assert np.array_equal(field, oracle)
+            assert calls > 0
         assert jit.compile_count() == before
 
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import (Eq, Grid, Operator, TimeFunction, configuration, solve)
+from repro.codegen import jit
 from repro.mpi import (CommValidationError, Data, DeadlockError, DimSpec,
                        Distributor, FaultPlan, RankKilledError,
                        RemoteRankError, SimComm, SimWorld, TagCollisionError,
@@ -36,7 +37,7 @@ def _leaked_progress_threads():
 
 
 def _diffusion_job(comm, mpi='diagonal', shape=(12, 12), steps=6, so=4,
-                   progress=False):
+                   progress=False, backend=None):
     """One SPMD rank of the reference diffusion problem; returns the
     gathered field and the performance summary."""
     grid = Grid(shape=shape, extent=tuple(float(s - 1) for s in shape),
@@ -48,7 +49,7 @@ def _diffusion_job(comm, mpi='diagonal', shape=(12, 12), steps=6, so=4,
     u.data[0] = init
     eq = Eq(u.dt, u.laplace)
     op = Operator([Eq(u.forward, solve(eq, u.forward))], mpi=mpi,
-                  progress=progress)
+                  progress=progress, backend=backend)
     summary = op.apply(time_M=steps - 1, dt=0.02)
     return u.data.gather(), summary
 
@@ -346,6 +347,34 @@ class TestOperatorFaultIntegration:
                                                        steps=4), 4)
         for (f0, _), (f1, _) in zip(clean, faulty):
             assert np.array_equal(f1, f0)
+
+    @pytest.mark.skipif(jit.find_compiler() is None,
+                        reason='no C toolchain on this host')
+    @pytest.mark.parametrize('mode', ['basic', 'diagonal', 'full'])
+    def test_compiled_step_injects_the_same_faults(self, mode, step_calls):
+        """The compiled step's channels ask the plan about the same
+        messages, by the same ordinals, as the Python transport: on a
+        fresh 2-rank world both drivers inject equal drops and
+        duplicates, redeliver every drop, and match the clean run."""
+        clean = run_parallel(lambda c: _diffusion_job(c, mpi=mode), 2)
+        configuration['faults'] = \
+            'seed=1,drop=0.1,duplicate=0.1,reorder=0.1,delay=0.1'
+
+        def job(comm, backend):
+            comm.world.check_interval = 0.01
+            field, _ = _diffusion_job(comm, mpi=mode, backend=backend)
+            return field, comm.world, step_calls()
+        health = {}
+        for backend in ('numpy', 'c'):
+            out = run_parallel(job, 2, backend)
+            for (f0, _), (f1, _, calls) in zip(clean, out):
+                assert np.array_equal(f1, f0), backend
+                assert calls == (6 if backend == 'c' else 0)
+            health[backend] = out[0][1].comm_health()
+            assert health[backend]['redelivered'] == \
+                health[backend]['drops_injected'] > 0
+        for key in ('drops_injected', 'duplicates_injected'):
+            assert health['c'][key] == health['numpy'][key], key
 
     def test_comm_health_in_summary_json(self):
         configuration['faults'] = 'seed=3,drop=0.1'

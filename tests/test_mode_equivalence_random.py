@@ -298,10 +298,12 @@ def test_compiled_backend_preserves_equivalence(case, tmp_path):
 @pytest.mark.skipif(not _toolchain_available(),
                     reason='no C toolchain on this host')
 @pytest.mark.parametrize('recovery', ['restart', 'shrink', 'grow'])
-def test_compiled_fault_fallback_matches_serial(recovery, tmp_path):
-    """An armed fault plan runs the NumPy driver on the Python transport
-    (the one fallback rule of ``backend='c'``): a mid-run kill still
-    recovers bit-identically."""
+def test_compiled_fault_fallback_matches_serial(recovery, tmp_path,
+                                                step_calls):
+    """An armed kill plan runs the compiled step (``backend='c'`` has no
+    other driver): the kill fires between steps, and a mid-run kill
+    still recovers bit-identically with every surviving rank calling
+    the compiled step."""
     from repro.mpi import RankKilledError
     case = CASES[0]
     reference = _operator_job(None, case, 'basic')
@@ -310,13 +312,15 @@ def test_compiled_fault_fallback_matches_serial(recovery, tmp_path):
 
     def job(comm):
         try:
-            return _operator_job(comm, case, 'diagonal', recovery=recovery,
-                                 checkpoint_every=2,
-                                 checkpoint_dir=str(tmp_path))
+            field = _operator_job(comm, case, 'diagonal', recovery=recovery,
+                                  checkpoint_every=2,
+                                  checkpoint_dir=str(tmp_path))
         except RankKilledError:
             return None  # shrink: the victim left the job
+        return field, step_calls()
 
-    out = [f for f in run_parallel(job, case['ranks']) if f is not None]
+    out = [r for r in run_parallel(job, case['ranks']) if r is not None]
     assert len(out) >= case['ranks'] - 1
-    for field in out:
+    for field, calls in out:
         assert np.array_equal(field, reference), (case, recovery)
+        assert calls > 0, recovery

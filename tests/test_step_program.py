@@ -81,3 +81,20 @@ def test_readers_of_the_record_agree(setup, backend):
         if backend == 'c':
             assert out['cstep'] == names
             assert out['rebound']
+
+
+@pytest.mark.parametrize('mode', ['basic', 'diagonal', 'full'])
+def test_listing_defines_every_halo_callable(mode):
+    """The C listing of a 2-rank TTI build calls a ``halo*`` function
+    for every exchange, hoisted preamble exchanges included, and
+    defines each one it calls."""
+    def listing(comm):
+        configuration['build_cache'] = 'off'
+        solver, _ = tti_setup(shape=(16, 14), nbl=2, tn=5.0, comm=comm,
+                              mpi=mode, nrec=4)
+        return solver.op.ccode
+    for ccode in run_parallel(listing, 2):
+        called = set(re.findall(r'^\s*(halo\w+)\(', ccode, re.M))
+        defined = set(re.findall(r'^static void (halo\w+)\(', ccode, re.M))
+        assert any(name.startswith('haloupdate_pre_') for name in called)
+        assert called <= defined, called - defined
