@@ -33,9 +33,10 @@ Every pass but the in-bounds proof depends only on the *structure* (the
 equations, the comm mode and which dimensions are split), so a launch
 runs them once, with the one lowering (:data:`STRUCTURE_PASSES`).  The
 in-bounds proof and the certificate depend on a rank's geometry and
-run per binding, on every rank, over the rank-agnostic
-:func:`~.dataflow.access_table` and the step record's exchanger table
-(:func:`~.dataflow.prove_inbounds`, :func:`~.certificate.bind_certificate`).
+run per binding, on every rank, over the rank-agnostic step record
+(:func:`~repro.ir.program.step_program`: its compute regions and
+access offsets, its exchanger table; :func:`~.dataflow.prove_inbounds`,
+:func:`~.certificate.bind_certificate`).
 
 Entry points: :func:`analyze_schedule` collects every diagnostic into an
 :class:`AnalysisReport`; :func:`verify_schedule` is the compile-time gate
@@ -52,8 +53,7 @@ from typing import Any, Optional
 from .certificate import (CertificateEntry, CommCertificate,
                           ReconcileError, bind_certificate,
                           build_certificate)
-from .dataflow import (access_table, check_inbounds, infer_min_widths,
-                       prove_inbounds)
+from .dataflow import check_inbounds, infer_min_widths, prove_inbounds
 from .diagnostics import (CODES, ERROR, WARNING, AnalysisError,
                           AnalysisReport, Diagnostic)
 from .halo_coverage import check_halo_coverage
@@ -68,7 +68,7 @@ __all__ = [
     'AnalysisError', 'AnalysisReport', 'Diagnostic', 'CODES', 'ERROR',
     'WARNING',
     'check_halo_coverage', 'check_races', 'check_dead_code',
-    'check_inbounds', 'access_table', 'infer_min_widths', 'prove_inbounds',
+    'check_inbounds', 'infer_min_widths', 'prove_inbounds',
     'CertificateEntry', 'CommCertificate', 'ReconcileError',
     'bind_certificate', 'build_certificate',
     'describe_key', 'format_widths', 'merge_reports', 'render_merged',

@@ -16,8 +16,8 @@ Both read the clusters' access maps (:class:`~repro.ir.access.AccessMap`):
   compiled C backend requires before executing unchecked pointer
   arithmetic.  It is the one pass that depends on the decomposition,
   so it runs per binding (:func:`prove_inbounds` over the
-  rank-agnostic :func:`access_table`); every other pass runs once per
-  structure.
+  rank-agnostic step record, :func:`~repro.ir.program.step_program`);
+  every other pass runs once per structure.
 
 Time indices are modular (``(time + s) % nb``) and therefore always
 in-bounds by construction; the interval analysis covers space
@@ -31,8 +31,7 @@ from typing import Any, Dict, List, Set, Tuple
 from ..ir.access import Key, Widths, union_widths
 from .diagnostics import Diagnostic
 
-__all__ = ['access_table', 'check_inbounds', 'infer_min_widths',
-           'prove_inbounds']
+__all__ = ['check_inbounds', 'infer_min_widths', 'prove_inbounds']
 
 
 def infer_min_widths(schedule: Any) -> Dict[Key, Widths]:
@@ -62,70 +61,19 @@ def _allocated_extents(func: Any, shape: Tuple[int, ...]
             for (hl, hr), n in zip(func.halo, shape)]
 
 
-def _rows(accesses: Any) -> List[List[Any]]:
-    """``[name, offsets]`` per distinct (function, offsets)."""
-    out: List[List[Any]] = []
-    seen: Set[Tuple[str, Tuple[int, ...]]] = set()
-    for acc in accesses:
-        sig = (acc.function.name, tuple(int(o) for o in acc.offsets))
-        if sig not in seen:
-            seen.add(sig)
-            out.append([sig[0], list(sig[1])])
-    return out
-
-
-def access_table(schedule: Any) -> List[Dict[str, Any]]:
-    """The rank-agnostic per-step table the in-bounds proof binds.
-
-    One JSON-able record per schedule step: a compute step's region and
-    carving widths (its boxes on a rank are
-    :func:`~repro.ir.schedule.region_boxes` of them) and its distinct
-    read and write offsets per function (from its
-    :class:`~repro.ir.access.AccessMap`); a sparse step's grid accesses
-    ``[name, offsets, is_write]``; a halo step's kind.  The table is
-    built once per structure; :func:`prove_inbounds` runs per binding,
-    against the binding rank's own allocations and boxes.
-    """
-    from ..ir.lowered import accesses_of
-    table: List[Dict[str, Any]] = []
-    for step in schedule.steps:
-        if step.is_compute:
-            widths = step.widths
-            grow = step.grow
-            table.append({
-                'kind': 'compute', 'region': step.region,
-                'widths': None if widths is None
-                else [[int(l), int(r)] for l, r in widths],
-                'grow': None if grow is None
-                else [[int(l), int(r)] for l, r in grow],
-                'reads': _rows(step.cluster.access_map.reads),
-                'writes': _rows(step.cluster.access_map.writes)})
-        elif step.is_sparse:
-            accs = list(accesses_of(step.expr))
-            if step.field_access is not None:
-                accs.append(step.field_access)
-            table.append({'kind': 'sparse', 'accesses': [
-                [acc.function.name, [int(o) for o in acc.offsets],
-                 bool(getattr(acc, 'is_write', False))] for acc in accs]})
-        else:
-            table.append({'kind': 'halo'})
-    return table
-
-
 def check_inbounds(schedule: Any) -> List[Diagnostic]:
     """Pass 4: prove every generated array access in-bounds (E123), on
-    the schedule's own rank (:func:`prove_inbounds` of
-    :func:`access_table`)."""
+    the schedule's own rank (:func:`prove_inbounds` of its step
+    record)."""
+    from ..ir.program import step_program
     functions = {f.name: f for f in schedule.functions}
-    return prove_inbounds(access_table(schedule), functions,
+    return prove_inbounds(step_program(schedule), functions,
                           schedule.grid.distributor,
-                          schedule.grid.dimensions,
-                          bool(schedule.mpi_mode))
+                          schedule.grid.dimensions)
 
 
-def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
-                   dist: Any, dims: Any, exchanging: bool
-                   ) -> List[Diagnostic]:
+def prove_inbounds(program: Dict[str, Any], functions: Dict[str, Any],
+                   dist: Any, dims: Any) -> List[Diagnostic]:
     """Prove one rank's generated array accesses in-bounds (E123).
 
     The generated kernel translates an access ``u[t+s, x+a, ...]`` over
@@ -137,9 +85,9 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
     rank's boxes, its local shape and its *own* ``functions``'
     allocations proves
     ``0 <= start`` and ``stop <= extent`` — or emits ``REPRO-E123``.
-    Nothing here is taken from another rank: the table only says which
-    offsets the kernel reads and writes.  ``exchanging`` says whether
-    the build exchanges halos at all (a distributed comm mode).
+    Nothing here is taken from another rank: the step record
+    ``program`` (:func:`~repro.ir.program.step_program`) only says which
+    regions a section iterates and which offsets it reads and writes.
 
     A scratch array is computed afresh every timestep, so a read of one
     must also fall inside the boxes its writers covered earlier in the
@@ -199,31 +147,30 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
                 return
 
     # -- compute steps: slice accesses over DOMAIN/CORE/REMAINDER boxes -------------
-    for si, rec in enumerate(table):
-        if rec['kind'] == 'compute':
+    for sec in program['loop']:
+        si = sec['step']
+        if sec['kind'] == 'compute':
             seen: Set[Tuple[str, Tuple[int, ...], int]] = set()
-            boxes = region_boxes(rec['region'], rec['widths'], dist,
-                                 rec['grow'])
+            boxes = region_boxes(sec['region'], sec['widths'], dist,
+                                 sec['grow'])
             for box in boxes:
-                for name, offsets in rec['reads']:
-                    prove(functions[name], tuple(offsets), box, si, 'read',
-                          seen)
-                for name, offsets in rec['writes']:
+                for name, offsets, is_write in sec['accesses']:
                     prove(functions[name], tuple(offsets), box, si,
-                          'write', seen)
-            for name, offsets in rec['reads']:
-                if functions[name].is_Scratch:
+                          'write' if is_write else 'read', seen)
+            # reads precede writes in the record: a section's scratch
+            # reads need what earlier sections computed
+            for name, offsets, is_write in sec['accesses']:
+                if functions[name].is_Scratch and not is_write:
                     prove_computed(name, offsets, boxes, si)
-            for name, offsets in rec['writes']:
-                if functions[name].is_Scratch:
+                elif functions[name].is_Scratch:
                     computed.setdefault(name, []).extend(
                         shift(box, offsets) for box in boxes)
-        elif rec['kind'] == 'sparse':
+        elif sec['kind'] == 'sparse':
             # routed index arrays are valued in [0, n-1] (owned cells,
             # clamped at the physical boundary), shifted by hl in the
             # kernel preamble; an expression offset rides on top
             seen = set()
-            for name, offsets, is_write in rec['accesses']:
+            for name, offsets, is_write in sec['accesses']:
                 func = functions[name]
                 what = 'write' if is_write else 'read'
                 for d, ((hl, n, hr), off) in enumerate(
@@ -246,7 +193,7 @@ def prove_inbounds(table: List[Dict[str, Any]], functions: Dict[str, Any],
                         step_index=si))
 
     # -- sanitizer poison writes ----------------------------------------------------
-    if dist.is_parallel and exchanging:
+    if dist.is_parallel and program['mode']:
         from .sanitizer import poison_boxes
         for func in functions.values():
             if getattr(func, 'is_SparseFunction', False) or func.is_Scratch:

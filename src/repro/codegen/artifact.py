@@ -10,9 +10,9 @@ rank-agnostic:
   the timestep's one record (:func:`~repro.ir.program.step_program`:
   sections, exchangers with widths and tags, ops, sanitizer hooks),
   the NumPy driver printed from it as a template
-  (:func:`~.pybackend.render_driver`), the per-step geometry and
-  access table, flop and traffic counts, the structure passes'
-  diagnostics and the compiled object with its call metadata;
+  (:func:`~.pybackend.render_driver`), flop and traffic counts, the
+  structure passes' diagnostics and the compiled object with its call
+  metadata;
 * and nothing per rank.  What one rank runs — its iteration boxes and
   hence the literal slice bounds of its driver text, section point
   counts, the sanitizer's write map, the compiled step's geometry rows
@@ -65,11 +65,14 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #: 10: the binding (``decide``, ``retries``) and channel (``parked``,
 #:     ``redelivered``) layouts the compiled object reads changed, and
 #:     a ``backend='c'`` driver no longer carries ``__kernel_py``.
-ARTIFACT_VERSION = 10
+#: 11: ``steps`` and ``sparse_steps`` folded into ``program``: compute
+#:     sections carry ``region``, ``widths``, ``grow`` and
+#:     ``accesses``, sparse sections ``sparse`` and ``accesses``.
+ARTIFACT_VERSION = 11
 
-_REQUIRED_KEYS = ('version', 'driver', 'program', 'shape', 'steps',
+_REQUIRED_KEYS = ('version', 'driver', 'program', 'shape',
                   'functions', 'scratch', 'sparse_functions',
-                  'sparse_steps', 'constants', 'uses_dt',
+                  'constants', 'uses_dt',
                   'flops_per_point', 'traffic_per_point', 'analysis',
                   'build_seconds', 'backend', 'c_source', 'so_path',
                   'so_checksum', 'c_meta')
@@ -199,10 +202,10 @@ class KernelArtifact:
     def _boxes(self, dist):
         """Every compute step's iteration boxes on ``dist``'s rank."""
         from ..ir.schedule import region_boxes
-        return {sid: region_boxes(st['region'], st['widths'], dist,
-                                  st['grow'])
-                for sid, st in enumerate(self.payload['steps'])
-                if st['kind'] == 'compute'}
+        return {sec['step']: region_boxes(sec['region'], sec['widths'],
+                                          dist, sec['grow'])
+                for sec in self.payload['program']['loop']
+                if sec['kind'] == 'compute'}
 
     def rehydrate(self, symtab, progress=False, profiler=None):
         """Bind a ready ``PyKernel`` to one rank's live objects.
@@ -266,14 +269,14 @@ class KernelArtifact:
         # sparse plans: always rebuilt live (coordinates are runtime data)
         sparse_by_name = {s.name: s for s in sparse}
         sparse_plans = {}
-        sparse_npoints = {}
-        for sid, sname in p['sparse_steps']:
-            s = sparse_by_name.get(sname)
+        for sec in program['loop']:
+            if sec['kind'] != 'sparse':
+                continue
+            sid, s = sec['step'], sparse_by_name.get(sec['sparse'])
             if s is None:
                 raise ArtifactError("sparse step %d names unknown sparse "
-                                    "function %r" % (sid, sname))
-            sparse_plans[int(sid)] = PrecomputedSparseData(s).binding()
-            sparse_npoints[int(sid)] = len(s.routing.local_points)
+                                    "function %r" % (sid, sec['sparse']))
+            sparse_plans[sid] = PrecomputedSparseData(s).binding()
 
         # section registry, in the record's order: compute point counts
         # are this rank's boxes, sparse ones its live routing
@@ -290,10 +293,8 @@ class KernelArtifact:
             elif kind == 'halo':
                 keys = tuple(op[1] for op in sec['ops'])
             elif kind == 'sparse':
-                if step not in sparse_npoints:
-                    raise ArtifactError("sparse section %r has no sparse "
-                                        "step" % name)
-                npoints = sparse_npoints[step]
+                npoints = len(sparse_by_name[sec['sparse']]
+                              .routing.local_points)
             profiler.register(SectionMeta(
                 name, kind, points=points,
                 flops_per_point=sec['flops_per_point'],

@@ -1,34 +1,37 @@
-"""C code emission (the paper's generated-code surface, Listing 11).
+"""C code emission: one printer of cluster bodies, in two frames.
 
-Two emitters live here:
+:func:`generate_c_steps` is the *executable* emitter behind
+``backend='c'``: one exported, *shape-generic* C function per cluster
+body over cache-blocked loop nests
+(:func:`~repro.ir.schedule.plan_blocking`), one function per sparse
+operation, and the runtime (:mod:`.cruntime`) whose exported
+``repro_step(time, nrows, binding)`` runs one timestep — compute, halo
+spots over in-process channels, injection, interpolation, section
+timers, sanitizer hooks — from a per-rank op program.  Equations,
+space order, dtype and dimensionality are baked into the text;
+extents, strides, halo offsets, iteration boxes, neighbour tables and
+the op program itself arrive at run time (:mod:`.cstep`), so every
+rank of every decomposition and comm mode compiles (once) and loads
+the same object.  Arithmetic is printed with
+:class:`~repro.symbolics.CExecPrinter`, which mirrors NumPy's
+weak-scalar (NEP-50) promotion semantics so a compiled step agrees
+with the NumPy backend bitwise.
 
-* :func:`generate_c` — the faithful *printer* of the full Devito-style
-  translation unit (OpenMP pragmas, pseudo-MPI halo callables); tests
-  validate it structurally, it is never compiled.
-* :func:`generate_c_steps` — the *executable* emitter behind
-  ``backend='c'``: one exported, *shape-generic* C function per cluster
-  body over cache-blocked loop nests
-  (:func:`~repro.ir.schedule.plan_blocking`), one function per sparse
-  operation, and the runtime (:mod:`.cruntime`) whose exported
-  ``repro_step(time, nrows, binding)`` runs one timestep — compute, halo
-  spots over in-process channels, injection, interpolation, section
-  timers, sanitizer hooks — from a per-rank op program.  Equations,
-  space order, dtype and dimensionality are baked into the text;
-  extents, strides, halo offsets, iteration boxes, neighbour tables and
-  the op program itself arrive at run time (:mod:`.cstep`), so every
-  rank of every decomposition and comm mode compiles (once) and loads
-  the same object.  Arithmetic is printed with
-  :class:`~repro.symbolics.CExecPrinter`, which mirrors NumPy's
-  weak-scalar (NEP-50) promotion semantics so a compiled step agrees
-  with the NumPy backend bitwise.
+:func:`generate_c` prints the same timestep in the shape of the
+paper's Listing 11 (``op.ccode``; never compiled).  Its cluster bodies
+(:func:`_print_body`) and sparse contributions
+(:func:`_sparse_statement`) are the compiled step's statements, with
+subscripts (``u[t1][2 + x][2 + y]``) for its flattened accesses.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..ir.lowered import accesses_of, parse_index
 from ..ir.program import step_program
-from ..ir.schedule import plan_blocking
-from ..symbolics import (CExecPrinter, CPrinter, Indexed, Symbol,
-                         unique_nodes)
+from ..ir.schedule import plan_blocking, region_boxes
+from ..symbolics import CExecPrinter, CPrinter
 from .common import function_nb
 from .cruntime import (KERNEL_MARK, RUNTIME_MARK, STEP_MARK, prelude_source,
                        runtime_source, table_source)
@@ -76,39 +79,42 @@ def _time_var_names(schedule):
             for acc in eq.reads:
                 note(acc.function, acc.time_shift)
         for _, rhs in cluster.temps:
-            from ..ir.lowered import accesses_of
             for acc in accesses_of(rhs):
                 note(acc.function, acc.time_shift)
     pairs.sort(key=lambda p: (p[0] % p[1]))
     return {key: 't%d' % i for i, key in enumerate(pairs)}
 
 
-def _align_expr(expr, tvars):
-    """Rewrite accesses: halo-aligned space indices, named time buffers."""
-    mapping = {}
-    for node in unique_nodes(expr):
-        if not (node.is_Indexed and getattr(node.base,
-                                            'is_DiscreteFunction', False)):
-            continue
-        func = node.base
+def _ctype(dtype):
+    """The C element type of a float32/float64 kernel."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError("C code supports float32/float64 grids, not %s"
+                         % np.dtype(dtype))
+    return 'float' if np.dtype(dtype) == np.float32 else 'double'
+
+
+def _subscript_index_printer(tvars):
+    """CExecPrinter index callback of the listing: ``u[t1][2 + x][2 +
+    y]``, each space index shifted by the function's left halo (access
+    alignment, paper Section III-d) and each time index a buffer
+    variable of the loop frame — or, for a buffer no cluster touches,
+    its modulo expression."""
+    def index_printer(printer, indexed):
+        func = indexed.base
         halo = dict(zip(func.space_dimensions, func.halo))
-        new_indices = []
-        for dim, idx in zip(func.dimensions, node.indices):
+        parts = []
+        for dim, idx in zip(func.dimensions, indexed.indices):
+            off = parse_index(idx, dim)
             if dim.is_Time:
-                from ..ir.lowered import parse_index
-                shift = parse_index(idx, dim)
-                new_indices.append(Symbol(tvars[(shift,
-                                                 function_nb(func))]))
+                key = (off, function_nb(func))
+                parts.append(tvars.get(key, '(time + %d)%%(%d)' % key))
             else:
-                new_indices.append(idx + halo[dim][0])
-        mapping[node] = Indexed(func, *new_indices)
-    return expr.xreplace(mapping)
+                off += halo[dim][0]
+                parts.append('%d + %s' % (off, dim.name) if off
+                             else dim.name)
+        return func.name + ''.join('[%s]' % p for p in parts)
 
-
-def _params(schedule):
-    names = sorted(f.name for f in schedule.functions if not f.is_Scratch)
-    scalars = sorted({d.spacing.name for d in schedule.grid.dimensions})
-    return names, scalars
+    return index_printer
 
 
 def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
@@ -125,21 +131,26 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
     mirroring what the executable NumPy backend actually runs in
     sanitizer mode (:mod:`repro.analysis.sanitizer`).
 
-    Step order, section names and brackets, halo callables and
-    sanitizer calls are printed from the timestep's record
-    (:func:`~repro.ir.program.step_program`), cluster bodies from the
-    schedule.
+    Everything but the frame is read from the timestep's record
+    (:func:`~repro.ir.program.step_program`) and printed as it runs:
+    cluster bodies and sparse contributions through the compiled step's
+    printer (module docstring), array types in the grid's dtype, one
+    halo callable per exchanger with that exchanger's tags, and the
+    CORE/REMAINDER boxes of the schedule's own rank.
     """
     grid = schedule.grid
-    printer = CPrinter()
+    ctype = _ctype(grid.dtype)
+    mpitype = 'MPI_FLOAT' if ctype == 'float' else 'MPI_DOUBLE'
     tvars = _time_var_names(schedule)
+    scalar_kinds = _scalar_assignment_kinds(schedule)
+    index_printer = _subscript_index_printer(tvars)
     em = _CEmitter()
     instrument = profiling != 'off'
     program = step_program(schedule, instrument, sanitizer)
     sanitize = program['sanitizer']
     sections = program['pre'] + program['loop']
     functions = {f.name: f for f in schedule.functions}
-    widths = {ex['key']: ex['widths'] for ex in program['exchangers']}
+    dims = grid.dimensions
 
     em.emit('#define _POSIX_C_SOURCE 200809L')
     em.emit('#include <stdlib.h>')
@@ -166,28 +177,21 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.lines[-1] += ' ;'
     em.emit()
 
-    def start(sname):
-        if instrument:
-            em.emit('START(%s)' % sname)
-
-    def stop(sname):
-        if instrument:
-            em.emit('STOP(%s,timers)' % sname)
-
-    fnames, scalars = _params(schedule)
+    fnames = sorted(f.name for f in schedule.functions if not f.is_Scratch)
+    scalars = sorted({d.spacing.name for d in dims})
 
     if sanitize:
         # the poisoned-halo sanitizer surface (runtime REPRO-E101/E103)
-        em.open_block('static void __san_poison(float *restrict vec, '
-                      'MPI_Comm comm, int t)')
+        em.open_block('static void __san_poison(%s *restrict vec, '
+                      'MPI_Comm comm, int t)' % ctype)
         em.emit('/* fill every ghost box owned by an existing neighbor '
                 '(rank != MPI_PROC_NULL) with NAN, full allocated halo '
                 'depth; physical-boundary ghosts are left untouched */')
         em.emit('(void)vec; (void)comm; (void)t;')
         em.close_block()
         em.emit()
-        em.open_block('static void __san_check(const float *restrict vec, '
-                      'const char *section, int t)')
+        em.open_block('static void __san_check(const %s *restrict vec, '
+                      'const char *section, int t)' % ctype)
         em.emit('/* scan the DOMAIN region of the written buffer for NAN; '
                 'a hit means a stencil consumed an unrefreshed ghost '
                 'cell */')
@@ -197,224 +201,226 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.close_block()
         em.emit()
 
-    # halo-exchange callables: one per hoisted (preamble) exchanger,
-    # then one per loop halo spot and function
+    # halo-exchange callables: one per exchanger of the record; a loop
+    # exchanger's op says whether it is split (begin/wait) and timed
+    spots = {op[1]: op for sec in program['loop'] for op in sec['ops']
+             if op[0] in ('update', 'send')}
     for ex in program['exchangers']:
-        if ex['scope'] == 'preamble':
-            _emit_halo_callable(em, schedule.mpi_mode, grid.dim,
-                                '_' + ex['key'], ex['function'],
-                                ex['widths'], False, ex['tag_base'],
-                                timed=False)
-    for sec in program['loop']:
-        for op in sec['ops']:
-            if op[0] in ('update', 'send'):
-                uid = schedule.steps[sec['step']].uid
-                _emit_halo_callable(em, schedule.mpi_mode, grid.dim,
-                                    '%d_%s' % (uid, op[2]), op[2],
-                                    widths[op[1]], op[0] == 'send',
-                                    uid * 64, timed=True)
+        op = spots.get(ex['key'])
+        _emit_halo_callable(em, schedule.mpi_mode, ctype, mpitype, ex,
+                            begin=op is not None and op[0] == 'send',
+                            timed=op is not None and op[3] is not None)
 
     # kernel signature
-    args = ['float *restrict %s_vec' % n for n in fnames]
-    args += ['const float %s' % s for s in scalars]
-    args += ['const float dt', 'const int time_m', 'const int time_M']
+    args = ['%s *restrict %s_vec' % (ctype, n) for n in fnames]
+    args += ['const %s %s' % (ctype, s) for s in scalars + ['dt']]
+    args += ['const int time_m', 'const int time_M']
     args += ['const int %s_m, const int %s_M' % (d.name, d.name)
-             for d in grid.dimensions]
+             for d in dims]
     if schedule.mpi_mode:
         args.append('MPI_Comm comm')
     if instrument:
         args.append('struct profiler * timers')
     em.open_block('int %s(%s)' % (name, ', '.join(args)))
 
+    printer = CPrinter(single=ctype == 'float')
     for temp, rhs in schedule.scalar_assignments:
-        em.emit('float %s = %s;' % (temp.name, printer.doprint(rhs)))
+        em.emit('%s %s = %s;' % (ctype, temp.name, printer.doprint(rhs)))
     if schedule.scalar_assignments:
         em.emit()
 
-    scratch = [f for f in schedule.functions if f.is_Scratch]
+    scratch = sorted((f for f in schedule.functions if f.is_Scratch),
+                     key=lambda f: f.name)
     if scratch:
         em.emit('/* scratch arrays: per-call storage over the grown '
                 'domain, never exchanged */')
-    for f in sorted(scratch, key=lambda f: f.name):
-        em.emit('float *%s_vec = malloc(sizeof(float)%s);' % (f.name, ''.join(
-            '*(%s_M - %s_m + %d)' % (d.name, d.name, 1 + hl + hr)
-            for d, (hl, hr) in zip(grid.dimensions, f.halo))))
-    if scratch:
+        for f in scratch:
+            em.emit('%s *%s_vec = malloc(sizeof(%s)%s);' % (
+                ctype, f.name, ctype, ''.join(
+                    '*(%s_M - %s_m + %d)' % (d.name, d.name, 1 + hl + hr)
+                    for d, (hl, hr) in zip(dims, f.halo))))
         em.emit()
 
-    for sec in program['pre']:
+    def section(sec):
         sname = sec['name']
+        em.emit('/* begin %s%s */' % (
+            sname, '' if sec['step'] is not None else
+            ' (hoisted, time-invariant)'))
+        if instrument:
+            em.emit('START(%s)' % sname)
+        if sec['kind'] == 'compute':
+            cluster = schedule.steps[sec['step']].cluster
+            _emit_compute(em, sec, cluster, grid.distributor, _print_body(
+                cluster, index_printer, grid.dtype, scalar_kinds))
+        elif sec['kind'] == 'sparse':
+            _emit_sparse(em, schedule.steps[sec['step']], index_printer,
+                         grid.dtype, scalar_kinds)
+        else:
+            _emit_halo_spot(em, sec['ops'], functions, tvars)
+        for fname, _ in sec['writes']:
+            em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
+        if instrument:
+            em.emit('STOP(%s,timers)' % sname)
+        em.emit('/* end %s */' % sname)
+
+    for sec in program['pre']:
         if sec['kind'] == 'poison':
             for n in fnames:
                 em.emit('__san_poison(%s_vec, comm, -1);' % n)
             em.emit()
-            continue
-        em.emit('/* begin %s (hoisted, time-invariant) */' % sname)
-        start(sname)
-        for _, _, fname, _ in sec['ops']:
-            em.emit('haloupdate_pre_%s(%s_vec, comm);' % (fname, fname))
-        stop(sname)
-        em.emit('/* end %s */' % sname)
+        else:
+            section(sec)
 
     # time loop with modulo buffer variables (Listing 11 style)
-    inits = ', '.join('%s = (time + %d)%%(%d)' % (v, s, nb)
-                      for (s, nb), v in tvars.items())
     steps = ', '.join('%s = (time + %d)%%(%d)' % (v, s, nb)
                       for (s, nb), v in tvars.items())
-    header = ('for (int time = time_m%s; time <= time_M; time += 1%s)'
-              % (', ' + inits if inits else '',
-                 ', ' + steps if steps else ''))
-    em.open_block(header)
-
+    em.open_block('for (int time = time_m%s; time <= time_M; time += 1%s)'
+                  % ((', ' + steps,) * 2 if steps else ('', '')))
     for sec in program['loop']:
-        sname, kind = sec['name'], sec['kind']
-        if kind == 'poison':
+        if sec['kind'] == 'poison':
             em.emit('/* sanitizer: buffer rotation invalidated every '
                     'time-shifted halo */')
             for f in schedule.functions:
                 if getattr(f, 'is_TimeFunction', False):
                     em.emit('__san_poison(%s_vec, comm, time);' % f.name)
-            continue
-        step = schedule.steps[sec['step']]
-        em.emit('/* begin %s */' % sname)
-        start(sname)
-        if kind == 'compute':
-            _emit_compute(em, schedule, step, printer, tvars)
-        elif kind == 'sparse':
-            _emit_sparse_c(em, step, printer, tvars)
         else:
-            _emit_halo_spot(em, step.uid, sec['ops'], functions, tvars)
-        for fname, _ in sec['writes']:
-            em.emit('__san_check(%s_vec, "%s", time);' % (fname, sname))
-        stop(sname)
-        em.emit('/* end %s */' % sname)
-
+            section(sec)
     em.close_block()  # time loop
-    for f in sorted(scratch, key=lambda f: f.name):
+    for f in scratch:
         em.emit('free(%s_vec);' % f.name)
     em.emit('return 0;')
     em.close_block()  # kernel
     return em.source()
 
 
-def _emit_halo_spot(em, uid, ops, functions, tvars):
+def _callable_suffix(key):
+    """An exchanger's callable suffix: ``h<uid>_<f>`` (a loop spot)
+    names ``haloupdate<uid>_<f>``, ``pre_<f>`` (hoisted) names
+    ``haloupdate_pre_<f>``."""
+    return key[1:] if key.startswith('h') else '_' + key
+
+
+def _emit_halo_spot(em, ops, functions, tvars):
     """The calls of one halo spot's ops (update, send or recv)."""
-    for op, _, fname, shift in ops:
-        tvar = tvars.get((shift, function_nb(functions[fname])), 't0') \
-            if shift is not None else ''
+    for op, key, fname, shift in ops:
+        suffix = _callable_suffix(key)
+        args = ['%s_vec' % fname, 'comm']
+        if shift is not None:
+            args.append(tvars.get((shift, function_nb(functions[fname])),
+                                  't0'))
         if op == 'update':
-            em.emit('haloupdate%d_%s(%s_vec, comm, %s);'
-                    % (uid, fname, fname, tvar))
+            em.emit('haloupdate%s(%s);' % (suffix, ', '.join(args)))
         elif op == 'send':
-            em.emit('MPI_Request reqs%d_%s[%d];' % (uid, fname, 2 * 26))
-            em.emit('halobegin%d_%s(%s_vec, comm, %s, reqs%d_%s);'
-                    % (uid, fname, fname, tvar, uid, fname))
+            em.emit('MPI_Request reqs%s[%d];' % (suffix, 2 * 26))
+            em.emit('halobegin%s(%s, reqs%s);'
+                    % (suffix, ', '.join(args), suffix))
         else:
-            em.emit('MPI_Waitall(%d, reqs%d_%s, MPI_STATUSES_IGNORE);'
-                    % (2 * 26, uid, fname))
-            em.emit('halounpack%d_%s(%s_vec, %s);'
-                    % (uid, fname, fname, tvar))
+            em.emit('MPI_Waitall(%d, reqs%s, MPI_STATUSES_IGNORE);'
+                    % (2 * 26, suffix))
+            em.emit('halounpack%s(%s);' % (suffix, ', '.join(
+                [args[0]] + args[2:])))
 
 
-def _emit_compute(em, schedule, step, printer, tvars):
-    dist = schedule.grid.distributor
-    dims = step.cluster.grid.dimensions
-    if step.region == 'domain':
+def _emit_compute(em, sec, cluster, dist, body):
+    """One compute section's loop nests: one per iteration box of its
+    region on the schedule's own rank, each running ``body``."""
+    dims = cluster.grid.dimensions
+    region = sec['region']
+    if region == 'domain':
         boxes = [[('%s_m' % d.name, '%s_M' % d.name) for d in dims]]
-    elif step.region == 'grown':
+    elif region == 'grown':
         em.emit('/* GROWN region: DOMAIN plus the readers\' reach */')
         boxes = [[('%s_m - %d' % (d.name, gl), '%s_M + %d' % (d.name, gr))
-                  for d, (gl, gr) in zip(dims, step.grow)]]
+                  for d, (gl, gr) in zip(dims, sec['grow'])]]
     else:
-        em.emit('/* %s region */' % step.region.upper())
+        em.emit('/* %s region */' % region.upper())
         boxes = [[('%d' % lo, '%d' % (hi - 1)) for lo, hi in box]
-                 for box in step.boxes(dist)]
+                 for box in region_boxes(region, sec['widths'], dist,
+                                         sec['grow'])]
+    names = ','.join(sorted(f.name for f in cluster.functions))
     for bounds in boxes:
         for i, (dim, (lo, hi)) in enumerate(zip(dims, bounds)):
             if i == 0:
                 em.emit('#pragma omp parallel for schedule(dynamic,1)')
             if i == len(dims) - 1:
-                names = ','.join(sorted(f.name for f in
-                                        step.cluster.functions))
                 em.emit('#pragma omp simd aligned(%s:32)' % names)
             em.open_block('for (int %s = %s; %s <= %s; %s += 1)'
                           % (dim.name, lo, dim.name, hi, dim.name))
-        for temp, rhs in step.cluster.temps:
-            em.emit('float %s = %s;'
-                    % (temp.name, printer.doprint(_align_expr(rhs, tvars))))
-        for eq in step.cluster.eqs:
-            em.emit('%s = %s;'
-                    % (printer.doprint(_align_expr(eq.lhs, tvars)),
-                       printer.doprint(_align_expr(eq.rhs, tvars))))
+        for line in body:
+            em.emit(line)
         for _ in dims:
             em.close_block()
 
 
-def _emit_sparse_c(em, step, printer, tvars):
-    sparse = step.op.sparse
-    if step.kind == 'inject':
-        em.open_block('for (int p = 0; p < %d; p += 1) /* inject %s */'
-                      % (sparse.npoint, sparse.name))
-        em.emit('/* multilinear scatter into %s (support-owner ranks '
-                'only) */' % step.field_access.function.name)
-        em.close_block()
-    else:
-        em.open_block('for (int p = 0; p < %d; p += 1) /* interpolate %s */'
-                      % (sparse.npoint, sparse.name))
-        em.emit('/* multilinear gather; partial sums reduced across '
-                'sharing ranks */')
-        em.close_block()
+def _emit_sparse(em, step, index_printer, dtype, scalar_kinds):
+    """One sparse section: the loop over this rank's contributions,
+    each bound to its point ``__p``, weight ``__w[__k]`` and grid
+    cell, running the compiled step's statement."""
+    dims = step.op.sparse.grid.dimensions
+    em.emit('/* %s %s: one multilinear contribution per (point, grid '
+            'cell) this rank owns%s */' % (
+                step.kind, step.op.sparse.name, '' if step.kind == 'inject'
+                else '; the rows __r are summed over the ranks'))
+    em.open_block('for (int __k = 0; __k < __n; __k += 1)')
+    em.emit('const int __p = __pid[__k], %s;' % ', '.join(
+        '%s = __i%d[__k]' % (dim.name, d) for d, dim in enumerate(dims)))
+    em.emit(_sparse_statement(step, index_printer, dtype, scalar_kinds)[0])
+    em.close_block()
 
 
-def _emit_halo_callable(em, mode, ndim, suffix, fname, widths, begin,
-                        tag0, timed):
-    """Emit one halo-exchange callable for function ``fname``, named
-    ``halobegin<suffix>`` / ``haloupdate<suffix>``: the ``begin`` half
-    of an overlapped exchange, or a blocking update.  Only a ``timed``
+def _emit_halo_callable(em, mode, ctype, mpitype, ex, begin, timed):
+    """Emit the halo-exchange callable of exchanger ``ex`` (a record
+    of :func:`~repro.ir.program.step_program`), named ``halobegin`` /
+    ``haloupdate`` plus :func:`_callable_suffix`: the ``begin`` half of
+    an overlapped exchange, or a blocking update.  Only a ``timed``
     callable takes a time index (a hoisted exchange's function has no
-    time dimension)."""
+    time dimension).  The tags are the exchanger's: ``tag_base`` plus a
+    direction code below ``3**ndim``, as
+    :class:`~repro.mpi.halo.HaloExchanger` sends them."""
+    suffix, fname = _callable_suffix(ex['key']), ex['function']
+    tag0, ndim = int(ex['tag_base']), len(ex['widths'])
     tparam, targ = (', int t', ', t') if timed else ('', '')
-    if begin:
-        header = ('static void halobegin%s(float *restrict %s_vec, '
-                  'MPI_Comm comm%s, MPI_Request *reqs)'
-                  % (suffix, fname, tparam))
-    else:
-        header = ('static void haloupdate%s(float *restrict %s_vec, '
-                  'MPI_Comm comm%s)' % (suffix, fname, tparam))
-    em.open_block(header)
+    em.open_block('static void halo%s%s(%s *restrict %s_vec, '
+                  'MPI_Comm comm%s%s)' % (
+                      'begin' if begin else 'update', suffix, ctype, fname,
+                      tparam, ', MPI_Request *reqs' if begin else ''))
     em.emit('int rank; MPI_Comm_rank(comm, &rank);')
     if mode == 'basic':
         em.emit('/* multi-step synchronous face exchanges: '
                 '%d messages in %dD */' % (2 * ndim, ndim))
-        for d, (wl, wr) in enumerate(widths):
+        centre = (3 ** ndim - 1) // 2
+        for d, (wl, wr) in enumerate(ex['widths']):
             if not (wl or wr):
                 continue
-            em.emit('float *sendbuf%d = malloc(sizeof(float)*%d); '
-                    '/* C-land runtime allocation */' % (d, max(wl, wr)))
-            em.emit('MPI_Sendrecv(sendbuf%d, /*...*/ 1, MPI_FLOAT, '
-                    'neighbor_pos[%d], %d, recvbuf%d, 1, MPI_FLOAT, '
+            up = tag0 + centre + 3 ** (ndim - 1 - d)
+            down = tag0 + centre - 3 ** (ndim - 1 - d)
+            em.emit('%s *sendbuf%d = malloc(sizeof(%s)*%d); '
+                    '/* C-land runtime allocation */'
+                    % (ctype, d, ctype, max(wl, wr)))
+            em.emit('MPI_Sendrecv(sendbuf%d, /*...*/ 1, %s, '
+                    'neighbor_pos[%d], %d, recvbuf%d, 1, %s, '
                     'neighbor_neg[%d], %d, comm, MPI_STATUS_IGNORE);'
-                    % (d, d, tag0 + d, d, d, tag0 + d))
+                    % (d, mpitype, d, up, d, mpitype, d, up))
             em.emit('MPI_Sendrecv(/* opposite direction */ sendbuf%d, 1, '
-                    'MPI_FLOAT, neighbor_neg[%d], %d, recvbuf%d, 1, '
-                    'MPI_FLOAT, neighbor_pos[%d], %d, comm, '
+                    '%s, neighbor_neg[%d], %d, recvbuf%d, 1, '
+                    '%s, neighbor_pos[%d], %d, comm, '
                     'MPI_STATUS_IGNORE);'
-                    % (d, d, tag0 + d + 32, d, d, tag0 + d + 32))
+                    % (d, mpitype, d, down, d, mpitype, d, down))
             em.emit('free(sendbuf%d);' % d)
     else:
         nmsg = 3 ** ndim - 1
         em.emit('/* single-step neighborhood exchange incl. corners: '
-                '%d messages in %dD; buffers preallocated in Python-land '
-                '*/' % (nmsg, ndim))
+                '%d messages in %dD; buffers preallocated in Python-land; '
+                'tags[n], rtags[n] < %d */' % (nmsg, ndim, 3 ** ndim))
         em.emit('int nreq = 0;')
         em.open_block('for (int n = 0; n < %d; n += 1)' % nmsg)
         em.emit('#pragma omp parallel for /* threaded pack */')
         em.emit('/* pack_halo(%s_vec, sendbufs[n], n%s); */'
                 % (fname, targ))
-        em.emit('MPI_Isend(sendbufs[n], counts[n], MPI_FLOAT, '
-                'neighbors[n], tags[n], comm, &reqs[nreq++]);')
-        em.emit('MPI_Irecv(recvbufs[n], counts[n], MPI_FLOAT, '
-                'neighbors[n], rtags[n], comm, &reqs[nreq++]);')
+        em.emit('MPI_Isend(sendbufs[n], counts[n], %s, neighbors[n], '
+                '%d + tags[n], comm, &reqs[nreq++]);' % (mpitype, tag0))
+        em.emit('MPI_Irecv(recvbufs[n], counts[n], %s, neighbors[n], '
+                '%d + rtags[n], comm, &reqs[nreq++]);' % (mpitype, tag0))
         em.close_block()
         if not begin:
             em.emit('MPI_Waitall(nreq, reqs, MPI_STATUSES_IGNORE);')
@@ -424,10 +430,10 @@ def _emit_halo_callable(em, mode, ndim, suffix, fname, widths, begin,
     em.close_block()
     em.emit()
     if begin:
-        em.open_block('static void halounpack%s(float *restrict %s_vec, '
-                      'int t)' % (suffix, fname))
+        em.open_block('static void halounpack%s(%s *restrict %s_vec%s)'
+                      % (suffix, ctype, fname, tparam))
         em.emit('#pragma omp parallel for /* threaded unpack */')
-        em.emit('/* unpack_halo(%s_vec, recvbufs, t); */' % fname)
+        em.emit('/* unpack_halo(%s_vec, recvbufs%s); */' % (fname, targ))
         em.close_block()
         em.emit()
 
@@ -462,8 +468,6 @@ def _flat_index_printer(tvars, used_tvars, classes):
     literals.  ``used_tvars`` collects the ``(shift, nbuffers)`` pairs
     the step consumes (they become its ``int`` arguments).
     """
-    from ..ir.lowered import parse_index
-
     def index_printer(printer, indexed):
         func = indexed.base
         c = classes[func.name]
@@ -506,7 +510,7 @@ def _scalar_assignment_kinds(schedule):
             if isinstance(exp, (Integer, Rational, Float)):
                 frac = Fraction(abs(exp.value))
                 if frac == Fraction(1, 2):
-                    return 's' if kind_of(e.base) != 's' else 's'
+                    return 's'
                 if frac.denominator == 1 and 1 <= frac.numerator <= 3:
                     return kind_of(e.base)
             return 's' if any(kind_of(a) == 's' for a in e.args) else 'w'
@@ -625,13 +629,8 @@ def generate_c_steps(schedule, dtype=None):
     Python's floor modulo of ``time``.
     """
     grid = schedule.grid
-    if dtype is None:
-        dtype = grid.dtype
-    import numpy as np
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("compiled backend supports float32/float64 "
-                         "grids, not %s" % dtype)
+    dtype = np.dtype(grid.dtype if dtype is None else dtype)
+    ctype = _ctype(dtype)
     for cl in schedule.clusters:
         for f in cl.functions:
             if np.dtype(f.dtype) != dtype:
@@ -639,8 +638,6 @@ def generate_c_steps(schedule, dtype=None):
                     "compiled backend needs a uniform kernel dtype; "
                     "%s is %s on a %s grid"
                     % (f.name, np.dtype(f.dtype), dtype))
-    single = dtype == np.dtype(np.float32)
-    ctype = 'float' if single else 'double'
     tvars = _time_var_names(schedule)
     scalar_kinds = _scalar_assignment_kinds(schedule)
 
@@ -687,6 +684,27 @@ def generate_c_steps(schedule, dtype=None):
             + glue.source() + RUNTIME_MARK + runtime_source(ctype)), meta
 
 
+def _print_body(cluster, index_printer, dtype, scalar_kinds):
+    """The C statements of ``cluster``'s temporaries and equations,
+    printed by :class:`~repro.symbolics.CExecPrinter` in ``dtype`` with
+    the scalar temporaries' kinds (:func:`_scalar_assignment_kinds`).
+    ``index_printer`` renders array accesses: flattened pointer
+    arithmetic in the compiled kernel, subscripts in the listing."""
+    printer = CExecPrinter(index_printer, dtype=str(dtype),
+                           symbol_kinds=scalar_kinds)
+    ctype = 'float' if printer.single else 'double'
+    lines = []
+    for temp, rhs in cluster.temps:
+        text, kind = printer.doprint_kinded(rhs)
+        decl = ctype if kind == 'A' else 'double'
+        lines.append('const %s %s = %s;' % (decl, temp.name, text))
+        printer.symbol_kinds[temp.name] = kind
+    for eq in cluster.eqs:
+        lines.append('%s = %s;' % (printer.doprint(eq.lhs),
+                                   printer.doprint(eq.rhs)))
+    return lines
+
+
 def _print_kernel(em, glue, name, fn, cluster, parallel, ctype, dtype,
                   tvars, scalar_kinds):
     """Print ``cluster`` as the C function ``name`` and, into ``glue``,
@@ -706,18 +724,9 @@ def _print_kernel(em, glue, name, fn, cluster, parallel, ctype, dtype,
     scalars = sorted(scalars)
 
     used_tvars = set()
-    printer = CExecPrinter(
-        _flat_index_printer(tvars, used_tvars, classes), dtype=str(dtype),
-        symbol_kinds={s: scalar_kinds.get(s, 'w') for s in scalars})
-    body_lines = []
-    for temp, rhs in cluster.temps:
-        text, kind = printer.doprint_kinded(rhs)
-        decl = ctype if kind == 'A' else 'double'
-        body_lines.append('const %s %s = %s;' % (decl, temp.name, text))
-        printer.symbol_kinds[temp.name] = kind
-    for eq in cluster.eqs:
-        lhs_text = printer.doprint(eq.lhs)
-        body_lines.append('%s = %s;' % (lhs_text, printer.doprint(eq.rhs)))
+    body_lines = _print_body(
+        cluster, _flat_index_printer(tvars, used_tvars, classes), dtype,
+        scalar_kinds)
 
     targs = sorted(used_tvars, key=lambda k: tvars[k])
     params = [('%s *restrict' % ctype, f.name) for f in funcs]
@@ -779,29 +788,19 @@ def _print_sparse(em, name, step, ctype, dtype, scalar_kinds):
     the sparse data (mode 1, serial) or leaves it in the pending block
     (mode 2).  Returns ``(fields, scalars, layout-class halos, whether
     it calls libm)``."""
-    from ..ir.lowered import accesses_of
-    sparse = step.op.sparse
-    dims = list(sparse.grid.dimensions)
-    funcs = {acc.function.name: acc.function for acc in accesses_of(step.expr)}
-    if step.field_access is not None:
-        funcs[step.field_access.function.name] = step.field_access.function
+    dims = list(step.op.sparse.grid.dimensions)
+    accs = accesses_of(step.expr) + (
+        [] if step.field_access is None else [step.field_access])
+    funcs = {acc.function.name: acc.function for acc in accs}
     funcs = [funcs[k] for k in sorted(funcs)]
     classes, halos = _layout_classes(funcs)
     scalars = sorted(_free_scalars(step.expr, ()))
-    tkeys = set()
-    for acc in accesses_of(step.expr):
-        if acc.time_shift is not None and acc.function.is_TimeFunction:
-            tkeys.add((acc.time_shift, function_nb(acc.function)))
-    target = step.field_access
-    if target is not None and target.time_shift is not None:
-        tkeys.add((target.time_shift, function_nb(target.function)))
-    tvars = {key: '__tv%d' % i for i, key in enumerate(sorted(tkeys))}
-    printer = _SparseExecPrinter(
-        sparse, _flat_index_printer(tvars, set(), classes),
-        dtype=str(dtype), symbol_kinds={s: scalar_kinds.get(s, 'w')
-                                        for s in scalars})
-    text, kind = printer.doprint_kinded(step.expr)
-    value, _ = printer._combine('__w[__k]', 'A', '(%s)' % text, kind, '*')
+    tvars = {key: '__tv%d' % i for i, key in enumerate(sorted({
+        (acc.time_shift, function_nb(acc.function)) for acc in accs
+        if acc.time_shift is not None and acc.function.is_TimeFunction}))}
+    statement, libm = _sparse_statement(
+        step, _flat_index_printer(tvars, set(), classes), dtype,
+        scalar_kinds)
 
     nd = len(dims)
     # -O1 in a unit compiled at -O0: the gather/scatter loops run
@@ -839,16 +838,6 @@ def _print_sparse(em, name, step, ctype, dtype, scalar_kinds):
     em.emit('__sd += time*__np;')
     em.close_block()
     if step.kind == 'inject':
-        f = target.function
-        c = classes[f.name]
-        terms = []
-        if target.time_shift is not None and f.is_TimeFunction:
-            terms.append('%s*__c%d_t' % (
-                tvars[(target.time_shift, function_nb(f))], c))
-        for dim in dims[:-1]:
-            terms.append('%s*__c%d_%s' % (dim.name, c, dim.name))
-        terms.append(dims[-1].name)
-        lhs = '%s[%s + __c%d_o]' % (f.name, ' + '.join(terms), c)
         em.emit('(void)__mode; (void)__nrows; (void)__np;')
     else:
         em.emit('double *__r = (double *)__b->ptrs[__a[%d]] + '
@@ -858,10 +847,7 @@ def _print_sparse(em, name, step, ctype, dtype, scalar_kinds):
     em.emit('const long __p = __pid[__k];')
     for d, dim in enumerate(dims):
         em.emit('const long %s = __i%d[__k];' % (dim.name, d))
-    if step.kind == 'inject':
-        em.emit('%s = %s + %s;' % (lhs, lhs, value))
-    else:
-        em.emit('__r[__p] += %s;' % value)
+    em.emit(statement)
     em.close_block()
     if step.kind != 'inject':
         em.open_block('if (__mode == 1)')
@@ -871,4 +857,21 @@ def _print_sparse(em, name, step, ctype, dtype, scalar_kinds):
     em.emit('return 0;')
     em.close_block()
     em.emit()
-    return [f.name for f in funcs], scalars, halos, printer.libm
+    return [f.name for f in funcs], scalars, halos, libm
+
+
+def _sparse_statement(step, index_printer, dtype, scalar_kinds):
+    """The C statement of one contribution ``__k`` of a sparse
+    operation, with the dimension variables bound to its grid cell:
+    injection adds ``w * expr`` into the field element, interpolation
+    into the point's row ``__r[__p]``.  ``index_printer`` renders array
+    accesses (:func:`_print_body`).  Returns ``(statement, whether it
+    calls libm)``."""
+    printer = _SparseExecPrinter(step.op.sparse, index_printer,
+                                 dtype=str(dtype), symbol_kinds=scalar_kinds)
+    text, kind = printer.doprint_kinded(step.expr)
+    value, _ = printer._combine('__w[__k]', 'A', '(%s)' % text, kind, '*')
+    if step.kind == 'inject':
+        lhs = index_printer(printer, step.target)
+        return '%s = %s + %s;' % (lhs, lhs, value), printer.libm
+    return '__r[__p] += %s;' % value, printer.libm

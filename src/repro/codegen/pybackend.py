@@ -231,7 +231,6 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
     counts, the sanitizer's write map and the compiled step's geometry
     rows and op program.
     """
-    from ..analysis.dataflow import access_table
     from ..ir.program import step_program
     grid = schedule.grid
     validate_names(schedule)
@@ -320,14 +319,11 @@ def lower_kernel(schedule, instrument=False, sanitizer=False,
         'driver': em.finish(),
         'program': program,
         'shape': [int(n) for n in grid.shape],
-        'steps': access_table(schedule),
         'functions': [f.name for f in schedule.functions
                       if not f.is_Scratch],
         'scratch': [[f.name, [list(h) for h in f.halo]]
                     for f in schedule.functions if f.is_Scratch],
         'sparse_functions': [s.name for s in schedule.sparse_functions],
-        'sparse_steps': [[int(sid), step.op.sparse.name]
-                         for sid, step in sparse_steps],
         'constants': sorted(constants),
         'uses_dt': uses_dt,
         'flops_per_point': schedule.flops_per_point(),

@@ -383,8 +383,7 @@ class Operator:
         by_name.update((name, array) for name, (array, _)
                        in kernel.scratch.items())
         diagnostics = list(self.structure_report or ()) + prove_inbounds(
-            p['steps'], by_name, dist, self.grid.dimensions,
-            bool(self.mpi_mode))
+            p['program'], by_name, dist, self.grid.dimensions)
         self.profiler.record_build_time('analysis',
                                         _time.perf_counter() - tic)
         self.analysis = AnalysisReport(diagnostics=diagnostics,
@@ -445,7 +444,14 @@ class Operator:
 
     @property
     def ccode(self):
-        """The equivalent C code (paper's Listing 11 style)."""
+        """The timestep as C, in the shape of the paper's Listing 11.
+
+        Never compiled, but its loop nests and sparse loops hold the
+        statements the compiled step runs, with subscripted accesses,
+        in the grid's dtype; each exchanger's halo callable prints that
+        exchanger's tags.  The loop frame is the paper's, not the
+        executed blocked nest, and a rank that did not lower the build
+        re-lowers for it (:attr:`schedule`)."""
         from ..codegen.cgen import generate_c
         return generate_c(self.schedule, name=self.name,
                           profiling=self.profiler.level,

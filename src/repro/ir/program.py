@@ -32,7 +32,15 @@ The record::
                  'step': <schedule step index, None before the loop>,
                  'flops_per_point', 'traffic_per_point',
                  'ops': [...],
-                 'writes': [[function, time shift], ...]}
+                 'writes': [[function, time shift], ...],
+                 # compute sections only
+                 'region': 'domain' | 'core' | 'remainder' | 'grown',
+                 'widths': <carving widths, None for DOMAIN or GROWN>,
+                 'grow': <reach beyond DOMAIN, None if it has none>,
+                 # compute and sparse sections
+                 'accesses': [[function, space offsets, is_write], ...],
+                 # sparse sections only
+                 'sparse': <sparse function>}
 
 Ops::
 
@@ -43,7 +51,13 @@ Ops::
                                    2 into the pending block of rows
     ['poison', 'all' | 'time']     sanitizer fill
 
-``writes`` are the buffers the sanitizer scans after the section.
+``writes`` are the buffers the sanitizer scans after the section.  A
+compute section's boxes on a rank are
+:func:`~repro.ir.schedule.region_boxes` of its ``region``, ``widths``
+and ``grow``; its ``accesses`` are its distinct read, then write,
+offsets per function.  The in-bounds proof
+(:func:`~repro.analysis.dataflow.prove_inbounds`) binds both per rank.
+
 Section names follow the Devito convention: ``haloupdate<n>`` for
 blocking updates and ``begin`` halves (hoisted preamble exchanges
 first), ``halowait<n>`` for the ``wait`` half sharing its ``begin``'s
@@ -54,6 +68,8 @@ are distinct sections) and ``sparse<n>`` for sparse operations.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
+
+from .lowered import accesses_of
 
 __all__ = ['step_program']
 
@@ -71,6 +87,21 @@ def _new_section(name: Optional[str], kind: str, ops: List[List[Any]],
             'flops_per_point': flops_per_point,
             'traffic_per_point': traffic_per_point,
             'ops': ops, 'writes': writes or []}
+
+
+def _pairs(widths: Any) -> Optional[List[List[int]]]:
+    """Per-dimension ``(left, right)`` pairs as JSON lists."""
+    return None if widths is None else [[int(l), int(r)]
+                                        for l, r in widths]
+
+
+def _rows(accesses: Any, is_write: bool) -> List[List[Any]]:
+    """``[function, offsets, is_write]`` per distinct (function,
+    offsets)."""
+    rows = dict.fromkeys((acc.function.name,
+                          tuple(int(o) for o in acc.offsets))
+                         for acc in accesses)
+    return [[name, list(offsets), is_write] for name, offsets in rows]
 
 
 def step_program(schedule: Any, instrument: bool = False,
@@ -136,20 +167,32 @@ def step_program(schedule: Any, instrument: bool = False,
                 step=sid))
         elif step.is_compute:
             cluster = step.cluster
-            loop.append(_new_section(
+            amap = cluster.access_map
+            sec = _new_section(
                 'section%d' % nsec, 'compute', [['call', sid]], step=sid,
                 flops_per_point=cluster.flops_per_point(),
                 traffic_per_point=cluster.traffic_per_point(itemsize),
-                writes=writes(cluster.write_keys)))
+                writes=writes(cluster.write_keys))
+            sec.update(region=step.region, widths=_pairs(step.widths),
+                       grow=_pairs(step.grow),
+                       accesses=_rows(amap.reads, False)
+                       + _rows(amap.writes, True))
+            loop.append(sec)
             nsec += 1
         else:
             mode = 0 if step.kind == 'inject' else 2 if sid in deferred \
                 else 1
             target = step.field_access
-            loop.append(_new_section(
+            accs = accesses_of(step.expr) + ([] if target is None
+                                             else [target])
+            sec = _new_section(
                 'sparse%d' % nsparse, 'sparse', [['call', sid, mode]],
                 step=sid, writes=writes(
-                    [] if target is None else [target.key])))
+                    [] if target is None else [target.key]))
+            sec.update(sparse=step.op.sparse.name, accesses=[
+                [acc.function.name, [int(o) for o in acc.offsets],
+                 bool(acc.is_write)] for acc in accs])
+            loop.append(sec)
             nsparse += 1
     return {'mode': schedule.mpi_mode, 'itemsize': itemsize,
             'timed': bool(instrument), 'sanitizer': san,

@@ -81,11 +81,6 @@ class ComputeStep:
         """How far the region reaches beyond DOMAIN (None: it does not)."""
         return self.cluster.grow
 
-    def boxes(self, dist):
-        """This rank's non-empty iteration boxes of the step's region
-        (:func:`region_boxes`)."""
-        return region_boxes(self.region, self.widths, dist, self.grow)
-
     def __repr__(self):
         return 'ComputeStep(%s, %d eqs)' % (self.region,
                                             len(self.cluster.eqs))
@@ -131,11 +126,14 @@ class SparseStep:
     is_compute = False
     is_sparse = True
 
-    def __init__(self, op, lowered_expr, field_access=None):
+    def __init__(self, op, lowered_expr, target=None):
         self.op = op
         self.kind = 'inject' if isinstance(op, Injection) else 'interpolate'
         self.expr = lowered_expr
-        self.field_access = field_access  # Access of the injected field
+        #: the injected field element (an Indexed) and its Access
+        self.target = target
+        self.field_access = None if target is None \
+            else parse_access(target, is_write=True)
 
     def __repr__(self):
         return 'SparseStep(%s, %s)' % (self.kind, self.op.sparse.name)
@@ -235,8 +233,7 @@ def _lower_sparse(op):
         field = op.field
         if getattr(field, 'is_DiscreteFunction', False):
             field = field.indexify()
-        return SparseStep(op, expr,
-                          field_access=parse_access(field, is_write=True))
+        return SparseStep(op, expr, target=field)
     return SparseStep(op, expr)
 
 

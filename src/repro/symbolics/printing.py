@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import (Add, Expr, Float, Integer, Mul, Pow, Rational, S,
-                   Symbol, preorder)
+from .expr import Float, Integer, Rational, S
 from .functions import FUNCTION_REGISTRY, AppliedFunction
 
 __all__ = ['ccode', 'pycode', 'CPrinter', 'PyPrinter', 'CExecPrinter']
@@ -140,19 +139,24 @@ def _is_atom_text(text):
 
 
 class CPrinter(_PrinterBase):
-    """Render expressions as single-precision C."""
+    """Render expressions as single-precision C (``1.0F``, ``sqrtf``),
+    or as double-precision C with ``single=False``."""
+
+    def __init__(self, single=True):
+        self.suffix = 'F' if single else ''
 
     def _one_literal(self):
-        return '1.0F'
+        return '1.0' + self.suffix
 
     def _sqrt_call(self, arg):
-        return 'sqrtf(%s)' % arg
+        return '%s(%s)' % (self._function_name('sqrtf', 'np.sqrt'), arg)
 
     def _pow_call(self, base, exp):
-        return 'powf(%s, %s)' % (base, exp)
+        return '%s(%s, %s)' % (self._function_name('powf', None), base, exp)
 
     def _function_name(self, cname, pyname):
-        return cname
+        # C names are the float variants (sinf, fabsf, ...)
+        return cname if self.suffix else cname[:-1]
 
     def _print_int(self, expr):
         return str(expr.value)
@@ -161,16 +165,13 @@ class CPrinter(_PrinterBase):
         return self._print_rational_as_float(expr)
 
     def _print_rational_as_float(self, expr):
-        value = float(expr.value)
-        if value == int(value):
-            return '%.1fF' % value
-        return ('%r' % value) + 'F'
+        return self._print_float(expr)
 
     def _print_float(self, expr):
-        value = expr.value
+        value = float(expr.value)
         if value == int(value):
-            return '%.1fF' % value
-        return ('%r' % value) + 'F'
+            return '%.1f' % value + self.suffix
+        return repr(value) + self.suffix
 
     def _print_indexed(self, expr):
         idx = ''.join('[%s]' % self._print(i) for i in expr.indices)

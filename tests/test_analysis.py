@@ -33,7 +33,7 @@ from repro.analysis import (ANALYSIS_VERSION, AnalysisError, AnalysisReport,
                             merge_reports, render_merged, verify_schedule)
 from repro.ir.clusters import HaloRequirement
 from repro.ir.lowered import accesses_of
-from repro.ir.schedule import build_schedule
+from repro.ir.schedule import build_schedule, region_boxes
 from repro.mpi import run_parallel
 from repro.mpi.commlog import TagCollisionError, check_tag_spaces
 from repro.mpi.sim import RESERVED_TAG_SPACES
@@ -668,7 +668,7 @@ def _bruteforce_need(schedule, dist):
         reads = [acc for eq in cluster.eqs for acc in eq.reads]
         reads += [acc for _, rhs in cluster.temps
                   for acc in accesses_of(rhs)]
-        for box in step.boxes(dist):
+        for box in region_boxes(step.region, step.widths, dist, step.grow):
             for acc in reads:
                 if acc.function.is_Scratch:
                     continue  # never exchanged

@@ -27,7 +27,7 @@ from repro import (Eq, Function, Grid, Operator, SparseTimeFunction,
 from repro.buildcache import BuildCache, disk_objects
 from repro.codegen import jit
 from repro.codegen.cgen import generate_c_steps
-from repro.ir.schedule import build_schedule, plan_blocking
+from repro.ir.schedule import build_schedule, plan_blocking, region_boxes
 from repro.mpi import run_parallel
 
 MODES = ('basic', 'diagonal', 'full')
@@ -787,7 +787,8 @@ class TestShapeGeneric:
             source, meta = generate_c_steps(schedule)
             # each rank binds its own geometry rows
             dist = grid.distributor
-            boxes = {sid: step.boxes(dist)
+            boxes = {sid: region_boxes(step.region, step.widths, dist,
+                                       step.grow)
                      for sid, step in enumerate(schedule.steps)
                      if step.is_compute}
             return source, bind_meta(meta, boxes, dist.shape_local)

@@ -56,13 +56,20 @@ class TestGeneratedCode:
         # domain [0, 6) with halo 2 -> slices 2:8
         assert '2:8' in op.pycode
 
-    def test_ccode_listing11_shape(self):
-        grid = Grid(shape=(4, 4), extent=(2.0, 2.0))
+    @pytest.mark.parametrize('dtype, ctype, r0', [
+        (np.float32, 'float', '1.0F/dt'), (np.float64, 'double', '1.0/dt')],
+        ids=['float32', 'float64'])
+    def test_ccode_listing11_shape(self, dtype, ctype, r0):
+        """The listing's arrays, scalars and temporaries are of the
+        grid's dtype."""
+        grid = Grid(shape=(4, 4), extent=(2.0, 2.0), dtype=dtype)
         u = TimeFunction(name='u', grid=grid, space_order=2)
         op = Operator([Eq(u.forward, solve(Eq(u.dt, u.laplace),
                                            u.forward))])
         c = op.ccode
-        assert 'float r0 = 1.0F/dt;' in c
+        assert '%s r0 = %s;' % (ctype, r0) in c
+        assert '%s *restrict u_vec' % ctype in c
+        assert 'const %s r3 = ' % ctype in c
         assert 'u[t1][2 + x][2 + y]' in c
         assert '#pragma omp simd' in c
         assert 'for (int time = time_m' in c
