@@ -112,8 +112,6 @@ class TestTopologyAblation:
     def test_full_mode_topology_tuning_model(self):
         """Section IV-F: restricting the decomposition to x/y helps full
         mode (no inefficient strides along z)."""
-        from repro.perfmodel.machine import ARCHER2, Machine
-
         m = ScalingModel('elastic', 16)
         shape = (1024,) * 3
         # emulate an x/y-only decomposition by removing the z splitting

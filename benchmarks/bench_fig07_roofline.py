@@ -5,8 +5,6 @@ platforms, paper read-offs alongside, plus this implementation's
 compile-time OI (the paper computes CPU OI the same way, from the AST).
 """
 
-import pytest
-
 from repro.perfmodel import (ARCHER2_ROOF, TURSA_ROOF,
                              measured_roofline_points, roofline_points)
 

@@ -68,7 +68,9 @@ __all__ = ['ARTIFACT_VERSION', 'ArtifactError', 'KernelArtifact']
 #: 11: ``steps`` and ``sparse_steps`` folded into ``program``: compute
 #:     sections carry ``region``, ``widths``, ``grow`` and
 #:     ``accesses``, sparse sections ``sparse`` and ``accesses``.
-ARTIFACT_VERSION = 11
+#: 12: the NumPy driver inlines a temporary read once and deletes every
+#:     other one after its last reader (the driver text changed).
+ARTIFACT_VERSION = 12
 
 _REQUIRED_KEYS = ('version', 'driver', 'program', 'shape',
                   'functions', 'scratch', 'sparse_functions',

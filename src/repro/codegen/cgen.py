@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.certificate import bind_certificate
 from ..ir.lowered import accesses_of, parse_index
 from ..ir.program import step_program
 from ..ir.schedule import plan_blocking, region_boxes
@@ -202,12 +203,16 @@ def generate_c(schedule, name='Kernel', profiling='off', sanitizer=False):
         em.emit()
 
     # halo-exchange callables: one per exchanger of the record; a loop
-    # exchanger's op says whether it is split (begin/wait) and timed
+    # exchanger's op says whether it is split (begin/wait) and timed,
+    # this rank's certificate how many messages it sends
     spots = {op[1]: op for sec in program['loop'] for op in sec['ops']
              if op[0] in ('update', 'send')}
+    sends = {entry.key: len(entry.messages) for entry in
+             bind_certificate(program, grid.distributor).entries}
     for ex in program['exchangers']:
         op = spots.get(ex['key'])
         _emit_halo_callable(em, schedule.mpi_mode, ctype, mpitype, ex,
+                            sends[ex['key']],
                             begin=op is not None and op[0] == 'send',
                             timed=op is not None and op[3] is not None)
 
@@ -368,7 +373,7 @@ def _emit_sparse(em, step, index_printer, dtype, scalar_kinds):
     em.close_block()
 
 
-def _emit_halo_callable(em, mode, ctype, mpitype, ex, begin, timed):
+def _emit_halo_callable(em, mode, ctype, mpitype, ex, nmsg, begin, timed):
     """Emit the halo-exchange callable of exchanger ``ex`` (a record
     of :func:`~repro.ir.program.step_program`), named ``halobegin`` /
     ``haloupdate`` plus :func:`_callable_suffix`: the ``begin`` half of
@@ -376,7 +381,9 @@ def _emit_halo_callable(em, mode, ctype, mpitype, ex, begin, timed):
     callable takes a time index (a hoisted exchange's function has no
     time dimension).  The tags are the exchanger's: ``tag_base`` plus a
     direction code below ``3**ndim``, as
-    :class:`~repro.mpi.halo.HaloExchanger` sends them."""
+    :class:`~repro.mpi.halo.HaloExchanger` sends them; ``nmsg`` is the
+    number of messages it sends from this rank (its certificate
+    entry)."""
     suffix, fname = _callable_suffix(ex['key']), ex['function']
     tag0, ndim = int(ex['tag_base']), len(ex['widths'])
     tparam, targ = (', int t', ', t') if timed else ('', '')
@@ -387,7 +394,7 @@ def _emit_halo_callable(em, mode, ctype, mpitype, ex, begin, timed):
     em.emit('int rank; MPI_Comm_rank(comm, &rank);')
     if mode == 'basic':
         em.emit('/* multi-step synchronous face exchanges: '
-                '%d messages in %dD */' % (2 * ndim, ndim))
+                '%d messages in %dD */' % (nmsg, ndim))
         centre = (3 ** ndim - 1) // 2
         for d, (wl, wr) in enumerate(ex['widths']):
             if not (wl or wr):
@@ -408,7 +415,6 @@ def _emit_halo_callable(em, mode, ctype, mpitype, ex, begin, timed):
                     % (d, mpitype, d, down, d, mpitype, d, down))
             em.emit('free(sendbuf%d);' % d)
     else:
-        nmsg = 3 ** ndim - 1
         em.emit('/* single-step neighborhood exchange incl. corners: '
                 '%d messages in %dD; buffers preallocated in Python-land; '
                 'tags[n], rtags[n] < %d */' % (nmsg, ndim, 3 ** ndim))

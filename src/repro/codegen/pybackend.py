@@ -21,6 +21,8 @@ what a per-rank generator would print, fully folded.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..ioutil import file_digest
@@ -575,15 +577,69 @@ def _view_expr(func, time_shift):
 
 def _cluster_template(em, cluster):
     """The lines of one box of ``cluster`` (its label comment aside),
-    with slice placeholders (:func:`_slice_index_printer`)."""
+    with slice placeholders (:func:`_slice_index_printer`).
+
+    Each temporary is a whole-box array here (a register in C), so its
+    lifetime ends at its last read: a temporary read once is printed,
+    parenthesised, in place of its name, and every other one is
+    deleted right after the statement that reads it last.  Inlining
+    works on printed text, so every operation keeps exactly its printed
+    operands and grouping (a symbolic substitution can re-sort an
+    ``Add``, changing the rounding).  Where an equation writes a buffer
+    the temporaries read, no temporary moves into an equation: it keeps
+    the value it had before that write.
+    """
+    from ..ir.lowered import accesses_of, parse_access
     printer = PyPrinter(index_printer=_slice_index_printer())
     indent = _INDENT * em.level
-    lines = ['%s%s = %s' % (indent, temp.name, printer.doprint(rhs))
+    stmts = [(temp.name, printer.doprint(rhs))
              for temp, rhs in cluster.temps]
-    lines += ['%s%s = %s' % (indent, printer.doprint(eq.lhs),
-                             printer.doprint(eq.rhs))
+    ntemps = len(stmts)
+    stmts += [(printer.doprint(eq.lhs), printer.doprint(eq.rhs))
               for eq in cluster.eqs]
+    readers = {name: [] for name, _ in stmts[:ntemps]}
+    for i, (_, rhs) in enumerate(stmts):
+        for name in _NAME.findall(rhs):
+            if name in readers:
+                readers[name].append(i)
+    written = {_buffer(parse_access(eq.lhs)) for eq in cluster.eqs}
+    hazard = any(_buffer(acc) in written for _, rhs in cluster.temps
+                 for acc in accesses_of(rhs))
+    inline = {name for name, reads in readers.items() if len(reads) == 1
+              and (reads[0] < ntemps or not hazard)}
+    # where each statement's text is evaluated: an inlined one, in its
+    # reader's
+    at = list(range(len(stmts)))
+    for i in reversed(range(ntemps)):
+        if stmts[i][0] in inline:
+            at[i] = at[readers[stmts[i][0]][0]]
+    dels = {}
+    for i, (name, _) in enumerate(stmts[:ntemps]):
+        if name not in inline:
+            dels.setdefault(max((at[r] for r in readers[name]), default=i),
+                            []).append(name)
+    texts, lines = {}, []
+    for i, (lhs, rhs) in enumerate(stmts):
+        text = _NAME.sub(lambda m: '(%s)' % texts[m[0]]
+                         if m[0] in texts else m[0], rhs)
+        if lhs in inline:
+            texts[lhs] = text
+            continue
+        lines.append('%s%s = %s' % (indent, lhs, text))
+        if i in dels:
+            lines.append('%sdel %s' % (indent, ', '.join(dels[i])))
     return lines
+
+
+#: an identifier of printed driver text (temporary names among them)
+_NAME = re.compile(r'[A-Za-z_]\w*')
+
+
+def _buffer(access):
+    """The storage ``access`` touches: function name and time buffer."""
+    shift = access.time_shift
+    return (access.function.name,
+            None if shift is None else shift % function_nb(access.function))
 
 
 def _sparse_grid_functions(step):

@@ -9,12 +9,10 @@ derivatives into explicit stencils.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..symbolics import (Derivative, Indexed, S, TokenEmitter,
                          expand_derivatives, indexify)
 from ..symbolics import solve as _solve
-from .function import DiscreteFunction, TimeFunction
+from .function import DiscreteFunction
 from .tensor import TensorExpr, VectorExpr
 
 __all__ = ['Eq', 'solve']

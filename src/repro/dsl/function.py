@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..mpi import Data, DimSpec
-from ..symbolics import Add, Atom, Derivative, Indexed, S, Symbol
+from ..symbolics import Add, Atom, Derivative, Indexed, Symbol
 from .dimensions import Dimension
 
 __all__ = ['Constant', 'DiscreteFunction', 'Function', 'ScratchArray',

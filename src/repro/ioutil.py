@@ -66,6 +66,12 @@ _HEAD = struct.Struct('<8sHHQ16s')
 
 def atomic_write_bytes(path, data):
     """Atomically write ``data`` (bytes) to ``path`` via tmp+rename."""
+    return _atomic_write(path, (data,))
+
+
+def _atomic_write(path, chunks):
+    """Atomically write the concatenation of ``chunks`` (bytes-like
+    objects, each written from its own buffer) to ``path``."""
     path = os.fspath(path)
     dirname = os.path.dirname(path) or '.'
     fd, tmp = tempfile.mkstemp(dir=dirname,
@@ -73,7 +79,8 @@ def atomic_write_bytes(path, data):
                                suffix='.tmp')
     try:
         with os.fdopen(fd, 'wb') as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -118,13 +125,20 @@ def file_digest(path):
         return _digest(f.read()).hexdigest()
 
 
-def _write_sealed(path, ident, payload):
+def _write_sealed(path, ident, chunks):
+    """Seal the concatenation of ``chunks`` (bytes or 1-D ``uint8``
+    arrays) under ``ident``: the digest and the file read each chunk
+    in place, so the payload is never joined into one copy.  Returns
+    the bytes written."""
     ident = ident.encode('utf-8')
-    frame = b''.join((_HEAD.pack(_MAGIC, SEAL_VERSION, len(ident),
-                                 len(payload), _digest(payload).digest()),
-                      ident, payload))
-    atomic_write_bytes(path, frame)
-    return len(frame)
+    digest = hashlib.blake2b(digest_size=16)
+    for chunk in chunks:
+        digest.update(chunk)
+    nbytes = sum(len(chunk) for chunk in chunks)
+    _atomic_write(path, [_HEAD.pack(_MAGIC, SEAL_VERSION, len(ident),
+                                    nbytes, digest.digest()),
+                         ident, *chunks])
+    return _HEAD.size + len(ident) + nbytes
 
 
 def read_sealed(path, ident):
@@ -155,7 +169,7 @@ def read_sealed(path, ident):
 
 def write_sealed_json(path, ident, obj):
     """Seal ``obj`` as JSON under ``ident``; returns the bytes written."""
-    return _write_sealed(path, ident, json.dumps(obj).encode('utf-8'))
+    return _write_sealed(path, ident, [json.dumps(obj).encode('utf-8')])
 
 
 def read_sealed_json(path, ident):
@@ -167,11 +181,13 @@ def write_sealed_arrays(path, ident, arrays):
     """Seal a dict of named arrays under ``ident``: a JSON index line of
     ``[name, dtype, shape]`` followed by the raw C-order bytes of each
     array.  Returns the bytes written."""
+    # an array is copied only when it is not C-contiguous; the others
+    # are sealed from their own buffers
     arrays = [(name, np.asarray(a, order='C')) for name, a in arrays.items()]
     index = [[name, a.dtype.str, list(a.shape)] for name, a in arrays]
-    payload = b''.join([json.dumps(index).encode('utf-8'), b'\n',
-                        *(a.tobytes() for _, a in arrays)])
-    return _write_sealed(path, ident, payload)
+    return _write_sealed(path, ident, [
+        json.dumps(index).encode('utf-8') + b'\n',
+        *(a.reshape(-1).view(np.uint8) for _, a in arrays)])
 
 
 def read_sealed_arrays(path, ident):

@@ -9,7 +9,7 @@ from which halo requirements are derived (paper Section III-f).
 
 from __future__ import annotations
 
-from ..symbolics import Add, Integer, preorder
+from ..symbolics import Integer, preorder
 
 __all__ = ['Access', 'LoweredEq', 'parse_index', 'parse_access',
            'accesses_of']

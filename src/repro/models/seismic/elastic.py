@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...dsl import (Eq, Operator, TensorTimeFunction, VectorTimeFunction,
-                    div, solve)
+                    div)
 from ...symbolics import Derivative
 from .geometry import Receiver, RickerSource, TimeAxis
 

@@ -9,11 +9,9 @@ boundary-ness, global/local conversion per dimension).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cart import CartComm, compute_dims, create_cart
 from .decomposition import Decomposition
-from .sim import PROC_NULL, SimComm, serial_comm
+from .sim import serial_comm
 
 __all__ = ['Distributor']
 

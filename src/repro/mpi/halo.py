@@ -34,7 +34,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .sim import PROC_NULL, Request
+from .sim import PROC_NULL
 
 __all__ = ['HaloWidths', 'HaloMessage', 'BasicExchanger',
            'DiagonalExchanger', 'FullExchanger', 'make_exchanger',

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..mpi.cart import compute_dims
 from .kernels import BASE_CPU, BASE_GPU, KERNEL_SPECS
-from .machine import ARCHER2, TURSA, Machine
+from .machine import ARCHER2, TURSA
 
 __all__ = ['ScalingModel', 'strong_scaling_table', 'weak_scaling_table']
 

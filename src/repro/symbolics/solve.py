@@ -9,7 +9,7 @@ without a full expansion (which would blow up high-order TTI stencils).
 from __future__ import annotations
 
 from .derivative import expand_derivatives, indexify
-from .expr import Add, Mul, Pow, S, Zero, linear_coeffs
+from .expr import Mul, Pow, S, Zero, linear_coeffs
 
 __all__ = ['solve']
 

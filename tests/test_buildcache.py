@@ -20,9 +20,8 @@ import pytest
 
 from repro import (Constant, Eq, Grid, Operator, SparseTimeFunction,
                    TimeFunction, configuration, solve)
-from repro.buildcache import (BuildCache, clear_disk, disk_usage,
-                              fingerprint_build, get_cache,
-                              read_disk_stats)
+from repro.buildcache import (BuildCache, disk_usage, fingerprint_build,
+                              get_cache, read_disk_stats)
 from repro.codegen.artifact import ARTIFACT_VERSION, KernelArtifact
 from repro.ioutil import read_sealed_json, write_sealed_json
 from repro.mpi import run_parallel

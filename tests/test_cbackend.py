@@ -176,6 +176,36 @@ class TestSerialEquivalence:
         assert '__c2_o' in op.kernel.c_source  # three halos, three classes
         assert np.array_equal(out, ref)
 
+    def test_temporary_read_after_its_clusters_write(self):
+        """A temporary reads ``u[t+1]`` and an equation of its cluster
+        writes it: the NumPy driver does not move the temporary past
+        that write, so both backends compute it before the write."""
+        from repro import Function
+
+        def run(backend):
+            grid = Grid(shape=(8, 8))
+            u = TimeFunction(name='u', grid=grid, space_order=2)
+            v = TimeFunction(name='v', grid=grid, space_order=2)
+            c = Function(name='c', grid=grid)
+            d = Function(name='d', grid=grid)
+            c.data[:] = 2.0
+            d.data[:] = 3.0
+            u.data[0] = 1.0
+            t = u.forward * c + 1
+            op = Operator([Eq(u.forward, u + 1), Eq(v.forward, t * d + t * c)],
+                          backend=backend)
+            op.apply(time_M=0)
+            return v.data.gather(), op
+
+        ref, op_np = run('numpy')
+        out, op_c = run('c')
+        assert (op_np.backend, op_c.backend) == ('numpy', 'c')
+        # one temporary, read once, bound before the write of u[t+1]
+        loop = op_np.pycode.split('# cluster over')[1].splitlines()
+        assert loop[1].startswith('        r') and 'u[(time + 1)' in loop[1]
+        assert loop[2].startswith('        u[(time + 1)')
+        assert np.array_equal(out, ref)
+
     def test_env_var_selects_backend(self, monkeypatch):
         from repro.parameters import Configuration
         cfg = Configuration(environ={'REPRO_BACKEND': 'c'})

@@ -7,8 +7,7 @@ from fractions import Fraction
 from repro import (Constant, Eq, Function, Grid, TimeFunction,
                    SparseTimeFunction, TensorTimeFunction,
                    VectorTimeFunction, div, grad, tr)
-from repro.dsl.dimensions import (SpaceDimension, SteppingDimension,
-                                  TimeDimension)
+from repro.dsl.dimensions import SteppingDimension, TimeDimension
 from repro.symbolics import Derivative, indexeds, preorder
 
 

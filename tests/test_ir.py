@@ -4,10 +4,8 @@ schedule passes (drop/hoist/overlap)."""
 import pytest
 
 from repro import Eq, Function, Grid, TimeFunction, solve
-from repro.ir import (Cluster, build_schedule, clusterize, parse_access,
-                      parse_index)
+from repro.ir import build_schedule, clusterize, parse_access, parse_index
 from repro.ir.lowered import LoweredEq
-from repro.symbolics import Symbol
 
 
 @pytest.fixture

@@ -400,6 +400,31 @@ class TestPropagators:
             f[so] = solver.op.flops_per_point
         assert f[8] > f[4]
 
+    @pytest.mark.parametrize('setup', [tti_setup, viscoelastic_setup,
+                                       elastic_setup],
+                             ids=['tti', 'viscoelastic', 'elastic'])
+    def test_numpy_apply_memory_is_bounded_by_state(self, setup):
+        """A serial NumPy apply allocates, beyond the operator's own
+        storage, at most 1.25x that storage: a cluster's temporaries
+        live only until their last read, not a whole subdomain-sized
+        array each until the next timestep."""
+        import tracemalloc
+        from repro import configuration
+        configuration['backend'] = 'numpy'
+        ret = setup(shape=(96, 96), nbl=10, tn=20.0, space_order=8)
+        solver = ret[0] if isinstance(ret, tuple) else ret
+        solver.forward()  # the first apply binds and warms the kernel
+        state = sum(f.data.with_halo.nbytes for f in solver.op.functions)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solver.forward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver.op.backend == 'numpy'
+        assert peak - start <= 1.25 * state
+
 
 class Test3DStaggered:
     """3D runs of the staggered coupled systems (the paper's actual

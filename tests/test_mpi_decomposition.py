@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import (Data, Decomposition, DimSpec, Distributor,
-                       run_parallel, serial_comm)
+from repro.mpi import Data, Decomposition, DimSpec, Distributor, run_parallel
 
 
 class TestDecomposition:

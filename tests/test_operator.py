@@ -100,6 +100,62 @@ class TestGeneratedCode:
             Operator([Eq(bad.forward, bad + 1)])
 
 
+def _time_loop_temporaries(source):
+    """Walk the time loop of a NumPy driver in statement order: every
+    temporary bound there is read at least twice before its ``del``, no
+    name is read after its ``del``, and none is still bound at the end
+    of an iteration.  Returns how many temporaries the loop binds."""
+    import ast
+    import re
+    temp = re.compile(r'r\d+')
+    loop = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.For))
+    live, dead, bound = {}, set(), 0
+    for stmt in loop.body:
+        names = [n for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and temp.fullmatch(n.id)]
+        for n in names:
+            if isinstance(n.ctx, ast.Load):
+                assert n.id not in dead, 'read after del: %s' % n.id
+                if n.id in live:
+                    live[n.id] += 1
+        for n in names:
+            if isinstance(n.ctx, ast.Del):
+                assert live.pop(n.id) >= 2, 'read once: %s' % n.id
+                dead.add(n.id)
+        for n in names:
+            if isinstance(n.ctx, ast.Store):
+                live[n.id] = 0
+                dead.discard(n.id)
+                bound += 1
+    assert not live, 'never deleted: %s' % sorted(live)
+    return bound
+
+
+@pytest.mark.parametrize('kernel', ['acoustic', 'elastic', 'tti',
+                                    'viscoelastic'])
+def test_numpy_temporaries_end_at_their_last_read(kernel):
+    """The NumPy driver prints a temporary read once in place of its
+    name and deletes every other one after its last reader, serially
+    and on every rank of each exchange mode (full mode: per box)."""
+    from repro import configuration
+    from repro.mpi import run_parallel
+    from repro.service.spec import kernel_setup
+    configuration['backend'] = 'numpy'
+
+    def driver(comm=None, mpi=None):
+        ret = kernel_setup(kernel)(shape=(20, 18), nbl=4, tn=5.0,
+                                   space_order=8, nrec=2, comm=comm,
+                                   mpi=mpi)
+        return (ret[0] if isinstance(ret, tuple) else ret).op.pycode
+
+    sources = [driver()]
+    for mode in ('basic', 'diagonal', 'full'):
+        sources += run_parallel(lambda comm: driver(comm, mode), 2)
+    for source in sources:
+        assert _time_loop_temporaries(source) > 0
+
+
 class TestExecution:
     def test_pointwise_update(self, grid):
         u = TimeFunction(name='u', grid=grid, space_order=2)

@@ -130,15 +130,19 @@ class TestListing11:
 class TestListing6MPIStructure:
     """The MPI-enabled IET structure (HaloUpdate placement, Listing 6)."""
 
-    def _mpi_ccode(self, mode):
+    def _mpi_build(self, mode):
+        """Rank 0's listing and certificate of a 2x2 diffusion build."""
         def job(comm):
             grid = Grid(shape=(8, 8), comm=comm)
             u = TimeFunction(name="u", grid=grid, space_order=2)
             eq = Eq(u.dt, u.laplace)
             op = Operator([Eq(u.forward, solve(eq, u.forward))], mpi=mode)
-            return op.ccode
+            return op.ccode, op.certificate
 
         return run_parallel(job, 4)[0]
+
+    def _mpi_ccode(self, mode):
+        return self._mpi_build(mode)[0]
 
     def test_basic_halo_before_compute(self):
         c = self._mpi_ccode('basic')
@@ -148,10 +152,31 @@ class TestListing6MPIStructure:
         assert 'multi-step synchronous face exchanges' in c
 
     def test_diagonal_single_step(self):
-        c = self._mpi_ccode('diagonal')
+        c, certificate = self._mpi_build('diagonal')
         assert 'MPI_Isend' in c and 'MPI_Irecv' in c
         assert 'single-step neighborhood exchange incl. corners' in c
-        assert '8 messages in 2D' in c
+        # a corner rank of 2x2 sends to its face and diagonal neighbours
+        (entry,) = certificate.entries
+        assert len(entry.messages) == 3
+        assert '3 messages in 2D' in c
+
+    def test_full_listing_counts_the_messages_this_rank_sends(self):
+        """An exchange along the one split dimension of a 2-rank
+        acoustic build sends one message per rank, and the listing
+        prints that count, not the 3**ndim - 1 Moore neighbours."""
+        from repro.models import acoustic_setup
+
+        def job(comm):
+            solver, _ = acoustic_setup(shape=(20, 18), nbl=4, tn=5.0,
+                                       space_order=4, comm=comm, mpi='full')
+            (ex,) = solver.op.kernel.artifact.payload['program']['exchangers']
+            return ex['widths'], solver.op.certificate, solver.op.ccode
+
+        for widths, certificate, c in run_parallel(job, 2):
+            assert widths == [[2, 2], [0, 0]]
+            assert [len(e.messages) for e in certificate.entries] == [1]
+            assert '1 messages in 2D' in c
+            assert 'n < 1;' in c
 
     def test_full_overlap_structure(self):
         c = self._mpi_ccode('full')

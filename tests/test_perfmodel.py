@@ -1,10 +1,9 @@
 """Tests for the calibrated performance model: the reproduction's *shape*
 claims against the paper's published evaluation."""
 
-import numpy as np
 import pytest
 
-from repro.perfmodel import (ARCHER2, TURSA, ScalingModel, attainable,
+from repro.perfmodel import (ScalingModel, attainable,
                              paper_data as pd, roofline_points,
                              shape_metrics, strong_scaling_table,
                              weak_scaling_table)

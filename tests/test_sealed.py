@@ -108,3 +108,63 @@ def test_every_damage_gets_its_typed_outcome(sealed, kind, draw):
     finally:
         with open(target, 'wb') as f:
             f.write(pristine)
+
+
+def _frame(ident, arrays):
+    """A sealed array file as one joined payload: the index line, each
+    array's ``tobytes()``, the frame header and the ident."""
+    import hashlib
+    import json
+    import struct
+    index = [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]
+    payload = b''.join([json.dumps(index).encode('utf-8'), b'\n',
+                        *(a.tobytes() for a in arrays.values())])
+    ident = ident.encode('utf-8')
+    return b''.join([struct.pack('<8sHHQ16s', b'RPROSEAL',
+                                 ioutil.SEAL_VERSION, len(ident),
+                                 len(payload),
+                                 hashlib.blake2b(payload,
+                                                 digest_size=16).digest()),
+                     ident, payload])
+
+
+_GRID = np.arange(48.0).reshape(6, 8)
+_ARRAYS = {'float32': _GRID.astype(np.float32), 'float64': _GRID,
+           'view': _GRID[1:5, ::3], 'empty': np.empty((0, 3), np.float32)}
+
+
+@pytest.mark.parametrize('names', [[k] for k in _ARRAYS] + [list(_ARRAYS)],
+                         ids=list(_ARRAYS) + ['all'])
+def test_sealed_arrays_keep_their_bytes(tmp_path, names):
+    """Arrays sealed from their own buffers give the file one joined
+    payload gives, and read back equal (dtype and shape too)."""
+    arrays = {name: _ARRAYS[name] for name in names}
+    path = str(tmp_path / 'a.arr')
+    nbytes = ioutil.write_sealed_arrays(path, 'k/1', arrays)
+    with open(path, 'rb') as f:
+        blob = f.read()
+    assert blob == _frame('k/1', arrays)
+    assert nbytes == len(blob)
+    back = ioutil.read_sealed_arrays(path, 'k/1')
+    assert list(back) == names
+    for name in names:
+        assert back[name].dtype == arrays[name].dtype
+        assert np.array_equal(back[name], arrays[name])
+
+
+def test_sealing_copies_no_contiguous_array(tmp_path):
+    """Sealing an 8 MiB array allocates less than 1 MiB: neither the
+    digest nor the file needs a copy of its bytes."""
+    import tracemalloc
+    data = np.ones(1 << 20)
+    path = str(tmp_path / 'big.arr')
+    ioutil.write_sealed_arrays(path, 'big', {'a': data[:1]})  # warm up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ioutil.write_sealed_arrays(path, 'big', {'a': data})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1 << 20
+    assert np.array_equal(ioutil.read_sealed_arrays(path, 'big')['a'], data)

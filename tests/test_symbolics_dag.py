@@ -22,8 +22,8 @@ import warnings
 
 import pytest
 
-from repro.symbolics import (Add, Derivative, Expr, Float, Indexed, Integer,
-                             Mul, Pow, Rational, S, Symbol, Temp, WeakIdMemo,
+from repro.symbolics import (Derivative, Expr, Float, Indexed, Integer,
+                             Rational, Symbol, Temp, WeakIdMemo,
                              canonical_tokens, cos, preorder, sin, sqrt,
                              unique_nodes)
 from repro.symbolics.expr import _INTERN

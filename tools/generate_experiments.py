@@ -10,8 +10,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), '..', 'src'))
 
-import numpy as np  # noqa: E402
-
 from repro.perfmodel import (ARCHER2_ROOF, TURSA_ROOF,  # noqa: E402
                              cpu_strong_rows, format_table,
                              gpu_strong_rows, paper_data as pd,
